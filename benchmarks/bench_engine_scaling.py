@@ -59,28 +59,15 @@ BATCH_STEPS = 150
 MIN_BATCHED_SPEEDUP = 5.0
 
 
-class _NoEnvIndexCC2(CC2Algorithm):
-    """CC2 with the environment-sensitivity status index disabled.
-
-    ``environment_sensitive_variables = None`` makes the incremental engine
-    fall back to a full ``environment_sensitive_processes`` status scan
-    between every two steps (the pre-index behaviour), so the bench can
-    quantify what the index buys.
-    """
-
-    environment_sensitive_variables = None
-
-
 def _build_scheduler(n: int, engine: str) -> Scheduler:
     hypergraph = path_of_committees(n - 1)
-    algorithm_cls = _NoEnvIndexCC2 if engine == "incremental-noindex" else CC2Algorithm
-    algorithm = algorithm_cls(hypergraph, TokenBinding(OracleTokenModule(hypergraph.vertices)))
+    algorithm = CC2Algorithm(hypergraph, TokenBinding(OracleTokenModule(hypergraph.vertices)))
     return Scheduler(
         algorithm,
         environment=AlwaysRequestingEnvironment(discussion_steps=1),
         daemon=default_daemon(seed=SEED),
         record_configurations=False,
-        engine="incremental" if engine == "incremental-noindex" else engine,
+        engine=engine,
     )
 
 
@@ -107,10 +94,7 @@ def run_scaling(perf_emit) -> Tuple[list, Dict[int, float]]:
     speedups: Dict[int, float] = {}
     for n in SIZES:
         rates = {}
-        # ``incremental-noindex`` isolates the environment-sensitivity status
-        # index: same engine, but the sensitive set is re-scanned from every
-        # status between steps instead of being maintained from the deltas.
-        for engine in ("dense", "incremental-noindex", "incremental"):
+        for engine in ("dense", "incremental"):
             rate, steps = _measure(n, engine)
             rates[engine] = rate
             perf_emit(
@@ -127,11 +111,7 @@ def run_scaling(perf_emit) -> Tuple[list, Dict[int, float]]:
             {
                 "n": n,
                 "dense steps/s": round(rates["dense"], 1),
-                "no-index steps/s": round(rates["incremental-noindex"], 1),
                 "incremental steps/s": round(rates["incremental"], 1),
-                "env-index gain": round(
-                    rates["incremental"] / rates["incremental-noindex"], 2
-                ),
                 "speedup": round(speedups[n], 2),
             }
         )

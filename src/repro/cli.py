@@ -622,9 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "dense", "incremental"],
         help="execution engine (default: incremental — copy-on-write + "
         "delta-driven enabled-set reuse, trace-identical to the reference "
-        "double-sweep dense engine for any seed; 'auto' additionally falls "
-        "back to dense for environments with side-effecting guards, which "
-        "no CLI workload has)",
+        "double-sweep dense engine for any seed; 'auto' means incremental)",
     )
     run.add_argument("--steps", type=int, default=2000)
     run.add_argument("--discussion", type=int, default=1)

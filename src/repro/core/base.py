@@ -52,7 +52,8 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
     #: ``RequestOut`` (only relevant while ``done``).  Processes in these
     #: statuses are the only ones whose enabledness can change between two
     #: steps without any process writing, so they are what the incremental
-    #: engine refreshes; ``CC2``/``CC3`` narrow this to ``(done,)``.
+    #: engine refreshes when the environment cannot report its delta;
+    #: ``CC2``/``CC3`` narrow this to ``(done,)``.
     environment_sensitive_statuses: Tuple[str, ...] = (IDLE, DONE)
 
     def process_ids(self) -> Tuple[ProcessId, ...]:
@@ -108,16 +109,6 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
             {q: self.neighbour_guard_variables for q in self.hypergraph.neighbors(pid)},
             self.token.read_dependency_variables(pid),
         )
-
-    #: Environment sensitivity is a pure function of the process's status, so
-    #: the incremental engine can keep the sensitive set current from ``S``
-    #: writes alone instead of re-scanning every status between steps.
-    environment_sensitive_variables: Tuple[str, ...] = (STATUS,)
-
-    def environment_sensitive(
-        self, pid: ProcessId, configuration: Configuration
-    ) -> bool:
-        return configuration.get(pid, STATUS) in self.environment_sensitive_statuses
 
     def environment_sensitive_processes(
         self, configuration: Configuration

@@ -174,8 +174,6 @@ class _LaneEnvironment:
 
     __slots__ = ("_env", "_lane", "_col")
 
-    deterministic_guards = True
-
     def __init__(self, env: _VectorEnvironment, lane: int, col: Dict[ProcessId, int]) -> None:
         self._env = env
         self._lane = lane

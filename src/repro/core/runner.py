@@ -103,9 +103,7 @@ class CommitteeCoordinator:
         ``"auto"`` — copy-on-write configurations plus enabled-set reuse via
         the per-variable dirty-set protocol; identical traces for a fixed
         seed, measurably faster at scale) or ``"dense"`` (the reference
-        double-sweep scheduler).  ``None``/``"auto"`` resolve per run: the
-        scheduler falls back to ``dense`` if the run's environment declares
-        ``deterministic_guards = False``.  See :mod:`repro.kernel.scheduler`.
+        double-sweep scheduler).  See :mod:`repro.kernel.scheduler`.
     """
 
     def __init__(

@@ -13,18 +13,27 @@ convention the paper uses -- the stabilization actions appear last and are
 the "priority actions").  When a selected process has several enabled
 actions, it executes its highest-priority enabled one.
 
+Guards are pure functions of the configuration and the environment's
+answers, so only the highest-priority enabled action matters:
+:meth:`DistributedAlgorithm.enabled_action` walks the process's *action
+table* (:meth:`DistributedAlgorithm.action_table`, the list reversed, built
+once per run by the scheduler) and returns the first action whose guard
+holds.
+
 Algorithms also receive *inputs* from the environment: the committee
 coordination algorithms read the predicates ``RequestIn(p)`` and
 ``RequestOut(p)`` which model the professor's autonomous decisions.  The
 environment is exposed to guards and statements through the
-:class:`ActionContext`.
+:class:`ActionContext`; its :meth:`Environment.observe` reports which
+processes' answers flipped (the environment delta), so the incremental
+engine refreshes only those between steps.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.kernel.configuration import Configuration, ProcessId
 
@@ -37,18 +46,15 @@ class Environment:
     hooks.  ``observe`` is called by the scheduler once per step *after* the
     step has been applied so that stateful environments (e.g. meeting-length
     counters) can advance.
-    """
 
-    #: ``True`` iff evaluating the request predicates is free of side effects
-    #: (no RNG draws, no state mutation), so that evaluating a guard more or
-    #: fewer times cannot change the run.  The incremental scheduler engine
-    #: skips guard evaluations and therefore refuses environments that set
-    #: this to ``False`` when asked for explicitly; the default
-    #: ``engine=None``/``"auto"`` falls back to the dense engine instead.
-    #: Every environment in this library keeps it ``True`` — draw randomness
-    #: in :meth:`observe` (as ``ProbabilisticRequestEnvironment`` does) or in
-    #: ``reset``, never inside ``request_in``/``request_out``.
-    deterministic_guards: bool = True
+    **Guard purity.**  ``request_in`` and ``request_out`` must be pure reads:
+    no RNG draws, no state mutation.  Guards call them, and the scheduler
+    evaluates only the guards an answer needs (the highest-priority action
+    first, stopping at the first enabled one; only the processes a step
+    could have affected), so a side effect there would make runs depend on
+    the evaluation order.  Draw randomness in :meth:`observe` (as
+    ``ProbabilisticRequestEnvironment`` does) or in :meth:`reset`.
+    """
 
     def request_in(self, pid: ProcessId, configuration: Configuration) -> bool:
         """The ``RequestIn(p)`` predicate: does professor ``pid`` want to meet?"""
@@ -58,8 +64,20 @@ class Environment:
         """The ``RequestOut(p)`` predicate: does professor ``pid`` want to leave?"""
         return False
 
-    def observe(self, configuration: Configuration, step_index: int) -> None:
-        """Hook invoked after every step with the new configuration."""
+    def observe(
+        self, configuration: Configuration, step_index: int
+    ) -> Optional[Iterable[ProcessId]]:
+        """Hook invoked after every step (and idle tick) with the new configuration.
+
+        Returns the *environment delta*: every process whose
+        ``(request_in, request_out)`` answer on ``configuration`` may differ
+        from its answer just before this call (extra processes are allowed,
+        missing ones are not), or ``None`` when the environment cannot tell.
+        The incremental engine re-evaluates exactly these processes between
+        steps; on ``None`` it falls back to
+        :meth:`DistributedAlgorithm.environment_sensitive_processes`.
+        """
+        return None
 
     def on_essential_discussion(self, pid: ProcessId) -> None:
         """Hook invoked when professor ``pid`` performs its essential discussion."""
@@ -83,7 +101,7 @@ class ActionContext:
     restricts itself to hypergraph neighbours.
     """
 
-    __slots__ = ("pid", "configuration", "environment", "_writes", "_released_token")
+    __slots__ = ("pid", "configuration", "environment", "read", "_writes", "_released_token")
 
     def __init__(
         self,
@@ -94,14 +112,14 @@ class ActionContext:
         self.pid = pid
         self.configuration = configuration
         self.environment = environment
+        #: ``read(pid, variable, default=None)``: read ``variable`` of process
+        #: ``pid`` from the pre-step snapshot.  Bound to the snapshot's own
+        #: ``get``, so a guard's read costs one Python frame, not two.
+        self.read: Callable[..., Any] = configuration.get
         self._writes: Dict[str, Any] = {}
         self._released_token = False
 
     # -- reads ---------------------------------------------------------- #
-    def read(self, pid: ProcessId, variable: str, default: Any = None) -> Any:
-        """Read ``variable`` of process ``pid`` from the pre-step snapshot."""
-        return self.configuration.get(pid, variable, default)
-
     def own(self, variable: str, default: Any = None) -> Any:
         """Read one of the executing process's own variables."""
         return self.configuration.get(self.pid, variable, default)
@@ -220,29 +238,58 @@ class DistributedAlgorithm(abc.ABC):
         """A configuration with every variable drawn arbitrarily (transient faults)."""
         return Configuration({pid: self.arbitrary_state(pid, rng) for pid in self.process_ids()})
 
+    def action_table(self, pid: ProcessId) -> Tuple[Action, ...]:
+        """``pid``'s actions, highest priority first: :meth:`actions` reversed.
+
+        The scheduler builds one table per process once per run and passes it
+        to every guard evaluation of that run; it belongs to the run, never
+        to the algorithm (a table cached here would close a reference cycle
+        algorithm -> table -> closures -> algorithm).
+        """
+        return tuple(reversed(self.actions(pid)))
+
     def enabled_action(
-        self, pid: ProcessId, configuration: Configuration, environment: Environment
+        self,
+        pid: ProcessId,
+        configuration: Configuration,
+        environment: Environment,
+        table: Optional[Sequence[Action]] = None,
     ) -> Optional[Action]:
         """The highest-priority enabled action of ``pid`` in ``configuration``.
 
         Returns ``None`` when ``pid`` is disabled.  Priority follows the
         paper's convention: the action appearing *last* in :meth:`actions`
-        wins.
+        wins.  ``table`` is ``pid``'s :meth:`action_table` (built here when
+        omitted); guards are pure, so the first action in it whose guard
+        holds is the answer and the guards after it are never evaluated.
+        This is the only per-process guard entry point; subclasses do not
+        override it.
         """
+        if table is None:
+            table = self.action_table(pid)
         ctx = ActionContext(pid, configuration, environment)
-        chosen: Optional[Action] = None
-        for action in self.actions(pid):
-            if action.enabled(ctx):
-                chosen = action
-        return chosen
+        for action in table:
+            if action.guard(ctx):
+                return action
+        return None
 
     def enabled_processes(
-        self, configuration: Configuration, environment: Environment
+        self,
+        configuration: Configuration,
+        environment: Environment,
+        tables: Optional[Mapping[ProcessId, Sequence[Action]]] = None,
     ) -> Dict[ProcessId, Action]:
-        """``Enabled(γ)`` with, for each enabled process, its priority action."""
+        """``Enabled(γ)`` with, for each enabled process, its priority action.
+
+        A full sweep of :meth:`enabled_action`; ``tables`` maps each process
+        to its :meth:`action_table` (built per process when omitted).
+        """
         enabled: Dict[ProcessId, Action] = {}
+        enabled_action = self.enabled_action
         for pid in self.process_ids():
-            action = self.enabled_action(pid, configuration, environment)
+            action = enabled_action(
+                pid, configuration, environment, None if tables is None else tables[pid]
+            )
             if action is not None:
                 enabled[pid] = action
         return enabled
@@ -300,35 +347,6 @@ class DistributedAlgorithm(abc.ABC):
         """
         return {source: None for source in self.read_dependencies(pid)}
 
-    #: Variables of a process whose value determines whether that process is
-    #: environment-sensitive, or ``None`` when membership cannot be tracked
-    #: variable-wise.  When a tuple is declared, the incremental scheduler
-    #: engine maintains the environment-sensitive set *incrementally*: it
-    #: scans :meth:`environment_sensitive_processes` once (at construction
-    #: and after every external configuration swap) and thereafter updates
-    #: membership only for step writers that wrote one of these variables,
-    #: asking :meth:`environment_sensitive` — so the between-steps refresh
-    #: costs O(|sensitive|) instead of an O(n) status scan per step.  An
-    #: empty tuple means membership never changes with any write (algorithms
-    #: whose guards never consult the environment).  ``None`` (the default)
-    #: keeps the historical behaviour: a fresh
-    #: :meth:`environment_sensitive_processes` scan every step.
-    environment_sensitive_variables: Optional[Tuple[str, ...]] = None
-
-    def environment_sensitive(
-        self, pid: ProcessId, configuration: Configuration
-    ) -> bool:
-        """Is ``pid`` environment-sensitive in ``configuration``?
-
-        Consulted by the incremental engine's status index (see
-        :attr:`environment_sensitive_variables`) for processes that wrote one
-        of the declared variables.  Must agree pointwise with
-        :meth:`environment_sensitive_processes`; the default delegates to it
-        (correct but O(n) — algorithms that declare the variables override
-        this with an O(1) predicate, e.g. a status check).
-        """
-        return pid in self.environment_sensitive_processes(configuration)
-
     def environment_sensitive_processes(
         self, configuration: Configuration
     ) -> Tuple[ProcessId, ...]:
@@ -337,16 +355,12 @@ class DistributedAlgorithm(abc.ABC):
         Between two steps the configuration is frozen but the environment
         advances (``observe`` runs after every step), so guards that read
         ``RequestIn`` / ``RequestOut`` can flip without any process writing.
-        The incremental engine re-evaluates exactly these processes when it
-        reuses the previous step's post-step enabled map.  The default is
-        conservative (every process — the reuse then degenerates to a full
+        The incremental engine normally re-evaluates just the processes the
+        environment's ``observe`` reports as flipped; this is its fallback
+        when ``observe`` returns ``None`` (it cannot tell).  The default is
+        conservative (every process -- the refresh then degenerates to a full
         sweep); algorithms whose guards never consult the environment return
         ``()``, and the committee coordination layer returns the processes
         whose status makes a request predicate relevant (``idle``/``done``).
-
-        This is the *full-scan* form; with
-        :attr:`environment_sensitive_variables` declared the engine calls it
-        only at construction and after external configuration swaps, and
-        keeps the set current from step deltas in between.
         """
         return self.process_ids()

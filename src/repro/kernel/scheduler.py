@@ -18,9 +18,7 @@ Two execution engines are available (``engine=`` parameter):
 
 ``"dense"``
     The reference engine: ``Enabled(γ)`` is recomputed from scratch before
-    and after every step.  Byte-for-byte reproducible against historical
-    seeds, and correct even for environments whose request predicates have
-    evaluation side effects.
+    and after every step.
 ``"incremental"``
     The post-step enabled map of step ``k`` is cached and reused as the
     pre-step map of step ``k+1``; after a step only the processes whose
@@ -30,24 +28,27 @@ Two execution engines are available (``engine=`` parameter):
     (with
     :meth:`~repro.kernel.algorithm.DistributedAlgorithm.read_dependencies`
     as the process-granular fallback) — and between steps only the
-    :meth:`~repro.kernel.algorithm.DistributedAlgorithm.environment_sensitive_processes`
-    are refreshed (the environment advances in ``observe`` after the map was
-    cached).  When the algorithm declares
-    :attr:`~repro.kernel.algorithm.DistributedAlgorithm.environment_sensitive_variables`
-    that sensitive set is itself maintained incrementally from the step's
-    writer set (a *status index*), so the between-steps refresh no longer
-    pays an O(n) status scan per step.  Produces traces identical to the dense engine for any fixed
-    seed, provided guard evaluation is side-effect free.  Environments that
-    violate this declare ``deterministic_guards = False`` and are rejected
-    by the incremental engine at construction time; every environment in
-    this library qualifies (``ProbabilisticRequestEnvironment`` memoises its
-    random draws in ``observe``, outside guard evaluation).
+    processes whose request answers flipped are refreshed: the *environment
+    delta* that :meth:`~repro.kernel.algorithm.Environment.observe` returns,
+    collected over every ``observe`` since the last refresh (idle ticks
+    included).  An environment that cannot tell returns ``None``, and the
+    refresh falls back to
+    :meth:`~repro.kernel.algorithm.DistributedAlgorithm.environment_sensitive_processes`.
+    Produces traces identical to the dense engine for any fixed seed.
 
-The **default** is ``engine=None`` (equivalently ``"auto"``): the scheduler
-picks ``incremental`` unless the environment declares
-``deterministic_guards = False``, in which case it falls back to ``dense``
-instead of raising — so third-party environments with side-effecting guards
-keep working without naming an engine.
+Both engines evaluate guards through per-run *action tables*: at
+construction the scheduler builds each process's
+:meth:`~repro.kernel.algorithm.DistributedAlgorithm.action_table` (its
+actions, highest priority first) once, and every
+:meth:`~repro.kernel.algorithm.DistributedAlgorithm.enabled_action` call of
+the run returns the first action in it whose guard holds.  This relies on
+the guard purity contract of :class:`~repro.kernel.algorithm.Environment`:
+request predicates are pure reads, so which and how many guards run cannot
+change the run.  The tables belong to the scheduler, not to the algorithm,
+so a finished run is freed by reference counting alone.
+
+The **default** is ``engine=None`` (equivalently ``"auto"``), which means
+``incremental``.
 
 The delta protocol
 ------------------
@@ -77,8 +78,7 @@ from repro.kernel.daemon import Daemon, default_daemon
 from repro.kernel.trace import StepDelta, StepRecord, Trace
 
 #: Concrete execution engines (the ``engine`` parameter also accepts ``None``
-#: or ``"auto"``, which resolve to ``incremental`` unless the environment
-#: declares ``deterministic_guards = False``).
+#: or ``"auto"``, which mean ``incremental``).
 ENGINES = ("dense", "incremental")
 
 #: Signature of a scheduler observer (see ``Scheduler`` ``step_listener``).
@@ -145,10 +145,8 @@ class Scheduler:
         :class:`~repro.metrics.collector.StreamingMetricsCollector`) to
         compute trace metrics online instead.
     engine:
-        ``"dense"``, ``"incremental"``, or ``None``/``"auto"`` (the default):
-        pick ``incremental`` unless the environment declares
-        ``deterministic_guards = False``, then fall back to ``dense``.  See
-        the module docstring.
+        ``"dense"``, ``"incremental"``, or ``None``/``"auto"`` (the default,
+        meaning ``incremental``).  See the module docstring.
     step_listener:
         Optional observer — a callable or a sequence of callables — invoked
         as ``listener(configuration, record)``: once at construction with the
@@ -176,26 +174,11 @@ class Scheduler:
         self.algorithm = algorithm
         self.environment = environment if environment is not None else Environment()
         if engine is None or engine == "auto":
-            engine = (
-                "incremental"
-                if getattr(self.environment, "deterministic_guards", True)
-                else "dense"
-            )
+            engine = "incremental"
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES} "
-                "(or None/'auto' to pick automatically)"
-            )
-        if engine == "incremental" and not getattr(
-            self.environment, "deterministic_guards", True
-        ):
-            raise ValueError(
-                "the incremental engine requires side-effect-free guard "
-                f"evaluation, but {type(self.environment).__name__} declares "
-                "deterministic_guards=False (it draws random request decisions "
-                "while guards are evaluated, so skipping evaluations would "
-                "silently change the run); use engine='dense' with this "
-                "environment"
+                "(or None/'auto' for incremental)"
             )
         self.daemon = daemon if daemon is not None else default_daemon()
         self.daemon.reset()
@@ -224,30 +207,24 @@ class Scheduler:
             self._step_listeners = [step_listener]
         else:
             self._step_listeners = list(step_listener)
+        # Each process's actions, highest priority first, built once for this
+        # run (see ``DistributedAlgorithm.action_table``).
+        self._tables = {pid: algorithm.action_table(pid) for pid in algorithm.process_ids()}
         # Incremental engine state: the cached enabled map (valid for the
         # current configuration, modulo environment drift handled in
-        # ``_current_enabled``) and the inverse dependency maps
+        # ``_current_enabled``); the environment delta collected since the
+        # map was last refreshed (``None`` once an ``observe`` could not
+        # tell); and the inverse dependency maps
         #   writer              -> processes reading *any* of its variables,
         #   (writer, variable)  -> processes reading exactly that variable,
         # built from ``read_dependency_variables`` (whose default delegates
         # to the process-granular ``read_dependencies``).
         self._enabled_cache: Optional[Dict[ProcessId, Any]] = None
+        self._env_flips: Optional[Set[ProcessId]] = set()
         self._proc_dependents: Optional[Dict[ProcessId, FrozenSet[ProcessId]]] = None
         self._var_dependents: Optional[
             Dict[Tuple[ProcessId, str], FrozenSet[ProcessId]]
         ] = None
-        # Environment-sensitivity status index: when the algorithm declares
-        # ``environment_sensitive_variables``, the engine maintains the set of
-        # environment-sensitive processes incrementally (full scan only at
-        # construction and on external configuration swaps; O(|writers|)
-        # membership updates per step) instead of re-scanning every status
-        # between steps.
-        self._env_sensitive: Optional[Set[ProcessId]] = None
-        self._env_sensitive_vars = algorithm.environment_sensitive_variables
-        if engine == "incremental" and self._env_sensitive_vars is not None:
-            self._env_sensitive = set(
-                algorithm.environment_sensitive_processes(self.configuration)
-            )
         if engine == "incremental":
             proc: Dict[ProcessId, Set[ProcessId]] = {
                 pid: {pid} for pid in algorithm.process_ids()
@@ -262,7 +239,8 @@ class Scheduler:
                             var.setdefault((source, name), set()).add(pid)
             self._proc_dependents = {q: frozenset(ps) for q, ps in proc.items()}
             self._var_dependents = {key: frozenset(ps) for key, ps in var.items()}
-        # Let stateful environments see the initial configuration.
+        # Let stateful environments see the initial configuration (its delta
+        # is moot: the first step sweeps every guard).
         self.environment.observe(self.configuration, -1)
         for listener in self._step_listeners:
             listener(self.configuration, None)
@@ -317,42 +295,47 @@ class Scheduler:
         self.configuration = configuration
         self.epoch += 1
         self.invalidate_enabled_cache()
-        if self._env_sensitive is not None:
-            # The swap may have flipped any status: rebuild the sensitivity
-            # index from a full scan (O(n), like the corruption itself).
-            self._env_sensitive = set(
-                self.algorithm.environment_sensitive_processes(configuration)
-            )
+
+    def _sweep(self, configuration: Configuration) -> Dict[ProcessId, Any]:
+        """A full guard sweep; it also makes every collected flip moot."""
+        self._env_flips = set()
+        return self.algorithm.enabled_processes(configuration, self.environment, self._tables)
+
+    def _observe(self, configuration: Configuration, step_index: int) -> None:
+        """Let the environment observe ``configuration``; collect its delta."""
+        flips = self.environment.observe(configuration, step_index)
+        pending = self._env_flips
+        if flips is None:
+            self._env_flips = None
+        elif pending is not None:
+            pending.update(flips)
 
     def _current_enabled(self) -> Dict[ProcessId, Any]:
         """The enabled map for the current configuration (cached if incremental)."""
         if self.engine == "dense":
-            return self.algorithm.enabled_processes(self.configuration, self.environment)
-        if self._enabled_cache is None:
-            self._enabled_cache = self.algorithm.enabled_processes(
-                self.configuration, self.environment
-            )
-        else:
-            # The cache was computed before the environment observed the last
-            # configuration; refresh the processes whose guards may have
-            # flipped with the environment alone.  The status index (when the
-            # algorithm declares ``environment_sensitive_variables``) makes
-            # this O(|sensitive|) instead of an O(n) status scan.
-            cache = self._enabled_cache
-            sensitive: Any = (
-                self._env_sensitive
-                if self._env_sensitive is not None
-                else self.algorithm.environment_sensitive_processes(self.configuration)
-            )
-            for pid in sensitive:
-                action = self.algorithm.enabled_action(
-                    pid, self.configuration, self.environment
-                )
+            return self._sweep(self.configuration)
+        cache = self._enabled_cache
+        if cache is None:
+            cache = self._enabled_cache = self._sweep(self.configuration)
+            return cache
+        # The cache was computed before the environment observed the current
+        # configuration; refresh the processes whose request answers flipped
+        # since (all environment-sensitive ones if the environment could not
+        # tell).
+        refresh: Any = self._env_flips
+        if refresh is None:
+            refresh = self.algorithm.environment_sensitive_processes(self.configuration)
+        if refresh:
+            configuration, environment, tables = self.configuration, self.environment, self._tables
+            enabled_action = self.algorithm.enabled_action
+            for pid in refresh:
+                action = enabled_action(pid, configuration, environment, tables[pid])
                 if action is None:
                     cache.pop(pid, None)
                 else:
                     cache[pid] = action
-        return self._enabled_cache
+        self._env_flips = set()
+        return cache
 
     def _enabled_after_step(
         self,
@@ -371,7 +354,7 @@ class Scheduler:
         changed, so their enabledness is unchanged by construction.
         """
         if self.engine == "dense" or self._proc_dependents is None:
-            return self.algorithm.enabled_processes(new_configuration, self.environment)
+            return self._sweep(new_configuration)
         after = dict(enabled_map)
         dirty: Set[ProcessId] = set()
         proc_dependents = self._proc_dependents
@@ -384,8 +367,10 @@ class Scheduler:
                 readers = var_dependents.get((writer, name))
                 if readers:
                     dirty.update(readers)
+        environment, tables = self.environment, self._tables
+        enabled_action = self.algorithm.enabled_action
         for pid in dirty:
-            action = self.algorithm.enabled_action(pid, new_configuration, self.environment)
+            action = enabled_action(pid, new_configuration, environment, tables[pid])
             if action is None:
                 after.pop(pid, None)
             else:
@@ -425,20 +410,6 @@ class Scheduler:
             executed[pid] = action.label
 
         new_configuration = self.configuration.updated(writes)
-
-        if self._env_sensitive is not None and self._env_sensitive_vars:
-            # Status-index maintenance: a process's environment sensitivity
-            # can only flip when it writes one of the declared variables
-            # (statements write own variables only; external swaps rebuild
-            # the index in ``set_configuration``).
-            env_vars = self._env_sensitive_vars
-            sensitive_set = self._env_sensitive
-            for pid, written in writes.items():
-                if written and any(v in written for v in env_vars):
-                    if self.algorithm.environment_sensitive(pid, new_configuration):
-                        sensitive_set.add(pid)
-                    else:
-                        sensitive_set.discard(pid)
 
         # Neutralization: enabled before, not selected, not enabled after.
         enabled_after_map = self._enabled_after_step(enabled_map, writes, new_configuration)
@@ -488,7 +459,7 @@ class Scheduler:
         else:
             self.trace.append_sparse(new_configuration, record)
         self.step_index += 1
-        self.environment.observe(new_configuration, record.index)
+        self._observe(new_configuration, record.index)
         # Every listener sees every committed step, even when one of them
         # stops the run: capture the first StopRun, keep notifying the rest
         # (their state must stay in sync with the trace), then re-raise.
@@ -550,7 +521,7 @@ class Scheduler:
                     stop_reason = "terminal"
                     break
                 # Idle tick: no process can move, but external time passes.
-                self.environment.observe(self.configuration, self.step_index)
+                self._observe(self.configuration, self.step_index)
                 self.step_index += 1
             if stop_predicate is not None and stop_predicate(self.configuration, self.step_index):
                 stop_reason = "predicate"

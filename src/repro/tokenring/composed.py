@@ -131,12 +131,6 @@ class ComposedTokenCirculation(DistributedAlgorithm):
             {q: (LEADER, DISTANCE) for q in self.hypergraph.neighbors(pid)},
         )
 
-    #: No guard consults the environment, so membership never changes.
-    environment_sensitive_variables: Tuple[str, ...] = ()
-
-    def environment_sensitive(self, pid, configuration) -> bool:
-        return False
-
     def environment_sensitive_processes(self, configuration) -> Tuple[ProcessId, ...]:
         return ()  # neither guard consults the environment
 

@@ -198,12 +198,6 @@ class DijkstraRingAlgorithm(DistributedAlgorithm):
     ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
         return self.module.read_dependency_variables(pid)
 
-    #: No guard consults the environment, so membership never changes.
-    environment_sensitive_variables: Tuple[str, ...] = ()
-
-    def environment_sensitive(self, pid, configuration) -> bool:
-        return False
-
     def environment_sensitive_processes(self, configuration) -> Tuple[ProcessId, ...]:
         return ()  # the ``T`` guard never consults the environment
 

@@ -117,12 +117,6 @@ class SelfStabilizingLeaderElection(DistributedAlgorithm):
             spec[q] = (LEADER, DISTANCE)
         return spec
 
-    #: No guard consults the environment, so membership never changes.
-    environment_sensitive_variables: Tuple[str, ...] = ()
-
-    def environment_sensitive(self, pid, configuration) -> bool:
-        return False
-
     def environment_sensitive_processes(self, configuration) -> Tuple[ProcessId, ...]:
         return ()  # election guards never consult the environment
 

@@ -29,6 +29,12 @@ The environments here realize these predicates operationally:
 * :class:`ScriptedEnvironment` -- fully scripted predicates; used to replay
   the paper's figures and the Theorem 1 adversarial execution.
 
+Every model's ``observe`` returns its *environment delta* (see
+:meth:`repro.kernel.algorithm.Environment.observe`): the professors whose
+``RequestIn``/``RequestOut`` answer it just flipped, so the incremental engine
+refreshes only those between steps.  :class:`ScriptedEnvironment` returns
+``None``, because a script may read anything.
+
 :func:`environment_from_spec` builds the first three from a compact spec
 string (``"always"``, ``"probabilistic[:P]"``, ``"bursty[:ACTIVE:QUIET]"``)
 — the vocabulary the campaign engine's jobs and the randomized scenarios
@@ -37,8 +43,9 @@ share, so the two construction paths cannot drift.
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Callable, Dict, Iterable, Mapping, Optional, Set
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.core.states import DONE, STATUS
 from repro.kernel.algorithm import Environment
@@ -62,12 +69,33 @@ class _DoneCounterMixin:
         self._done_steps.clear()
         self._essential_discussions.clear()
 
-    def observe(self, configuration: Configuration, step_index: int) -> None:
-        for pid in configuration:
-            if configuration.get(pid, STATUS) == DONE:
-                self._done_steps[pid] = self._done_steps.get(pid, 0) + 1
-            else:
-                self._done_steps[pid] = 0
+    def observe(self, configuration: Configuration, step_index: int) -> List[ProcessId]:
+        """Advance the counters; return the processes whose counter-based
+        ``RequestOut`` (``done_steps(pid) >= _limit(pid)``) flipped.
+
+        Only processes that are, or just were, ``done`` get a limit lookup.
+        """
+        counts = self._done_steps
+        limit = self._limit
+        flipped: List[ProcessId] = []
+        for pid, state in configuration.states_view().items():
+            count = counts.get(pid, 0)
+            if state.get(STATUS) == DONE:
+                counts[pid] = count + 1
+                if count < limit(pid) <= count + 1:
+                    flipped.append(pid)
+            elif count:
+                counts[pid] = 0
+                if 0 < limit(pid) <= count:
+                    flipped.append(pid)
+        return flipped
+
+    def _limit(self, pid: ProcessId) -> float:
+        """The ``done_steps`` count from which the counter-based ``RequestOut(pid)`` holds."""
+        return self._discussion_steps
+
+    def request_out(self, pid: ProcessId, configuration: Configuration) -> bool:
+        return self.done_steps(pid) >= self._limit(pid)
 
     def on_essential_discussion(self, pid: ProcessId) -> None:
         self._essential_discussions[pid] = self._essential_discussions.get(pid, 0) + 1
@@ -95,17 +123,17 @@ class AlwaysRequestingEnvironment(_DoneCounterMixin, Environment):
         self._discussion_steps = discussion_steps
 
     def _limit(self, pid: ProcessId) -> int:
-        if callable(self._discussion_steps):
-            return int(self._discussion_steps(pid))
-        if isinstance(self._discussion_steps, Mapping):
-            return int(self._discussion_steps.get(pid, 1))
-        return int(self._discussion_steps)
+        steps = self._discussion_steps
+        if isinstance(steps, int):
+            return steps
+        if callable(steps):
+            return int(steps(pid))
+        if isinstance(steps, Mapping):
+            return int(steps.get(pid, 1))
+        return int(steps)
 
     def request_in(self, pid: ProcessId, configuration: Configuration) -> bool:
         return True
-
-    def request_out(self, pid: ProcessId, configuration: Configuration) -> bool:
-        return self.done_steps(pid) >= self._limit(pid)
 
 
 class ProbabilisticRequestEnvironment(_DoneCounterMixin, Environment):
@@ -119,17 +147,11 @@ class ProbabilisticRequestEnvironment(_DoneCounterMixin, Environment):
 
     The draws happen in :meth:`observe` — once per idle spell, in sorted
     process order, *outside* guard evaluation — so evaluating a guard more
-    or fewer times cannot touch the RNG stream.  ``request_in`` is therefore
-    a pure read of the memoised decision and the environment declares
-    ``deterministic_guards = True``: it is fully compatible with the
-    incremental scheduler engine (dense and incremental runs of the same
-    seed produce identical traces).  Historical note: this environment used
-    to draw lazily *inside* ``request_in`` and was rejected by the
-    incremental engine; traces of old seeds are not comparable across that
-    change.
+    or fewer times cannot touch the RNG stream: ``request_in`` is a pure
+    read of the memoised decision, as the guard purity contract of
+    :class:`~repro.kernel.algorithm.Environment` requires, and dense and
+    incremental runs of the same seed produce identical traces.
     """
-
-    deterministic_guards = True
 
     def __init__(
         self,
@@ -149,25 +171,27 @@ class ProbabilisticRequestEnvironment(_DoneCounterMixin, Environment):
         super().reset()
         self._pending.clear()
 
-    def observe(self, configuration: Configuration, step_index: int) -> None:
-        super().observe(configuration, step_index)
+    def observe(self, configuration: Configuration, step_index: int) -> List[ProcessId]:
+        flipped = super().observe(configuration, step_index)
         # Memoise the requests for the *next* guard sweep: professors that
         # left the idle state get a fresh draw next spell; idle professors
         # without a memoised decision draw now, in sorted process order (the
         # scheduler observes the initial configuration at construction, so
-        # draws exist before the first guard is ever evaluated).
+        # draws exist before the first guard is ever evaluated).  A dropped
+        # or fresh ``True`` flips ``RequestIn``.
         pending = self._pending
         for pid in configuration:
             if configuration.get(pid, STATUS) != "idle":
-                pending.pop(pid, None)
+                if pending.pop(pid, False):
+                    flipped.append(pid)
             elif pid not in pending:
-                pending[pid] = self._rng.random() < self._p
+                wants = pending[pid] = self._rng.random() < self._p
+                if wants:
+                    flipped.append(pid)
+        return flipped
 
     def request_in(self, pid: ProcessId, configuration: Configuration) -> bool:
         return self._pending.get(pid, False)
-
-    def request_out(self, pid: ProcessId, configuration: Configuration) -> bool:
-        return self.done_steps(pid) >= self._discussion_steps
 
 
 class BurstyRequestEnvironment(_DoneCounterMixin, Environment):
@@ -197,17 +221,23 @@ class BurstyRequestEnvironment(_DoneCounterMixin, Environment):
         super().reset()
         self._step = 0
 
-    def observe(self, configuration: Configuration, step_index: int) -> None:
-        super().observe(configuration, step_index)
-        self._step = step_index + 1
+    def observe(self, configuration: Configuration, step_index: int) -> List[ProcessId]:
+        flipped = super().observe(configuration, step_index)
+        before, self._step = self._step, step_index + 1
+        if self._quiet and before != self._step:
+            flipped.extend(
+                pid
+                for pid in configuration.states_view()
+                if self._active_at(before, pid) != self._active_at(self._step, pid)
+            )
+        return flipped
+
+    def _active_at(self, step: int, pid: ProcessId) -> bool:
+        """Is ``pid`` in an active phase at ``step``?"""
+        return (step + pid * 3) % (self._active + self._quiet) < self._active
 
     def request_in(self, pid: ProcessId, configuration: Configuration) -> bool:
-        period = self._active + self._quiet
-        phase = (self._step + pid * 3) % period
-        return phase < self._active
-
-    def request_out(self, pid: ProcessId, configuration: Configuration) -> bool:
-        return self.done_steps(pid) >= self._discussion_steps
+        return self._active_at(self._step, pid)
 
 
 class InfiniteMeetingEnvironment(_DoneCounterMixin, Environment):
@@ -231,6 +261,9 @@ class InfiniteMeetingEnvironment(_DoneCounterMixin, Environment):
     def __init__(self, hypergraph: "object" = None) -> None:
         _DoneCounterMixin.__init__(self)
         self._hypergraph = hypergraph
+
+    def _limit(self, pid: ProcessId) -> float:
+        return math.inf  # neither predicate reads the counters: none ever flips
 
     def _participates_in_meeting(self, pid: ProcessId, configuration: Configuration) -> bool:
         if self._hypergraph is None:
@@ -316,7 +349,7 @@ class ScriptedEnvironment(_DoneCounterMixin, Environment):
         _DoneCounterMixin.__init__(self)
         self._in_script = dict(request_in_script or {})
         self._out_script = dict(request_out_script or {})
-        self._default_discussion = default_discussion_steps
+        self._discussion_steps = default_discussion_steps
         self._step = 0
 
     def reset(self) -> None:
@@ -326,6 +359,7 @@ class ScriptedEnvironment(_DoneCounterMixin, Environment):
     def observe(self, configuration: Configuration, step_index: int) -> None:
         super().observe(configuration, step_index)
         self._step = step_index + 1
+        return None  # a script may read anything: flips cannot be told
 
     def request_in(self, pid: ProcessId, configuration: Configuration) -> bool:
         if pid in self._in_script:
@@ -335,7 +369,7 @@ class ScriptedEnvironment(_DoneCounterMixin, Environment):
     def request_out(self, pid: ProcessId, configuration: Configuration) -> bool:
         if pid in self._out_script:
             return bool(self._out_script[pid](configuration, self._step))
-        return self.done_steps(pid) >= self._default_discussion
+        return super().request_out(pid, configuration)
 
 
 def environment_from_spec(

@@ -5,6 +5,11 @@ Covers
 * dense-vs-incremental equivalence: same seed ⇒ identical step records and
   final configuration for cc1/cc2/cc3 × tree/ring/oracle (clean and
   arbitrary starts), and identical summary metrics on sparse runs;
+* guard purity: first-enabled exit over the priority table picks what a
+  code-order sweep picks, and neither touches any request model's state;
+* the environment delta: every request-answer flip is reported, and the
+  refresh it drives is invisible next to the ``None`` fallback;
+* a finished run being freed by reference counting alone;
 * copy-on-write ``Configuration.updated``;
 * ``Scheduler.run`` evaluating ``stop_predicate`` on idle ticks;
 * ``waiting_spells`` rejecting sparse traces and counting the spell that
@@ -17,6 +22,10 @@ Covers
 
 from __future__ import annotations
 
+import copy
+import gc
+import random
+import weakref
 from typing import Any, Dict, Sequence, Tuple
 
 import pytest
@@ -24,17 +33,252 @@ import pytest
 from repro.core.runner import CommitteeCoordinator
 from repro.hypergraph.generators import figure1_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
-from repro.kernel.algorithm import Action, ActionContext, DistributedAlgorithm
+from repro.kernel.algorithm import Action, ActionContext, DistributedAlgorithm, Environment
 from repro.kernel.configuration import Configuration
 from repro.kernel.daemon import (
     AdversarialDaemon,
     Daemon,
     SynchronousDaemon,
     WeaklyFairDaemon,
+    default_daemon,
 )
+from repro.kernel.faults import FaultInjector
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.trace import Trace, StepRecord
 from repro.metrics.waiting_time import WaitingSpellTracker, waiting_spells
+from repro.workloads.request_models import (
+    AlwaysRequestingEnvironment,
+    BurstyRequestEnvironment,
+    InfiniteMeetingEnvironment,
+    ProbabilisticRequestEnvironment,
+    ScriptedEnvironment,
+    SelectiveInfiniteMeetingEnvironment,
+)
+
+
+# --------------------------------------------------------------------------- #
+# guard purity, the environment delta, and run lifetime
+# --------------------------------------------------------------------------- #
+def _algorithm(name: str):
+    return CommitteeCoordinator(figure1_hypergraph(), algorithm=name, seed=5).algorithm
+
+
+def _request_models():
+    """One instance of every request model, keyed by a test id."""
+    hypergraph = figure1_hypergraph()
+    return {
+        "always": AlwaysRequestingEnvironment(2),
+        "always-0": AlwaysRequestingEnvironment(0),
+        "always-mapping": AlwaysRequestingEnvironment({pid: 1 + pid % 3 for pid in range(1, 7)}),
+        "always-callable": AlwaysRequestingEnvironment(lambda pid: 1 + pid % 2),
+        "probabilistic": ProbabilisticRequestEnvironment(0.5, discussion_steps=2, seed=3),
+        "bursty": BurstyRequestEnvironment(active_steps=3, quiet_steps=2),
+        "bursty-quiet-0": BurstyRequestEnvironment(active_steps=4, quiet_steps=0),
+        "infinite": InfiniteMeetingEnvironment(hypergraph),
+        "selective": SelectiveInfiniteMeetingEnvironment({1, 4}, 2, hypergraph),
+        "scripted": ScriptedEnvironment(
+            {2: lambda cfg, step: step % 4 != 0},
+            {3: lambda cfg, step: cfg.get(3, "S") == "done" and step % 3 == 0},
+        ),
+    }
+
+
+class _Blind(Environment):
+    """A request model that never reports its delta (``observe`` returns ``None``)."""
+
+    def __init__(self, inner: Environment) -> None:
+        self._inner = inner
+
+    def request_in(self, pid, configuration):
+        return self._inner.request_in(pid, configuration)
+
+    def request_out(self, pid, configuration):
+        return self._inner.request_out(pid, configuration)
+
+    def observe(self, configuration, step_index):
+        self._inner.observe(configuration, step_index)
+        return None
+
+    def on_essential_discussion(self, pid):
+        self._inner.on_essential_discussion(pid)
+
+    def reset(self):
+        self._inner.reset()
+
+
+def _snapshot(environment: Environment) -> Dict[str, Any]:
+    """The environment's state, its RNG's included, as comparable values."""
+    state: Dict[str, Any] = {}
+    for key, value in vars(environment).items():
+        if isinstance(value, random.Random):
+            value = value.getstate()
+        elif isinstance(value, (dict, set, list)):
+            value = copy.copy(value)
+        state[key] = value
+    return state
+
+
+class TestGuardPurity:
+    """Guards are pure, so first-enabled exit picks what code order picks."""
+
+    @staticmethod
+    def _code_order_sweep(algorithm, configuration, environment):
+        """Every guard in code order, keeping the last enabled one (the reference)."""
+        enabled = {}
+        for pid in algorithm.process_ids():
+            ctx = ActionContext(pid, configuration, environment)
+            chosen = None
+            for action in algorithm.actions(pid):
+                if action.enabled(ctx):
+                    chosen = action
+            if chosen is not None:
+                enabled[pid] = chosen.label
+        return enabled
+
+    @pytest.mark.parametrize("algorithm", ("cc1", "cc2"))
+    @pytest.mark.parametrize("model", sorted(_request_models()))
+    def test_code_order_and_reverse_order_sweeps_agree(self, algorithm, model):
+        environment = _request_models()[model]
+        algo = _algorithm(algorithm)
+        scheduler = Scheduler(
+            algo,
+            environment=environment,
+            daemon=default_daemon(seed=2),
+            initial_configuration=algo.arbitrary_configuration(random.Random(8)),
+        )
+        for _ in range(60):
+            configuration = scheduler.configuration
+            before = _snapshot(environment)
+            reference = self._code_order_sweep(algo, configuration, environment)
+            assert _snapshot(environment) == before
+            fast = algo.enabled_processes(configuration, environment)
+            assert _snapshot(environment) == before
+            assert {pid: action.label for pid, action in fast.items()} == reference
+            if scheduler.step() is None:
+                break
+
+    def test_default_engine_is_incremental(self):
+        assert Scheduler(_CountUp(2, 2)).engine == "incremental"
+        assert Scheduler(_CountUp(2, 2), engine="auto").engine == "incremental"
+
+
+class TestEnvironmentDelta:
+    """``Environment.observe`` reports every request-answer flip, and the
+    refresh it drives is invisible next to the ``None`` fallback."""
+
+    @staticmethod
+    def _answers(environment, configuration):
+        return {
+            pid: (environment.request_in(pid, configuration), environment.request_out(pid, configuration))
+            for pid in configuration.processes()
+        }
+
+    @pytest.mark.parametrize("algorithm", ("cc1", "cc2"))
+    @pytest.mark.parametrize(
+        "model",
+        sorted(name for name in _request_models() if name != "scripted"),
+    )
+    def test_delta_contains_every_flip(self, algorithm, model):
+        environment = _request_models()[model]
+        checked = {"observes": 0, "flips": 0}
+        original = environment.observe
+
+        def observe(configuration, step_index):
+            before = self._answers(environment, configuration)
+            delta = original(configuration, step_index)
+            after = self._answers(environment, configuration)
+            flipped = {pid for pid in before if before[pid] != after[pid]}
+            assert delta is not None
+            assert flipped <= set(delta), (step_index, flipped - set(delta))
+            checked["observes"] += 1
+            checked["flips"] += len(flipped)
+            return delta
+
+        environment.observe = observe
+        algo = _algorithm(algorithm)
+        scheduler = Scheduler(
+            algo,
+            environment=environment,
+            daemon=default_daemon(seed=4),
+            initial_configuration=algo.arbitrary_configuration(random.Random(6)),
+        )
+        injector = FaultInjector(algo, fraction=0.5, seed=7)
+        for _ in range(8):
+            scheduler.run(max_steps=scheduler.step_index + 37, allow_idle_steps=True)
+            injector.corrupt_scheduler(scheduler)
+        assert checked["observes"] > 8 * 37
+        if model not in ("always-0", "infinite"):
+            assert checked["flips"] > 0
+
+    @staticmethod
+    def _run(algorithm, environment, corrupt_every=0, idle=False, steps=250, engine=None):
+        algo = _algorithm(algorithm)
+        scheduler = Scheduler(
+            algo,
+            environment=environment,
+            daemon=WeaklyFairDaemon(SynchronousDaemon()),
+            initial_configuration=algo.arbitrary_configuration(random.Random(9)),
+            engine=engine,
+        )
+        if idle:
+            return scheduler, scheduler.run(max_steps=steps, allow_idle_steps=True)
+        injector = FaultInjector(algo, fraction=0.5, seed=7) if corrupt_every else None
+        while scheduler.step_index < steps:
+            if injector is not None and scheduler.step_index and scheduler.step_index % corrupt_every == 0:
+                injector.corrupt_scheduler(scheduler)
+            if scheduler.step() is None:
+                break
+        return scheduler, None
+
+    @pytest.mark.parametrize("algorithm", ("cc1", "cc2", "cc3"))
+    @pytest.mark.parametrize("model", ("always", "probabilistic", "bursty"))
+    @pytest.mark.parametrize("corrupt_every", (0, 23))
+    def test_invisible_next_to_none_fallback(self, algorithm, model, corrupt_every):
+        delta, _ = self._run(algorithm, _request_models()[model], corrupt_every)
+        blind, _ = self._run(algorithm, _Blind(_request_models()[model]), corrupt_every)
+        assert tuple(delta.trace.steps) == tuple(blind.trace.steps)
+        assert delta.configuration == blind.configuration
+
+    @pytest.mark.parametrize("algorithm", ("cc1", "cc2", "cc3"))
+    @pytest.mark.parametrize("model", ("always", "probabilistic", "bursty"))
+    def test_invisible_across_idle_ticks(self, algorithm, model):
+        delta, delta_result = self._run(algorithm, _request_models()[model], idle=True)
+        blind, blind_result = self._run(algorithm, _Blind(_request_models()[model]), idle=True)
+        assert tuple(delta.trace.steps) == tuple(blind.trace.steps)
+        assert delta.configuration == blind.configuration
+        assert delta_result.steps == blind_result.steps
+
+    @pytest.mark.parametrize("algorithm", ("cc1", "cc2", "cc3"))
+    def test_flips_from_idle_ticks_reenable_the_system(self, algorithm):
+        # Under the synchronous daemon every meeting sits out its voluntary
+        # discussion with nobody enabled; only the RequestOut flips of those
+        # idle ticks' observations can re-enable the system, so they must
+        # reach the next refresh (the dense engine sweeps every guard).
+        delta, delta_result = self._run(algorithm, AlwaysRequestingEnvironment(5), idle=True)
+        assert len(delta.trace.steps) < delta_result.steps  # idle ticks happened
+        for reference in (
+            self._run(algorithm, _Blind(AlwaysRequestingEnvironment(5)), idle=True)[0],
+            self._run(algorithm, AlwaysRequestingEnvironment(5), idle=True, engine="dense")[0],
+        ):
+            assert tuple(delta.trace.steps) == tuple(reference.trace.steps)
+            assert delta.configuration == reference.configuration
+
+
+def test_finished_run_is_freed_by_reference_counting():
+    """A run's action tables must not tie its algorithm into a reference cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        algorithm = _algorithm("cc2")
+        alive = weakref.ref(algorithm)
+        scheduler = Scheduler(
+            algorithm, environment=AlwaysRequestingEnvironment(1), daemon=default_daemon(seed=3)
+        )
+        scheduler.run(max_steps=50)
+        del scheduler, algorithm
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 # --------------------------------------------------------------------------- #
@@ -42,78 +286,6 @@ from repro.metrics.waiting_time import WaitingSpellTracker, waiting_spells
 # --------------------------------------------------------------------------- #
 ALGORITHMS = ("cc1", "cc2", "cc3")
 TOKENS = ("tree", "ring", "oracle")
-
-
-class TestEnvironmentSensitiveIndex:
-    """The status index must be invisible: traces identical with and without.
-
-    ``environment_sensitive_variables = None`` restores the per-step
-    ``environment_sensitive_processes`` scan; the maintained index must make
-    exactly the same refresh decisions, including across status flips driven
-    by stateful environments and across mid-run corruption (which rebuilds
-    the index via ``set_configuration``).
-    """
-
-    @staticmethod
-    def _run_pair(environment_factory, algorithm="cc2", steps=250, corrupt_every=0):
-        from repro.core.cc2 import CC2Algorithm
-        from repro.kernel.faults import FaultInjector
-
-        results = []
-        for disable_index in (False, True):
-            hypergraph = figure1_hypergraph()
-            coordinator = CommitteeCoordinator(
-                hypergraph, algorithm=algorithm, seed=5, engine="incremental"
-            )
-            algo = coordinator.algorithm
-            if disable_index:
-                # Per-instance override: the scheduler reads the attribute at
-                # construction, so this disables the index for this run only.
-                algo.environment_sensitive_variables = None
-            scheduler = Scheduler(
-                algo,
-                environment=environment_factory(),
-                daemon=WeaklyFairDaemon(SynchronousDaemon()),
-                record_configurations=True,
-                engine="incremental",
-            )
-            injector = FaultInjector(algo, fraction=0.5, seed=7) if corrupt_every else None
-            while scheduler.step_index < steps:
-                if (
-                    injector is not None
-                    and scheduler.step_index
-                    and scheduler.step_index % corrupt_every == 0
-                ):
-                    injector.corrupt_scheduler(scheduler)
-                if scheduler.step() is None:
-                    break
-            results.append(scheduler)
-        return results
-
-    def test_identical_with_always_requesting(self):
-        from repro.workloads.request_models import AlwaysRequestingEnvironment
-
-        with_index, without_index = self._run_pair(lambda: AlwaysRequestingEnvironment(2))
-        assert tuple(with_index.trace.steps) == tuple(without_index.trace.steps)
-        assert with_index.configuration == without_index.configuration
-
-    def test_identical_with_probabilistic_requests(self):
-        from repro.workloads.request_models import ProbabilisticRequestEnvironment
-
-        with_index, without_index = self._run_pair(
-            lambda: ProbabilisticRequestEnvironment(0.5, seed=3), algorithm="cc1"
-        )
-        assert tuple(with_index.trace.steps) == tuple(without_index.trace.steps)
-        assert with_index.configuration == without_index.configuration
-
-    def test_identical_across_mid_run_corruption(self):
-        from repro.workloads.request_models import AlwaysRequestingEnvironment
-
-        with_index, without_index = self._run_pair(
-            lambda: AlwaysRequestingEnvironment(1), corrupt_every=23
-        )
-        assert tuple(with_index.trace.steps) == tuple(without_index.trace.steps)
-        assert with_index.configuration == without_index.configuration
 
 
 def _run(algorithm: str, token: str, engine: str, **kwargs):
@@ -154,44 +326,10 @@ class TestEngineEquivalence:
         with pytest.raises(ValueError):
             Scheduler(_CountUp(2, 2), engine="turbo")
 
-    def test_incremental_rejects_side_effecting_guards(self):
-        # An environment that draws RNG during guard evaluation declares
-        # deterministic_guards=False; the incremental engine skips guard
-        # evaluations, so asking for it explicitly must be refused loudly
-        # instead of silently diverging from the dense engine.
-        from repro.kernel.algorithm import Environment
-
-        class _SideEffecting(Environment):
-            deterministic_guards = False
-
-        env = _SideEffecting()
-        with pytest.raises(ValueError, match="deterministic_guards"):
-            Scheduler(_CountUp(2, 2), environment=env, engine="incremental")
-        # The dense engine keeps accepting it.
-        Scheduler(_CountUp(2, 2), environment=env, engine="dense")
-
-    def test_default_engine_is_incremental_with_dense_fallback(self):
-        # The default (engine=None / "auto") resolves to incremental for
-        # side-effect-free environments and silently falls back to dense for
-        # environments that declare deterministic_guards=False.
-        from repro.kernel.algorithm import Environment
-
-        assert Scheduler(_CountUp(2, 2)).engine == "incremental"
-        assert Scheduler(_CountUp(2, 2), engine="auto").engine == "incremental"
-
-        class _SideEffecting(Environment):
-            deterministic_guards = False
-
-        assert Scheduler(_CountUp(2, 2), environment=_SideEffecting()).engine == "dense"
-
     def test_probabilistic_environment_memoises_outside_guards(self):
         # The memoised ProbabilisticRequestEnvironment draws in observe(),
-        # outside guard evaluation: it now declares deterministic_guards and
-        # produces identical traces on both engines for a fixed seed.
-        from repro.workloads.request_models import ProbabilisticRequestEnvironment
-
-        assert ProbabilisticRequestEnvironment.deterministic_guards
-
+        # outside guard evaluation, so it produces identical traces on both
+        # engines for a fixed seed.
         def run(engine: str):
             coordinator = CommitteeCoordinator(
                 figure1_hypergraph(), algorithm="cc1", seed=5, engine=engine
