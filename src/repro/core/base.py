@@ -5,7 +5,10 @@
 * their variable layout (status ``S``, edge pointer ``P``, token flag ``T``,
   plus the bound token module's variables),
 * the predicates ``Ready``, ``Meeting`` and ``LeaveMeeting`` (syntactically
-  identical in Algorithms 1 and 2 up to the statuses that exist),
+  identical in Algorithms 1 and 2 up to the statuses that exist); these and
+  the algorithms' other guard macros are
+  :func:`~repro.kernel.algorithm.shared`, so one guard context evaluates
+  each of them at most once for its own process,
 * deterministic tie-breaking when the pseudo-code says "``P := ε`` such that
   ``ε ∈ ...``" (any choice satisfies the proofs; we fix one so runs are
   reproducible and document it),
@@ -25,6 +28,7 @@ from repro.kernel.algorithm import (
     ActionContext,
     DistributedAlgorithm,
     merge_read_dependency_variables,
+    shared,
 )
 from repro.kernel.configuration import Configuration
 from repro.core.composition import TokenBinding
@@ -144,24 +148,26 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
     # ------------------------------------------------------------------ #
     # shared predicates (Algorithms 1 and 2)
     # ------------------------------------------------------------------ #
+    @shared
     def ready(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``Ready(p) ≡ ∃ε ∈ E_p : ∀q ∈ ε : (P_q = ε ∧ S_q ∈ {looking, waiting})``."""
+        read = ctx.read
         for edge in self.incident(pid):
             if all(
-                ctx.read(q, POINTER) == edge
-                and ctx.read(q, STATUS) in (LOOKING, WAITING)
-                for q in edge
+                read(q, POINTER) == edge and read(q, STATUS) in (LOOKING, WAITING)
+                for q in edge.members
             ):
                 return True
         return False
 
+    @shared
     def meeting(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``Meeting(p) ≡ ∃ε ∈ E_p : ∀q ∈ ε : (P_q = ε ∧ S_q ∈ {waiting, done})``."""
+        read = ctx.read
         for edge in self.incident(pid):
             if all(
-                ctx.read(q, POINTER) == edge
-                and ctx.read(q, STATUS) in (WAITING, DONE)
-                for q in edge
+                read(q, POINTER) == edge and read(q, STATUS) in (WAITING, DONE)
+                for q in edge.members
             ):
                 return True
         return False

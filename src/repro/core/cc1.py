@@ -36,7 +36,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
-from repro.kernel.algorithm import Action, ActionContext
+from repro.kernel.algorithm import Action, ActionContext, shared
 from repro.core.base import CommitteeAlgorithmBase
 from repro.core.composition import TokenBinding
 from repro.core.states import DONE, IDLE, LOOKING, POINTER, STATUS, TOKEN_FLAG, WAITING
@@ -66,30 +66,36 @@ class CC1Algorithm(CommitteeAlgorithmBase):
     # ------------------------------------------------------------------ #
     # macros (Algorithm 1)
     # ------------------------------------------------------------------ #
-    def free_edges(self, ctx: ActionContext, pid: ProcessId) -> List[Hyperedge]:
+    @shared
+    def free_edges(self, ctx: ActionContext, pid: ProcessId) -> Tuple[Hyperedge, ...]:
         """``FreeEdges_p = {ε ∈ E_p | ∀q ∈ ε : S_q = looking}``."""
-        return [
+        read = ctx.read
+        return tuple(
             edge
             for edge in self.incident(pid)
-            if all(ctx.read(q, STATUS) == LOOKING for q in edge)
-        ]
+            if all(read(q, STATUS) == LOOKING for q in edge.members)
+        )
 
-    def free_nodes(self, ctx: ActionContext, pid: ProcessId) -> List[ProcessId]:
+    @shared
+    def free_nodes(self, ctx: ActionContext, pid: ProcessId) -> Tuple[ProcessId, ...]:
         """``FreeNodes_p``: processes incident to some free edge of ``p``."""
         nodes: set = set()
         for edge in self.free_edges(ctx, pid):
             nodes.update(edge.members)
-        return sorted(nodes)
+        return tuple(sorted(nodes))
 
-    def candidates(self, ctx: ActionContext, pid: ProcessId) -> List[ProcessId]:
+    @shared
+    def candidates(self, ctx: ActionContext, pid: ProcessId) -> Tuple[ProcessId, ...]:
         """``Cands_p``: token-flagged free nodes if any, otherwise all free nodes."""
+        read = ctx.read
         free_nodes = self.free_nodes(ctx, pid)
-        token_flagged = [q for q in free_nodes if bool(ctx.read(q, TOKEN_FLAG))]
+        token_flagged = tuple(q for q in free_nodes if read(q, TOKEN_FLAG))
         return token_flagged if token_flagged else free_nodes
 
     # ------------------------------------------------------------------ #
     # predicates (Algorithm 1)
     # ------------------------------------------------------------------ #
+    @shared
     def local_max(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``LocalMax(p) ≡ p = max(Cands_p)``."""
         cands = self.candidates(ctx, pid)
@@ -117,17 +123,15 @@ class CC1Algorithm(CommitteeAlgorithmBase):
         leader_pointer = ctx.read(max(cands), POINTER)
         return any(edge == leader_pointer and ctx.read(pid, POINTER) != edge for edge in free)
 
+    @shared
     def leave_meeting(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``LeaveMeeting(p) ≡ ∃ε ∈ E_p : (P_p = ε ∧ ∀q ∈ ε : (P_q = ε ⇒ S_q = done))``."""
-        pointer = ctx.read(pid, POINTER)
+        read = ctx.read
+        pointer = read(pid, POINTER)
         for edge in self.incident(pid):
             if pointer != edge:
                 continue
-            if all(
-                ctx.read(q, STATUS) == DONE
-                for q in edge
-                if ctx.read(q, POINTER) == edge
-            ):
+            if all(read(q, STATUS) == DONE for q in edge.members if read(q, POINTER) == edge):
                 return True
         return False
 
@@ -140,6 +144,7 @@ class CC1Algorithm(CommitteeAlgorithmBase):
             return True
         return status == LOOKING and not self.free_edges(ctx, pid)
 
+    @shared
     def correct(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """The ``Correct(p)`` predicate of Algorithm 1."""
         status = ctx.read(pid, STATUS)
@@ -160,7 +165,7 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Step1 : idle professor requests participation ---------------- #
         def step1_guard(ctx: ActionContext) -> bool:
-            return ctx.request_in() and ctx.read(pid, STATUS) == IDLE
+            return ctx.read(pid, STATUS) == IDLE and ctx.request_in()
 
         def step1_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, LOOKING)
@@ -201,14 +206,14 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Step31 : committee agreed, wait for the meeting ---------------- #
         def step31_guard(ctx: ActionContext) -> bool:
-            return self.ready(ctx, pid) and ctx.read(pid, STATUS) == LOOKING
+            return ctx.read(pid, STATUS) == LOOKING and self.ready(ctx, pid)
 
         def step31_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, WAITING)
 
         # -- Step32 : meeting convened, essential discussion ---------------- #
         def step32_guard(ctx: ActionContext) -> bool:
-            return self.meeting(ctx, pid) and ctx.read(pid, STATUS) == WAITING
+            return ctx.read(pid, STATUS) == WAITING and self.meeting(ctx, pid)
 
         def step32_stmt(ctx: ActionContext) -> None:
             ctx.environment.on_essential_discussion(pid)
@@ -227,13 +232,13 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Stab1 / Stab2 : snap-stabilization correction ------------------- #
         def stab1_guard(ctx: ActionContext) -> bool:
-            return not self.correct(ctx, pid) and ctx.read(pid, STATUS) == IDLE
+            return ctx.read(pid, STATUS) == IDLE and not self.correct(ctx, pid)
 
         def stab1_stmt(ctx: ActionContext) -> None:
             ctx.write(POINTER, None)
 
         def stab2_guard(ctx: ActionContext) -> bool:
-            return not self.correct(ctx, pid) and ctx.read(pid, STATUS) != IDLE
+            return ctx.read(pid, STATUS) != IDLE and not self.correct(ctx, pid)
 
         def stab2_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, LOOKING)

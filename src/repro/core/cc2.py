@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
-from repro.kernel.algorithm import Action, ActionContext
+from repro.kernel.algorithm import Action, ActionContext, shared
 from repro.core.base import CommitteeAlgorithmBase
 from repro.core.composition import TokenBinding
 from repro.core.states import DONE, LOCK_FLAG, LOOKING, POINTER, STATUS, TOKEN_FLAG, WAITING
@@ -70,43 +70,49 @@ class CC2Algorithm(CommitteeAlgorithmBase):
     # ------------------------------------------------------------------ #
     # macros (Algorithm 2)
     # ------------------------------------------------------------------ #
-    def free_edges(self, ctx: ActionContext, pid: ProcessId) -> List[Hyperedge]:
+    @shared
+    def free_edges(self, ctx: ActionContext, pid: ProcessId) -> Tuple[Hyperedge, ...]:
         """``FreeEdges_p = {ε ∈ E_p | ∀q ∈ ε : (S_q = looking ∧ ¬L_q ∧ ¬T_q)}``."""
-        return [
+        read = ctx.read
+        return tuple(
             edge
             for edge in self.incident(pid)
             if all(
-                ctx.read(q, STATUS) == LOOKING
-                and not bool(ctx.read(q, LOCK_FLAG))
-                and not bool(ctx.read(q, TOKEN_FLAG))
-                for q in edge
+                read(q, STATUS) == LOOKING
+                and not read(q, LOCK_FLAG)
+                and not read(q, TOKEN_FLAG)
+                for q in edge.members
             )
-        ]
+        )
 
-    def free_nodes(self, ctx: ActionContext, pid: ProcessId) -> List[ProcessId]:
+    @shared
+    def free_nodes(self, ctx: ActionContext, pid: ProcessId) -> Tuple[ProcessId, ...]:
         nodes: set = set()
         for edge in self.free_edges(ctx, pid):
             nodes.update(edge.members)
-        return sorted(nodes)
+        return tuple(sorted(nodes))
 
-    def t_pointing_edges(self, ctx: ActionContext, pid: ProcessId) -> List[Hyperedge]:
+    @shared
+    def t_pointing_edges(self, ctx: ActionContext, pid: ProcessId) -> Tuple[Hyperedge, ...]:
         """``TPointingEdges_p``: incident committees selected by a looking token holder."""
-        return [
+        read = ctx.read
+        return tuple(
             edge
             for edge in self.incident(pid)
             if any(
-                ctx.read(q, POINTER) == edge
-                and bool(ctx.read(q, TOKEN_FLAG))
-                and ctx.read(q, STATUS) == LOOKING
-                for q in edge
+                read(q, POINTER) == edge
+                and read(q, TOKEN_FLAG)
+                and read(q, STATUS) == LOOKING
+                for q in edge.members
             )
-        ]
+        )
 
-    def t_pointing_nodes(self, ctx: ActionContext, pid: ProcessId) -> List[ProcessId]:
+    @shared
+    def t_pointing_nodes(self, ctx: ActionContext, pid: ProcessId) -> Tuple[ProcessId, ...]:
         nodes: set = set()
         for edge in self.t_pointing_edges(ctx, pid):
             nodes.update(edge.members)
-        return sorted(nodes)
+        return tuple(sorted(nodes))
 
     def min_edges(self, pid: ProcessId) -> Tuple[Hyperedge, ...]:
         """``MinEdges_p``: smallest incident committees of ``p``."""
@@ -123,26 +129,26 @@ class CC2Algorithm(CommitteeAlgorithmBase):
     # ------------------------------------------------------------------ #
     # predicates (Algorithm 2)
     # ------------------------------------------------------------------ #
+    @shared
     def locked(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``Locked(p) ≡ TPointingEdges_p ≠ ∅``."""
         return bool(self.t_pointing_edges(ctx, pid))
 
+    @shared
     def leave_meeting(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``LeaveMeeting(p)``: done, pointing at ``ε`` and no member of ``ε`` still waiting."""
-        if ctx.read(pid, STATUS) != DONE:
+        read = ctx.read
+        if read(pid, STATUS) != DONE:
             return False
-        pointer = ctx.read(pid, POINTER)
+        pointer = read(pid, POINTER)
         for edge in self.incident(pid):
             if pointer != edge:
                 continue
-            if all(
-                ctx.read(q, STATUS) != WAITING
-                for q in edge
-                if ctx.read(q, POINTER) == edge
-            ):
+            if all(read(q, STATUS) != WAITING for q in edge.members if read(q, POINTER) == edge):
                 return True
         return False
 
+    @shared
     def local_max(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``LocalMax(p) ≡ p = max(FreeNodes_p)``."""
         nodes = self.free_nodes(ctx, pid)
@@ -193,6 +199,7 @@ class CC2Algorithm(CommitteeAlgorithmBase):
             and ctx.read(pid, POINTER) not in self.t_pointing_edges(ctx, pid)
         )
 
+    @shared
     def correct(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """The ``Correct(p)`` predicate of Algorithm 2."""
         status = ctx.read(pid, STATUS)
@@ -288,14 +295,14 @@ class CC2Algorithm(CommitteeAlgorithmBase):
 
         # -- Step2 : committee agreed, wait for the meeting ------------------- #
         def step2_guard(ctx: ActionContext) -> bool:
-            return self.ready(ctx, pid) and ctx.read(pid, STATUS) == LOOKING
+            return ctx.read(pid, STATUS) == LOOKING and self.ready(ctx, pid)
 
         def step2_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, WAITING)
 
         # -- Step3 : meeting convened, essential discussion ------------------- #
         def step3_guard(ctx: ActionContext) -> bool:
-            return self.meeting(ctx, pid) and ctx.read(pid, STATUS) == WAITING
+            return ctx.read(pid, STATUS) == WAITING and self.meeting(ctx, pid)
 
         def step3_stmt(ctx: ActionContext) -> None:
             ctx.environment.on_essential_discussion(pid)

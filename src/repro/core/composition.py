@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Sequence
 
-from repro.kernel.algorithm import Action, ActionContext
+from repro.kernel.algorithm import Action, ActionContext, shared
 from repro.kernel.composition import namespaced_action
 from repro.kernel.configuration import Configuration, ProcessId
 from repro.tokenring.interfaces import TokenModule
@@ -47,9 +47,6 @@ class _PrefixWriter:
     def own(self, variable: str, default: Any = None) -> Any:
         return self._ctx.read(self._ctx.pid, self._prefix + variable, default)
 
-    def mark_token_released(self) -> None:
-        self._ctx.mark_token_released()
-
 
 class TokenBinding:
     """A :class:`TokenModule` bound under a variable prefix."""
@@ -76,11 +73,11 @@ class TokenBinding:
     # ------------------------------------------------------------------ #
     # the Token(p) predicate and ReleaseToken_p statement
     # ------------------------------------------------------------------ #
-    def token(self, ctx: ActionContext, pid: ProcessId | None = None) -> bool:
+    @shared
+    def token(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``Token(p)`` evaluated against the pre-step snapshot in ``ctx``."""
-        target = ctx.pid if pid is None else pid
         read = lambda q, var: ctx.read(q, self.prefix + var)
-        return self.module.holds_token(read, target)
+        return self.module.holds_token(read, pid)
 
     def token_in(self, configuration: Configuration, pid: ProcessId) -> bool:
         """``Token(p)`` evaluated against a full configuration (spec checkers)."""
@@ -96,7 +93,6 @@ class TokenBinding:
         shim = _PrefixWriter(ctx, self.prefix)
         read = lambda q, var: ctx.read(q, self.prefix + var)
         self.module.release_token(shim, read)  # type: ignore[arg-type]
-        ctx.mark_token_released()
 
     # ------------------------------------------------------------------ #
     # dirty-set protocol (incremental scheduler engine)

@@ -18,7 +18,8 @@ answers, so only the highest-priority enabled action matters:
 :meth:`DistributedAlgorithm.enabled_action` walks the process's *action
 table* (:meth:`DistributedAlgorithm.action_table`, the list reversed, built
 once per run by the scheduler) and returns the first action whose guard
-holds.
+holds.  The guards of one walk share one :class:`ActionContext`, so a macro
+several of them test (a :func:`shared` predicate) is derived only once.
 
 Algorithms also receive *inputs* from the environment: the committee
 coordination algorithms read the predicates ``RequestIn(p)`` and
@@ -32,6 +33,7 @@ engine refreshes only those between steps.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -99,9 +101,18 @@ class ActionContext:
     circulation substrate legitimately reads its virtual-ring predecessor,
     a documented substitution), but every committee coordination algorithm
     restricts itself to hypergraph neighbours.
+
+    **The memo.**  ``memo`` maps each :func:`shared` predicate evaluated for
+    ``pid`` (never for another process) to its immutable value on this
+    context's snapshot.  A context lives for exactly one
+    :meth:`DistributedAlgorithm.enabled_action` walk or one statement
+    execution, and the snapshot it reads never changes, so a value is only
+    ever reused against the snapshot it was computed on.  The memo belongs
+    to the context, never to the algorithm or the scheduler: one that
+    outlived its context would serve values of an older configuration.
     """
 
-    __slots__ = ("pid", "configuration", "environment", "read", "_writes", "_released_token")
+    __slots__ = ("pid", "configuration", "environment", "read", "_writes", "memo")
 
     def __init__(
         self,
@@ -117,7 +128,7 @@ class ActionContext:
         #: ``get``, so a guard's read costs one Python frame, not two.
         self.read: Callable[..., Any] = configuration.get
         self._writes: Dict[str, Any] = {}
-        self._released_token = False
+        self.memo: Dict[Callable[..., Any], Any] = {}
 
     # -- reads ---------------------------------------------------------- #
     def own(self, variable: str, default: Any = None) -> Any:
@@ -139,13 +150,39 @@ class ActionContext:
     def writes(self) -> Dict[str, Any]:
         return dict(self._writes)
 
-    def mark_token_released(self) -> None:
-        """Record that the statement invoked ``ReleaseToken_p`` (for tracing)."""
-        self._released_token = True
 
-    @property
-    def released_token(self) -> bool:
-        return self._released_token
+def shared(predicate: Callable[[Any, ActionContext, ProcessId], Any]) -> Callable[..., Any]:
+    """Evaluate a ``(self, ctx, pid)`` predicate at most once per context.
+
+    Guards of one process share macros (``Ready``, ``FreeEdges``,
+    ``Token(p)``, ...), so a priority walk would otherwise derive the same
+    macro once per guard.  A call with ``pid == ctx.pid`` stores its value
+    in ``ctx.memo`` under ``predicate`` and later calls return it; a call
+    for any other process evaluates directly and leaves the memo alone.
+
+    The contract a decorated predicate keeps:
+
+    * it is a pure function of ``ctx.read`` (the immutable snapshot) and
+      ``pid``: it never calls ``ctx.request_in``/``ctx.request_out`` or
+      touches ``ctx.environment``, which a statement may mutate partway
+      through a context;
+    * its value is immutable (a bool, a tuple), so no caller can alter what
+      a later caller is handed;
+    * one context serves the guards of one algorithm instance (composed
+      components run in their own namespaced contexts), so the predicate
+      alone is the key.
+    """
+
+    def cached(self: Any, ctx: ActionContext, pid: ProcessId) -> Any:
+        if pid != ctx.pid:
+            return predicate(self, ctx, pid)
+        memo = ctx.memo
+        if predicate in memo:
+            return memo[predicate]
+        value = memo[predicate] = predicate(self, ctx, pid)
+        return value
+
+    return functools.wraps(predicate)(cached)
 
 
 Guard = Callable[[ActionContext], bool]

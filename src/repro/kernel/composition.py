@@ -35,12 +35,14 @@ class _NamespacedContext(ActionContext):
     __slots__ = ("_prefix",)
 
     def __init__(self, inner: ActionContext, prefix: str) -> None:
-        # Share the inner context's buffers so writes land in the same step.
+        # Share the inner context's buffers so writes land in the same step,
+        # but not its memo: reads here are prefixed, so cached predicate
+        # values of the inner namespace would be wrong in this one.
         self.pid = inner.pid
         self.configuration = inner.configuration
         self.environment = inner.environment
         self._writes = inner._writes
-        self._released_token = inner._released_token
+        self.memo = {}
         self._prefix = prefix
 
     def read(self, pid: ProcessId, variable: str, default: Any = None) -> Any:

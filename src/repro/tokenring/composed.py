@@ -104,7 +104,6 @@ class ComposedTokenCirculation(DistributedAlgorithm):
                 ctx.write(COUNTER, (own + 1) % self._k)
             else:
                 ctx.write(COUNTER, read(self._pred[ctx.pid], COUNTER) or 0)
-            ctx.mark_token_released()
 
         token_action = Action(label="T", guard=token_guard, statement=token_statement)
         # Election actions appear last: higher priority, so election

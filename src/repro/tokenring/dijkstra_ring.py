@@ -185,7 +185,6 @@ class DijkstraRingAlgorithm(DistributedAlgorithm):
 
         def statement(ctx: ActionContext) -> None:
             module.release_token(ctx, lambda q, var: ctx.read(q, var))
-            ctx.mark_token_released()
 
         return (Action(label="T", guard=guard, statement=statement),)
 

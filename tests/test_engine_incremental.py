@@ -7,6 +7,10 @@ Covers
   arbitrary starts), and identical summary metrics on sparse runs;
 * guard purity: first-enabled exit over the priority table picks what a
   code-order sweep picks, and neither touches any request model's state;
+* shared predicates: a macro's value is the same however many guards have
+  already run on the context, calls for other processes bypass the memo,
+  no macro consults the environment, and namespaced contexts start with a
+  memo of their own;
 * the environment delta: every request-answer flip is reported, and the
   refresh it drives is invisible next to the ``None`` fallback;
 * a finished run being freed by reference counting alone;
@@ -25,6 +29,7 @@ from __future__ import annotations
 import copy
 import gc
 import random
+import types
 import weakref
 from typing import Any, Dict, Sequence, Tuple
 
@@ -34,6 +39,7 @@ from repro.core.runner import CommitteeCoordinator
 from repro.hypergraph.generators import figure1_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernel.algorithm import Action, ActionContext, DistributedAlgorithm, Environment
+from repro.kernel.composition import FairComposition, _NamespacedContext
 from repro.kernel.configuration import Configuration
 from repro.kernel.daemon import (
     AdversarialDaemon,
@@ -56,8 +62,12 @@ from repro.workloads.request_models import (
 )
 
 
+ALGORITHMS = ("cc1", "cc2", "cc3")
+TOKENS = ("tree", "ring", "oracle")
+
+
 # --------------------------------------------------------------------------- #
-# guard purity, the environment delta, and run lifetime
+# guard purity, shared predicates, the environment delta, and run lifetime
 # --------------------------------------------------------------------------- #
 def _algorithm(name: str):
     return CommitteeCoordinator(figure1_hypergraph(), algorithm=name, seed=5).algorithm
@@ -160,6 +170,198 @@ class TestGuardPurity:
     def test_default_engine_is_incremental(self):
         assert Scheduler(_CountUp(2, 2)).engine == "incremental"
         assert Scheduler(_CountUp(2, 2), engine="auto").engine == "incremental"
+
+
+#: The ``shared`` predicates of each algorithm; every binding adds ``token``.
+SHARED_PREDICATES = {
+    "cc1": (
+        "ready", "meeting", "free_edges", "free_nodes", "candidates",
+        "local_max", "leave_meeting", "correct",
+    ),
+    "cc2": (
+        "ready", "meeting", "free_edges", "free_nodes", "t_pointing_edges",
+        "t_pointing_nodes", "locked", "local_max", "leave_meeting", "correct",
+    ),
+}
+SHARED_PREDICATES["cc3"] = SHARED_PREDICATES["cc2"]
+
+
+class _Raising(Environment):
+    """A request model that fails whenever it is consulted."""
+
+    def request_in(self, pid, configuration):
+        raise AssertionError(f"RequestIn({pid}) consulted")
+
+    def request_out(self, pid, configuration):
+        raise AssertionError(f"RequestOut({pid}) consulted")
+
+    def on_essential_discussion(self, pid):
+        raise AssertionError(f"essential discussion of {pid} reported")
+
+
+class TestSharedPredicates:
+    """``shared`` macros are evaluated once per context, and nothing shows it."""
+
+    @staticmethod
+    def _algorithm(algorithm, token):
+        return CommitteeCoordinator(
+            figure1_hypergraph(), algorithm=algorithm, token=token, seed=5
+        ).algorithm
+
+    @staticmethod
+    def _call(algo, name, ctx, pid):
+        owner = algo.token if name == "token" else algo
+        return getattr(owner, name)(ctx, pid)
+
+    @staticmethod
+    def _shared_members(algo):
+        """``(class, name, function)`` of every shared predicate ``algo`` runs."""
+        found = []
+        for owner in (algo, algo.token):
+            for cls in type(owner).__mro__:
+                for name, value in vars(cls).items():
+                    if isinstance(value, types.FunctionType) and hasattr(value, "__wrapped__"):
+                        found.append((cls, name, value))
+        return found
+
+    @staticmethod
+    def _configurations(algo, environment, steps=20):
+        """Seeded arbitrary configurations and the runs they start."""
+        for seed in (3, 11):
+            scheduler = Scheduler(
+                algo,
+                environment=environment,
+                daemon=default_daemon(seed=seed),
+                initial_configuration=algo.arbitrary_configuration(random.Random(seed)),
+            )
+            for _ in range(steps):
+                yield scheduler.configuration
+                if scheduler.step() is None:
+                    break
+
+    def _reference(self, monkeypatch, algorithm, algo, configuration, environment, tables):
+        """Every predicate's value and the winning action of every process,
+        with each shared predicate replaced by its plain code (no memo at all)
+        and a fresh context per guard."""
+        names = SHARED_PREDICATES[algorithm] + ("token",)
+        values, winners = {}, {}
+        with monkeypatch.context() as plain:
+            for cls, name, function in self._shared_members(algo):
+                plain.setattr(cls, name, function.__wrapped__)
+            for pid in algo.process_ids():
+                values[pid] = {
+                    name: self._call(algo, name, ActionContext(pid, configuration, environment), pid)
+                    for name in names
+                }
+                winners[pid] = next(
+                    (
+                        action.label
+                        for action in tables[pid]
+                        if action.guard(ActionContext(pid, configuration, environment))
+                    ),
+                    None,
+                )
+        return values, winners
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_walked_context_agrees_with_plain_evaluation(self, monkeypatch, algorithm, token):
+        algo = self._algorithm(algorithm, token)
+        assert {name for _, name, _ in self._shared_members(algo)} == set(
+            SHARED_PREDICATES[algorithm]
+        ) | {"token"}
+        environment = AlwaysRequestingEnvironment(1)
+        tables = {pid: algo.action_table(pid) for pid in algo.process_ids()}
+        winners_seen = set()
+        for configuration in self._configurations(algo, environment):
+            values, winners = self._reference(
+                monkeypatch, algorithm, algo, configuration, environment, tables
+            )
+            for pid in algo.process_ids():
+                for walk in (tables[pid], tables[pid][::-1]):
+                    walked = ActionContext(pid, configuration, environment)
+                    for action in walk:
+                        action.guard(walked)
+                    fresh = ActionContext(pid, configuration, environment)
+                    for name, expected in values[pid].items():
+                        assert self._call(algo, name, walked, pid) == expected, (pid, name)
+                        assert self._call(algo, name, fresh, pid) == expected, (pid, name)
+                action = algo.enabled_action(pid, configuration, environment, tables[pid])
+                assert (action and action.label) == winners[pid], pid
+                winners_seen.add(winners[pid])
+        assert len(winners_seen) > 3  # the runs exercise several guards
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_other_pids_bypass_the_memo(self, monkeypatch, algorithm, token):
+        algo = self._algorithm(algorithm, token)
+        environment = AlwaysRequestingEnvironment(1)
+        tables = {pid: algo.action_table(pid) for pid in algo.process_ids()}
+        pids = algo.process_ids()
+        differing = 0
+        for configuration in self._configurations(algo, environment, steps=8):
+            values, _ = self._reference(
+                monkeypatch, algorithm, algo, configuration, environment, tables
+            )
+            for pid in pids:
+                for other in pids:
+                    if other == pid:
+                        continue
+                    for name in values[pid]:
+                        ctx = ActionContext(pid, configuration, environment)
+                        assert self._call(algo, name, ctx, other) == values[other][name]
+                        assert ctx.memo == {}
+                        assert self._call(algo, name, ctx, pid) == values[pid][name]
+                        cached = dict(ctx.memo)
+                        assert self._call(algo, name, ctx, other) == values[other][name]
+                        assert ctx.memo == cached
+                        assert self._call(algo, name, ctx, pid) == values[pid][name]
+                        differing += values[pid][name] != values[other][name]
+        assert differing > 0
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_predicates_never_consult_the_environment(self, algorithm, token):
+        algo = self._algorithm(algorithm, token)
+        raising = _Raising()
+        names = SHARED_PREDICATES[algorithm] + ("token",)
+        for configuration in self._configurations(algo, AlwaysRequestingEnvironment(1)):
+            for pid in algo.process_ids():
+                for name in names:
+                    ctx = ActionContext(pid, configuration, raising)
+                    self._call(algo, name, ctx, pid)
+                    for other in algo.process_ids():
+                        self._call(algo, name, ctx, other)
+
+    def test_namespaced_context_starts_with_its_own_memo(self):
+        algo = self._algorithm("cc2", "tree")
+        configuration = algo.arbitrary_configuration(random.Random(4))
+        inner = ActionContext(1, configuration, AlwaysRequestingEnvironment(1))
+        algo.ready(inner, 1)
+        algo.token.token(inner, 1)
+        assert inner.memo
+        namespaced = _NamespacedContext(inner, "cc.")
+        assert namespaced.memo == {}
+        assert namespaced.memo is not inner.memo
+        assert namespaced._writes is inner._writes
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_composed_components_do_not_share_values(self, seed):
+        # Both components run the base class's Ready/Meeting and the binding's
+        # Token(p) on their own variables; a memo shared across their
+        # namespaced contexts would hand one component the other's values.
+        composed = FairComposition(
+            [("a", self._algorithm("cc1", "tree")), ("b", self._algorithm("cc2", "ring"))]
+        )
+        environment = AlwaysRequestingEnvironment(1)
+        configuration = composed.arbitrary_configuration(random.Random(seed))
+        for pid in composed.process_ids():
+            table = composed.action_table(pid)
+            for walk in (table, table[::-1]):
+                walked = ActionContext(pid, configuration, environment)
+                for action in walk:
+                    fresh = ActionContext(pid, configuration, environment)
+                    assert bool(action.guard(walked)) == bool(action.guard(fresh)), action.label
 
 
 class TestEnvironmentDelta:
@@ -284,10 +486,6 @@ def test_finished_run_is_freed_by_reference_counting():
 # --------------------------------------------------------------------------- #
 # dense vs incremental equivalence
 # --------------------------------------------------------------------------- #
-ALGORITHMS = ("cc1", "cc2", "cc3")
-TOKENS = ("tree", "ring", "oracle")
-
-
 def _run(algorithm: str, token: str, engine: str, **kwargs):
     coordinator = CommitteeCoordinator(
         figure1_hypergraph(), algorithm=algorithm, token=token, seed=13, engine=engine

@@ -217,10 +217,11 @@ def test_undeclared_neighbour_read_mutation_is_caught(tmp_path):
     text = cc1.read_text(encoding="utf-8")
     # CC1's guards only declare S/P/T of neighbours; reading the CC2/CC3
     # lock flag "L" of a neighbour is exactly the drift RL202 exists for.
-    needle = "ctx.read(q, STATUS) == LOOKING for q in edge"
+    # The read goes through the macro's ``read = ctx.read`` alias.
+    needle = "read(q, STATUS) == LOOKING for q in edge.members"
     assert needle in text
     cc1.write_text(
-        text.replace(needle, 'ctx.read(q, "L") == LOOKING for q in edge', 1),
+        text.replace(needle, 'read(q, "L") == LOOKING for q in edge.members', 1),
         encoding="utf-8",
     )
     project = Project.load(mutated_root)
