@@ -24,12 +24,12 @@ import tempfile
 import time
 
 from repro.campaign import (
+    CampaignDriver,
     CampaignSpec,
     FaultSchedule,
     JsonlSink,
     execute_job,
     expand_jobs,
-    run_campaign,
 )
 
 #: 3 scenarios x 2 algorithms x 2 seeds x 2 fault schedules = 24 jobs.
@@ -55,7 +55,7 @@ def run_scaling(perf_emit):
     rows = []
     results = {}
     for jobs in (1, PARALLEL_JOBS):
-        result = run_campaign(MATRIX, jobs=jobs)
+        result = CampaignDriver(MATRIX, jobs=jobs).execute()
         results[jobs] = result
         perf_emit(
             {
@@ -121,7 +121,7 @@ def run_sink_overhead(perf_emit, out_path):
     last = {}
     for _ in range(SINK_SAMPLE_REPS):
         for label, sink in (("none", None), ("jsonl", JsonlSink(out_path))):
-            result = run_campaign(SINK_MATRIX, jobs=1, sink=sink)
+            result = CampaignDriver(SINK_MATRIX, sink=sink).execute()
             if sink is not None:
                 sink.close()
             last[label] = result
@@ -194,7 +194,7 @@ def run_driver_overhead(perf_emit):
         start = time.perf_counter()  # repro-lint: disable=RL102 -- bench harness timing, not simulation state
         inline = [execute_job(job) for job in jobs]
         inline_seconds = time.perf_counter() - start  # repro-lint: disable=RL102 -- bench harness timing, not simulation state
-        result = run_campaign(jobs, jobs=1)
+        result = CampaignDriver(jobs).execute()
         last["inline"], last["driver"] = inline, result
         best["inline"] = min(best.get("inline", inline_seconds), inline_seconds)
         best["driver"] = min(best.get("driver", result.elapsed_seconds), result.elapsed_seconds)

@@ -24,7 +24,7 @@ import json
 import tempfile
 import time
 
-from repro.campaign import CampaignSpec, ColumnStore, RunCache, expand_jobs, run_campaign
+from repro.campaign import CampaignDriver, CampaignSpec, ColumnStore, RunCache, expand_jobs
 from repro.campaign.sinks import row_line
 
 #: 2 scenarios x 2 algorithms x 3 seeds = 12 jobs; long enough per run
@@ -49,10 +49,10 @@ def run_cache_resubmission(perf_emit, cache_dir):
     jobs = expand_jobs(CACHE_MATRIX)
     cache = RunCache(cache_dir)
     start = time.perf_counter()  # repro-lint: disable=RL102 -- bench wall-clock, never enters campaign rows
-    cold = run_campaign(jobs, jobs=1, cache=cache)
+    cold = CampaignDriver(jobs, cache=cache).execute()
     cold_seconds = time.perf_counter() - start  # repro-lint: disable=RL102 -- bench wall-clock
     start = time.perf_counter()  # repro-lint: disable=RL102 -- bench wall-clock
-    cached = run_campaign(jobs, jobs=1, cache=cache)
+    cached = CampaignDriver(jobs, cache=cache).execute()
     cached_seconds = time.perf_counter() - start  # repro-lint: disable=RL102 -- bench wall-clock
     speedup = cold_seconds / cached_seconds if cached_seconds > 0 else float("inf")
     perf_emit(
@@ -79,10 +79,9 @@ def run_cache_resubmission(perf_emit, cache_dir):
 
 def _replicated_lines():
     """A many-thousand-row JSONL body with realistic campaign row shapes."""
-    base = run_campaign(
+    base = CampaignDriver(
         CampaignSpec(scenarios=("figure1", "path-6"), algorithms=("cc1", "cc2"), seeds=(1,), max_steps=200),
-        jobs=1,
-    ).rows
+    ).execute().rows
     lines = []
     for index in range(AGGREGATE_ROWS):
         row = dict(base[index % len(base)])

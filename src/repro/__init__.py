@@ -56,7 +56,7 @@ from repro.tokenring import (
     TreeTokenCirculation,
 )
 from repro.analysis import bounds_for
-from repro.campaign import CampaignSpec, FaultSchedule, run_campaign
+from repro.campaign import CampaignDriver, CampaignSpec, FaultSchedule
 from repro.spec import (
     CounterexampleWindow,
     SpecVerdicts,
@@ -92,9 +92,9 @@ __all__ = [
     "SelfStabilizingLeaderElection",
     "TreeTokenCirculation",
     "bounds_for",
+    "CampaignDriver",
     "CampaignSpec",
     "FaultSchedule",
-    "run_campaign",
     "CounterexampleWindow",
     "SpecVerdicts",
     "SpecViolationError",

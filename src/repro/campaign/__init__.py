@@ -15,9 +15,9 @@ Rows are **deterministic**: a campaign's JSONL output is byte-identical for
 any worker count (timing lives outside the rows unless explicitly asked
 for), so campaign outputs diff cleanly across commits.
 
-Rows are also **crash-safe**: the runner hands every row to an optional
+Rows are also **crash-safe**: the driver hands every row to an optional
 :class:`~repro.campaign.sinks.RowSink` in completion order the moment its
-job finishes (line-buffered JSONL file, TCP/Unix socket stream, in-memory
+job finishes (line-buffered JSONL file, acked collector socket, in-memory
 buffer), worker exceptions become ``status="error"`` rows instead of
 killing the pool, :mod:`repro.campaign.resume` re-ingests a partial JSONL
 stream so ``repro-cc campaign --resume`` executes only the missing jobs,
@@ -39,26 +39,25 @@ jobs with byte-identical stored rows) and an array-backed columnar row
 store whose aggregate queries (``repro-cc stats``) replace per-query JSONL
 reparsing.
 
-And every frontend drives **one layered pipeline**:
-:mod:`repro.campaign.driver` decomposes campaign orchestration into
-composable stages — :class:`~repro.campaign.driver.CampaignPlan` (matrix
-expansion + resume reconciliation + cache probe), an
-:class:`~repro.campaign.driver.Executor`
+And every campaign runs through **one layered pipeline**:
+:class:`~repro.campaign.driver.CampaignDriver` composes
+:class:`~repro.campaign.driver.CampaignPlan` (matrix expansion + resume
+reconciliation + cache probe), an :class:`~repro.campaign.driver.Executor`
 (:class:`~repro.campaign.driver.SerialExecutor` /
 :class:`~repro.campaign.driver.PoolExecutor` /
 :class:`~repro.campaign.driver.ShardExecutor`), a
 :class:`~repro.campaign.driver.RowCollector` fan-out and a
-:class:`~repro.campaign.driver.Finalizer` — composed by
-:class:`~repro.campaign.driver.CampaignDriver` for the CLI, the shard
-client and the future always-on service alike.
+:class:`~repro.campaign.driver.Finalizer` — for the CLI, the shard client
+and library callers alike::
+
+    result = CampaignDriver(spec, jobs=4).execute()
 
 Layers: ``matrix`` (the declarative spec and its expansion), ``jobs`` (the
 picklable run job + the spawn-safe worker entry point), ``driver`` (the
-plan → dispatch → collect → finalize stages), ``runner`` (the classic
-one-call frontend over them), ``sinks``/``resume``/``adaptive``/``store``
-(the persistence layer), ``shard`` (the distribution layer).  The CLI
-front end is ``repro-cc campaign`` / ``repro-cc collect`` /
-``repro-cc stats``.
+plan → dispatch → collect → finalize stages), ``sinks``/``resume``/
+``adaptive``/``store`` (the persistence layer), ``shard`` (the distribution
+layer).  The CLI front end is ``repro-cc campaign`` / ``repro-cc collect``
+/ ``repro-cc stats``.
 """
 
 from repro.campaign.adaptive import disagreement_cells, rerun_jobs
@@ -67,12 +66,14 @@ from repro.campaign.driver import (
     CampaignDriver,
     CampaignOutcome,
     CampaignPlan,
+    CampaignResult,
     Executor,
     Finalizer,
     PoolExecutor,
     RowCollector,
     SerialExecutor,
     ShardExecutor,
+    shard_slice,
 )
 from repro.campaign.jobs import JobResult, RunJob, error_result, execute_job
 from repro.campaign.matrix import CampaignSpec, FaultSchedule, expand_jobs
@@ -86,7 +87,6 @@ from repro.campaign.resume import (
     validate_row_matches_job,
     validate_rows_match_jobs,
 )
-from repro.campaign.runner import CampaignResult, run_campaign, shard_slice
 from repro.campaign.shard import (
     CONTROL_SCHEMAS,
     Collector,
@@ -95,7 +95,6 @@ from repro.campaign.shard import (
     control_message,
     hello_message,
     matrix_fingerprint,
-    run_shard,
     validate_control,
 )
 from repro.campaign.sinks import (
@@ -105,10 +104,8 @@ from repro.campaign.sinks import (
     RowSink,
     SINK_TYPES,
     ShardProtocolError,
-    SocketSink,
     TeeSink,
     parse_address,
-    sink_from_spec,
     write_lines_atomic,
 )
 from repro.campaign.store import (
@@ -155,7 +152,6 @@ __all__ = [
     "ShardExecutor",
     "ShardProtocolError",
     "ShardRecord",
-    "SocketSink",
     "TeeSink",
     "as_job_result",
     "control_message",
@@ -175,10 +171,7 @@ __all__ = [
     "rerun_jobs",
     "run_cache_key",
     "run_cache_key_for_row",
-    "run_campaign",
-    "run_shard",
     "shard_slice",
-    "sink_from_spec",
     "validate_control",
     "validate_row_matches_job",
     "validate_rows_match_jobs",

@@ -1,8 +1,8 @@
 """The layered campaign driver: plan → dispatch → collect → finalize.
 
 Every frontend that runs campaigns — the ``repro-cc campaign`` CLI, the
-shard client feeding a ``collect`` service, a notebook, the future
-always-on verification service — drives the same four stages:
+shard client feeding a ``collect`` service, a notebook — builds one
+:class:`CampaignDriver`, which drives the same four stages:
 
 * :class:`CampaignPlan` — matrix expansion, resume reconciliation (prior
   rows split into in-matrix and re-run-appendix parts), static shard
@@ -16,18 +16,23 @@ always-on verification service — drives the same four stages:
   caches; they push every finished :class:`~repro.campaign.jobs.JobResult`
   into a collector.
 * a :class:`RowCollector` — the single fan-out point: each completed row
-  goes to the cache, the result list, the live
-  :class:`~repro.campaign.store.ColumnStore` aggregate, the crash-safety
-  sink and the progress callback, in that order, exactly once.
-* a :class:`Finalizer` — summary table, cache statistics, the atomic
-  job-order ``--out`` rewrite and the exit-code derivation, returned as a
+  goes to the cache, the result list, the crash-safety sink and the
+  progress callback, in that order, exactly once.
+* a :class:`Finalizer` — the atomic job-order ``--out`` rewrite, the
+  summary table (one columnar pass over the job-order rows), cache
+  statistics and the exit-code derivation, returned as a
   :class:`CampaignOutcome`.
+
+Whether a batch runs serially or on a pool, after its cache hits are
+drained, is decided in one place, :func:`dispatch`, for the local campaign,
+the re-run appendix and every batch a shard is granted alike.
 
 :class:`CampaignDriver` composes the stages into the full CLI semantics
 (resume + cache + sinks + static shards + collector mode +
 ``--rerun-disagreements``), with ``info``/``warn`` callbacks instead of
 hardwired printing, so ``cli._cmd_campaign`` is a flag-parsing adapter and
-a service can run the identical pipeline programmatically.
+a library caller runs the identical pipeline with
+``CampaignDriver(spec).execute()``.
 
 The byte-identity contract is unchanged: rows are pure functions of their
 jobs, the collector preserves completion-order streaming for sinks, and
@@ -57,12 +62,21 @@ from repro.campaign.adaptive import rerun_jobs
 from repro.campaign.jobs import JobResult, RunJob, execute_job
 from repro.campaign.matrix import CampaignSpec, expand_jobs
 from repro.campaign.resume import (
+    is_job_index,
     merge_results,
     reconcile_extra_rows,
     remaining_jobs,
     validate_rows_match_jobs,
 )
-from repro.campaign.sinks import RowSink, row_line, write_lines_atomic
+from repro.campaign.shard import DEFAULT_PULL_BATCH, control_message, hello_message
+from repro.campaign.sinks import (
+    AckingSocketSink,
+    RowSink,
+    ShardProtocolError,
+    TeeSink,
+    row_line,
+    write_lines_atomic,
+)
 from repro.campaign.store import ColumnStore, RunCache
 
 
@@ -86,18 +100,80 @@ def shard_slice(jobs: Sequence[RunJob], index: int, count: int) -> List[RunJob]:
     return list(jobs[low:high])
 
 
+@dataclass
+class CampaignResult:
+    """Everything a finished campaign produced."""
+
+    jobs: List[RunJob]
+    results: List[JobResult]  # in job-index order
+    workers: int
+    elapsed_seconds: float  # campaign wall-clock
+
+    @property
+    def rows(self) -> List[Dict[str, object]]:
+        """Per-run rows, deterministic and in job order."""
+        return [result.row for result in self.results]
+
+    @property
+    def violations(self) -> int:
+        """Number of completed runs in which some checked property failed."""
+        return sum(1 for result in self.results if result.status == "violation")
+
+    @property
+    def errors(self) -> int:
+        """Number of runs whose worker raised (``status="error"`` rows)."""
+        return sum(1 for result in self.results if result.status == "error")
+
+    @property
+    def ok(self) -> bool:
+        return self.violations == 0 and self.errors == 0
+
+    @property
+    def total_steps(self) -> int:
+        return sum(result.steps for result in self.results)
+
+    @property
+    def steps_per_sec(self) -> float:
+        """Campaign-level throughput: executed steps per wall-clock second.
+
+        0.0 (not inf) when no wall-clock was recorded — ``Infinity`` is not
+        valid JSON and poisons the summary table.
+        """
+        return self.total_steps / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
+
+    def jsonl_lines(self, include_timing: bool = False) -> List[str]:
+        """One sorted-key JSON object per run.
+
+        ``include_timing=True`` adds a per-run ``steps_per_sec`` field —
+        useful for perf digging, but machine- and load-dependent, so it
+        breaks the byte-identical-across-worker-counts guarantee and is off
+        by default.
+        """
+        return [row_line(result.output_row(include_timing)) for result in self.results]
+
+    def write_jsonl(self, path: str, include_timing: bool = False) -> None:
+        """Atomically replace ``path`` with the job-order rows.
+
+        Goes through :func:`~repro.campaign.sinks.write_lines_atomic`, so
+        the completion-order stream a crash-safe sink left at ``path`` is
+        only ever *replaced whole* — a crash mid-rewrite cannot lose
+        completed rows (the resume atomicity guarantee).
+        """
+        write_lines_atomic(
+            path, (row_line(result.output_row(include_timing)) for result in self.results)
+        )
+
+
 class RowCollector:
     """The collect stage: fan each finished row everywhere it must go.
 
     One object owns every per-row side effect, in a fixed order — store
     into the cache (executed rows only; the cache refuses error rows),
-    append to the result list, feed the live :class:`ColumnStore`
-    aggregate, stream to the crash-safety ``sink`` and invoke the
-    ``progress`` callback — so serial, pool and shard executors cannot
-    drift apart on what "a row completed" means.
+    append to the result list, stream to the crash-safety ``sink`` and
+    invoke the ``progress`` callback — so serial, pool and shard executors
+    cannot drift apart on what "a row completed" means.
 
-    ``sink`` lifecycle belongs to the caller (never closed here), matching
-    the historical :func:`~repro.campaign.runner.run_campaign` contract.
+    ``sink`` lifecycle belongs to the caller (never closed here).
     """
 
     def __init__(
@@ -107,48 +183,30 @@ class RowCollector:
         cache: Optional[RunCache] = None,
         progress: Optional[Callable[[JobResult, int, int], None]] = None,
         total: int = 0,
-        store: Optional[ColumnStore] = None,
     ) -> None:
         self.sink = sink
         self.sink_timing = sink_timing
         self.cache = cache
         self.progress = progress
         self.total = total
-        self.store = ColumnStore() if store is None else store
         self.results: List[JobResult] = []
 
     def collect(self, result: JobResult) -> None:
-        """A freshly executed result: cached, aggregated, streamed."""
+        """A freshly executed result: cached, kept, streamed."""
         self._fan(result, executed=True)
 
     def add_cached(self, result: JobResult) -> None:
-        """A cache hit: aggregated and streamed, but never re-stored."""
+        """A cache hit: kept and streamed, but never re-stored."""
         self._fan(result, executed=False)
 
     def _fan(self, result: JobResult, executed: bool) -> None:
         if executed and self.cache is not None:
             self.cache.store(result)  # no-op for error rows
         self.results.append(result)
-        self.store.write_row(result.row)
         if self.sink is not None:
             self.sink.write_row(result.output_row(include_timing=self.sink_timing))
         if self.progress is not None:
             self.progress(result, len(self.results), self.total)
-
-    def absorb_prior(self, results: Iterable[JobResult]) -> None:
-        """Fold resumed rows into the live aggregate only.
-
-        Prior rows are already on disk and already travelled through a
-        sink in their original campaign; here they only need to join the
-        :class:`ColumnStore` so the summary covers the merged whole.
-        """
-        for result in results:
-            self.store.write_row(result.row)
-
-    def finish(self) -> List[JobResult]:
-        """Restore determinism: the collected results in job-index order."""
-        self.results.sort(key=lambda result: result.index)
-        return self.results
 
 
 class CampaignPlan:
@@ -220,8 +278,8 @@ class Executor(Protocol):
 
     Returns the number of workers actually used (feeds the summary's
     ``xN`` annotation).  Executors never sort, sink, cache or aggregate —
-    that is the collector's job — so adding a dispatch backend (asyncio
-    service workers, a remote pool) cannot fork the row semantics.
+    that is the collector's job — so adding a dispatch backend cannot fork
+    the row semantics.
     """
 
     def run(self, todo: Sequence[RunJob], collector: RowCollector) -> int:
@@ -257,8 +315,8 @@ class PoolExecutor:
     :func:`~repro.campaign.jobs.execute_job` honest; ``fork`` skips the
     per-worker interpreter start-up that dominates very small campaigns
     on POSIX.  The drain is unordered — long jobs do not
-    head-of-line-block short ones — and determinism is restored by the
-    collector's final sort.
+    head-of-line-block short ones — and the driver restores job order when
+    it merges the collected results.
     """
 
     def __init__(self, jobs: int, mp_context: str = "spawn") -> None:
@@ -278,6 +336,28 @@ class PoolExecutor:
         return workers
 
 
+def dispatch(
+    plan: CampaignPlan,
+    collector: RowCollector,
+    jobs: int = 1,
+    mp_context: str = "spawn",
+) -> int:
+    """Collect ``plan``'s cache hits, then run its ``todo``; returns the workers used.
+
+    The one dispatch rule behind every frontend — the local campaign, the
+    re-run appendix and each batch a shard is granted.  Hits drain first, in
+    job order, so a sink sees them before any executed row.  The rest runs
+    in-process when ``jobs == 1`` or at most one job is left (a pool would
+    only add start-up), across a :class:`PoolExecutor` of ``jobs`` workers
+    otherwise.
+    """
+    for hit in plan.cached_results:
+        collector.add_cached(hit)
+    if jobs == 1 or len(plan.todo) <= 1:
+        return SerialExecutor().run(plan.todo, collector)
+    return PoolExecutor(jobs, mp_context=mp_context).run(plan.todo, collector)
+
+
 class ShardExecutor:
     """Collector-client dispatch: this machine's share of a shared matrix.
 
@@ -289,14 +369,13 @@ class ShardExecutor:
     whatever sink the collector already carries; each granted batch goes
     through its own :class:`CampaignPlan` (so a
     :class:`~repro.campaign.store.RunCache` short-circuits per grant,
-    never emitting rows for jobs this shard was not granted) and then the
-    serial or pool executor.
+    never emitting rows for jobs this shard was not granted) and then
+    :func:`dispatch`.
 
     Raises :class:`ConnectionError` when the collector stays unreachable
     past the reconnect budget and
     :class:`~repro.campaign.sinks.ShardProtocolError` when it rejects the
-    shard.  ``jobs_run`` and ``elapsed`` accumulate what this shard
-    actually executed, for the frontend's :class:`CampaignResult`.
+    shard.
     """
 
     def __init__(
@@ -318,7 +397,7 @@ class ShardExecutor:
         self.prior = [
             row
             for row in prior_rows
-            if isinstance(row.get("job"), int) and row["job"] in self.by_index
+            if is_job_index(row.get("job")) and row["job"] in self.by_index
         ]
         self.shard = shard
         self.name = name
@@ -327,20 +406,11 @@ class ShardExecutor:
         self.batch = batch
         self.retries = retries
         self.retry_errors = retry_errors
-        self.jobs_run: List[RunJob] = []
-        self.elapsed = 0.0
 
     def run(self, todo: Sequence[RunJob], collector: RowCollector) -> int:
         # ``todo`` is advisory here: the collector service owns dispatch
         # (it leases the static range or grants pull batches), so what this
         # shard runs is decided on the wire, not by the local plan.
-        from repro.campaign.shard import (
-            DEFAULT_PULL_BATCH,
-            control_message,
-            hello_message,
-        )
-        from repro.campaign.sinks import AckingSocketSink, ShardProtocolError, TeeSink
-
         local: Optional[List[RunJob]] = None
         job_range: Optional[Tuple[int, int]] = None
         name = self.name
@@ -407,37 +477,26 @@ class ShardExecutor:
         return workers_used
 
     def _dispatch(self, granted: List[RunJob], collector: RowCollector) -> int:
-        """One granted batch through plan → cache drain → serial/pool."""
-        start = time.perf_counter()  # repro-lint: disable=RL102 -- shard wall time is summary-only, never in rows
+        """One granted batch: its own cache probe, then :func:`dispatch`."""
         plan = CampaignPlan(granted, cache=collector.cache)
-        for hit in plan.cached_results:
-            collector.add_cached(hit)
-        self.jobs_run.extend(granted)
-        if self.workers == 1 or len(plan.todo) <= 1:
-            workers = SerialExecutor().run(plan.todo, collector)
-        else:
-            workers = PoolExecutor(self.workers, mp_context=self.mp_context).run(
-                plan.todo, collector
-            )
-        self.elapsed += time.perf_counter() - start  # repro-lint: disable=RL102 -- summary-only
-        return workers
+        return dispatch(plan, collector, self.workers, self.mp_context)
 
 
 @dataclass
 class CampaignOutcome:
     """What the finalize stage decided: the result, its rendering, the code."""
 
-    result: "CampaignResult"  # noqa: F821 - resolved lazily, see Finalizer
+    result: CampaignResult
     summary: str
     exit_code: int
 
 
 class Finalizer:
-    """The finalize stage: summary, cache stats, atomic rewrite, exit code.
+    """The finalize stage: atomic rewrite, summary, cache stats, exit code.
 
     ``info`` (default: silent) receives the rendered table and the
-    human-facing lines; a CLI passes ``print``, a service can capture
-    them.  The ``--out`` rewrite is atomic
+    human-facing lines; a CLI passes ``print``, a library caller can
+    capture them.  The ``--out`` rewrite comes first and is atomic
     (:func:`~repro.campaign.sinks.write_lines_atomic`), so an interrupt
     mid-rewrite leaves the completion-order stream intact for resume —
     ``KeyboardInterrupt`` deliberately propagates for the frontend to map.
@@ -464,20 +523,17 @@ class Finalizer:
 
     def finalize(
         self,
-        result,
+        result: CampaignResult,
         cache: Optional[RunCache] = None,
         title: Optional[str] = None,
         rows: Optional[Sequence[Dict[str, object]]] = None,
-        write_before_summary: bool = False,
     ) -> CampaignOutcome:
-        """Render and persist a finished campaign.
+        """Persist and render a finished campaign.
 
         ``rows`` (optional) writes those exact dicts verbatim instead of
         re-deriving lines from ``result`` — the collector service's path,
         where whatever the shards sent (including ``--timing`` fields)
-        must survive byte-for-byte.  ``write_before_summary`` moves the
-        write ahead of the table, matching ``repro-cc collect``'s
-        historical ordering (rows first, then the rendering).
+        must survive byte-for-byte.
         """
         from repro.analysis.report import format_table
 
@@ -486,40 +542,93 @@ class Finalizer:
                 f"Campaign: {len(result.results)} runs x {result.workers} workers "
                 f"({result.violations} with violations, {result.errors} errors)"
             )
-        if self.out and write_before_summary:
-            self._write(result, rows)
-        summary = format_table(result.summary_rows(), title=title)
+        if self.out:
+            if rows is not None:
+                write_lines_atomic(self.out, (row_line(row) for row in rows))
+            else:
+                result.write_jsonl(self.out, include_timing=self.include_timing)
+        summary = format_table(self.summary_rows(result), title=title)
         self._say(summary)
         if cache is not None:
             self._say(
                 f"{self.prefix}: cache {cache.root}: {cache.hits} hit(s), "
                 f"{cache.misses} miss(es), {cache.stored} row(s) stored"
             )
-        if self.out and not write_before_summary:
-            self._write(result, rows)
         if self.out:
             count = len(rows) if rows is not None else len(result.results)
             self._say(f"wrote {count} rows to {self.out}")
         exit_code = 3 if result.errors else (0 if result.ok else 1)
         return CampaignOutcome(result=result, summary=summary, exit_code=exit_code)
 
-    def _write(self, result, rows: Optional[Sequence[Dict[str, object]]]) -> None:
-        if rows is not None:
-            write_lines_atomic(self.out, (row_line(row) for row in rows))
-        else:
-            result.write_jsonl(self.out, include_timing=self.include_timing)
+    @staticmethod
+    def summary_rows(result: CampaignResult) -> List[Dict[str, object]]:
+        """One row per (scenario, algorithm) cell plus a totals row.
+
+        Reports run/violation counts, aggregate throughput (cell steps over
+        the cell's summed per-run wall time — the workers' view, independent
+        of how many ran concurrently) and the fairness spread (Jain index
+        range across the cell's runs).  Counts, steps and Jain come from one
+        :class:`~repro.campaign.store.ColumnStore` pass over the job-order
+        rows (the aggregates ``repro-cc stats`` serves), so cells appear in
+        job order; per-run wall time is not in the rows, so throughput is
+        joined in from the results.
+        """
+        # Cell identity comes from the row itself (identity fields are
+        # present on every row, error and resumed rows included), so
+        # merged results need not align index-for-index with ``jobs``.
+        elapsed_by_cell: Dict[tuple, float] = {}
+        for job_result in result.results:
+            key = (job_result.row["scenario"], job_result.row["algorithm"])
+            elapsed_by_cell[key] = elapsed_by_cell.get(key, 0.0) + job_result.elapsed_seconds
+        rows: List[Dict[str, object]] = []
+        for cell in ColumnStore.from_rows(result.rows).cell_stats():
+            elapsed = elapsed_by_cell.get((cell["scenario"], cell["algorithm"]), 0.0)
+            steps = cell["steps"]
+            # Error rows carry no metrics; the Jain spread covers the
+            # completed runs only (a fully errored cell renders "-").
+            rows.append(
+                {
+                    "scenario": cell["scenario"],
+                    "algorithm": cell["algorithm"],
+                    "runs": cell["runs"],
+                    "violations": cell["violations"],
+                    "errors": cell["errors"],
+                    "steps": steps,
+                    "steps/s": round(steps / elapsed, 1) if elapsed > 0 else "-",
+                    "jain min..max": (
+                        f"{cell['jain_min']:.3f}..{cell['jain_max']:.3f}"
+                        if cell["jain_min"] is not None
+                        else "-"
+                    ),
+                }
+            )
+        rows.append(
+            {
+                "scenario": "TOTAL",
+                "algorithm": "-",
+                "runs": len(result.results),
+                "violations": result.violations,
+                "errors": result.errors,
+                "steps": result.total_steps,
+                "steps/s": (
+                    round(result.steps_per_sec, 1) if result.elapsed_seconds > 0 else "-"
+                ),
+                "jain min..max": f"wall {result.elapsed_seconds:.2f}s x{result.workers}",
+            }
+        )
+        return rows
 
 
 class CampaignDriver:
-    """Plan → dispatch → collect → finalize with the full CLI semantics.
+    """The one way to run a campaign: plan → dispatch → collect → finalize.
 
-    The one object every frontend builds: ``cli._cmd_campaign`` maps flags
-    onto the constructor and exit codes off the outcome, a shard client is
-    ``collector="tcp:..."``, and the future service layer calls
-    :meth:`execute` per submission and serves aggregates from
-    ``result.store``.  ``info``/``warn`` (both optional) receive the
-    stdout/stderr lines the CLI historically printed, each prefixed with
-    ``prefix + ": "``.
+    ``cli._cmd_campaign`` maps flags onto the constructor and exit codes off
+    the outcome; a library caller writes ``CampaignDriver(spec).execute()``
+    for the :class:`CampaignResult` (or :meth:`run` for the rendered
+    :class:`CampaignOutcome`); a shard client passes
+    ``collector="tcp:..."``.  ``jobs`` is the worker count.
+    ``info``/``warn`` (both optional) receive the stdout/stderr lines the
+    CLI prints, each prefixed with ``prefix + ": "``.
 
     Error handling is deliberately transparent:
     :class:`~repro.campaign.resume.ResumeError`, :class:`ConnectionError`,
@@ -527,8 +636,9 @@ class CampaignDriver:
     ``KeyboardInterrupt`` propagate for the frontend to map onto its own
     exit codes (2/4/4/130 in the CLI).  The ``sink``'s lifecycle belongs
     to the caller.  ``rerun_disagreements`` cannot be combined with
-    ``collector`` (re-run jobs fall outside the matrix the shards agreed
-    on); frontends are expected to reject that combination up front.
+    ``collector`` — re-run jobs fall outside the matrix the shards agreed
+    on, so their rows could never reach the collector — and the
+    constructor raises :class:`ValueError` for that combination.
     """
 
     def __init__(
@@ -555,6 +665,12 @@ class CampaignDriver:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if collector is not None and rerun_disagreements:
+            raise ValueError(
+                "--rerun-disagreements cannot be combined with --collector "
+                "(adaptive re-run jobs fall outside the matrix the shards and "
+                "the collector agreed on)"
+            )
         self.spec_or_jobs = spec_or_jobs
         self.jobs = jobs
         self.mp_context = mp_context
@@ -574,7 +690,7 @@ class CampaignDriver:
         self.prefix = prefix
         self.info = info
         self.warn = warn
-        self.result = None
+        self.result: Optional[CampaignResult] = None
 
     def _info(self, message: str) -> None:
         if self.info is not None:
@@ -584,15 +700,8 @@ class CampaignDriver:
         if self.warn is not None:
             self.warn(f"{self.prefix}: {message}")
 
-    def _dispatch(self, todo: Sequence[RunJob], collector: RowCollector) -> int:
-        if self.jobs == 1 or len(todo) <= 1:
-            return SerialExecutor().run(todo, collector)
-        return PoolExecutor(self.jobs, mp_context=self.mp_context).run(todo, collector)
-
-    def execute(self):
-        """Run the campaign; returns (and keeps) the ``CampaignResult``."""
-        from repro.campaign.runner import CampaignResult
-
+    def execute(self) -> CampaignResult:
+        """Run the campaign; returns (and keeps) the :class:`CampaignResult`."""
         start = time.perf_counter()  # repro-lint: disable=RL102 -- campaign wall time is --timing-only, never in rows
         # Collector mode leaves shard selection and cache probing to the
         # service protocol (ShardExecutor plans per granted batch); local
@@ -639,9 +748,7 @@ class CampaignDriver:
                     f"{plan.selected[0].index}..{plan.selected[-1].index} "
                     f"of {len(plan.jobs)}"
                 )
-            for hit in plan.cached_results:
-                collector.add_cached(hit)
-            workers = self._dispatch(plan.todo, collector)
+            workers = dispatch(plan, collector, self.jobs, self.mp_context)
         executed = list(collector.results)
         merged = merge_results(plan.prior_rows, executed)
         if self.rerun_disagreements:
@@ -671,9 +778,7 @@ class CampaignDriver:
                 )
                 if extra_todo:
                     extra_plan = CampaignPlan(extra_todo, cache=self.cache)
-                    for hit in extra_plan.cached_results:
-                        collector.add_cached(hit)
-                    self._dispatch(extra_plan.todo, collector)
+                    dispatch(extra_plan, collector, self.jobs, self.mp_context)
                     executed = list(collector.results)
                     merged = merge_results(plan.base_prior + valid_extra, executed)
         elif plan.extra_prior:
@@ -687,16 +792,11 @@ class CampaignDriver:
                 "--rerun-disagreements); pass --rerun-disagreements to "
                 "validate them against regenerated re-run jobs"
             )
-        # Resumed rows that were kept (not re-executed) join the live
-        # aggregate so the summary covers the merged whole.
-        collected = {result.index for result in collector.results}
-        collector.absorb_prior(r for r in merged if r.index not in collected)
         self.result = CampaignResult(
             jobs=jobs_all,
             results=merged,
             workers=workers,
             elapsed_seconds=time.perf_counter() - start,  # repro-lint: disable=RL102 -- --timing-only
-            store=collector.store,
         )
         return self.result
 

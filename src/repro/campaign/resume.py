@@ -17,8 +17,16 @@ This module turns such a partial file back into campaign state:
   re-queues jobs whose row is an error row (transient worker failures).
 * :func:`as_job_result` / :func:`merge_results` lift prior rows back into
   :class:`~repro.campaign.jobs.JobResult`s and merge them with the resumed
-  run's results into one full :class:`~repro.campaign.runner.CampaignResult`,
+  run's results into one full :class:`~repro.campaign.driver.CampaignResult`,
   so the summary table and the final job-order rewrite cover *all* rows.
+
+Identity is type-strict: a field matches only when its type and value both
+match (``bool``, ``int`` and ``float`` are distinct, so ``50.0`` is not a
+``max_steps`` of ``50``), and a job index is an ``int`` that is not a
+``bool`` (:func:`is_job_index`).  Every consumer that maps a row back to a
+job — resume, the run cache, the shard collector — goes through
+:func:`validate_row_matches_job`, so none can adopt a row whose JSON merely
+compares equal.
 
 Byte-identity contract: rows are written by
 :func:`repro.campaign.sinks.row_line` (sorted-key JSON) and parsed back by
@@ -42,14 +50,13 @@ class ResumeError(ValueError):
     """A partial JSONL file that cannot belong to the campaign being resumed."""
 
 
-#: row key -> RunJob attribute, cross-checked by
-#: :func:`validate_rows_match_jobs`.  Shared with the row emitters
-#: (``repro.campaign.jobs.ROW_IDENTITY_ATTRS``) so the validated fields can
-#: never drift from the persisted ones; ``"job"`` is the lookup key rather
-#: than a compared field.
-_IDENTITY_ATTRS = {
-    key: attr for key, attr in ROW_IDENTITY_ATTRS.items() if key != "job"
-}
+def is_job_index(value: object) -> bool:
+    """``True`` iff ``value`` can be a row's ``"job"`` index: an int, not a bool.
+
+    ``True == 1`` in Python, so ``isinstance(value, int)`` would file a row
+    carrying ``"job": true`` as job 1 and write it back out as ``true``.
+    """
+    return type(value) is int
 
 
 def parse_rows(lines: Iterable[str], source: str = "<stream>") -> List[Dict[str, object]]:
@@ -69,7 +76,7 @@ def parse_rows(lines: Iterable[str], source: str = "<stream>") -> List[Dict[str,
     for position, (number, line) in enumerate(entries):
         try:
             row = json.loads(line)
-            if not isinstance(row, dict) or not isinstance(row.get("job"), int):
+            if not isinstance(row, dict) or not is_job_index(row.get("job")):
                 raise ValueError("not a row object with an integer 'job' index")
         except ValueError as exc:
             if position == len(entries) - 1:
@@ -117,12 +124,17 @@ def validate_row_matches_job(job: RunJob, row: Dict[str, object]) -> None:
     The single-row core of :func:`validate_rows_match_jobs`, exposed so
     streaming consumers (the shard collector acks one row at a time) can
     validate in O(1) per row instead of rebuilding the job index per call.
+    The checked fields are the row emitters' own
+    (``repro.campaign.jobs.ROW_IDENTITY_ATTRS``), so they can never drift
+    from the persisted ones.  A field matches only when its type and value
+    both match; ``"job"`` is compared too, so a ``true`` index is refused.
     """
-    for key, attr in _IDENTITY_ATTRS.items():
-        if key in row and row[key] != getattr(job, attr):
+    for key, attr in ROW_IDENTITY_ATTRS.items():
+        expected = getattr(job, attr)
+        if key in row and (type(row[key]) is not type(expected) or row[key] != expected):
             raise ResumeError(
                 f"row for job {job.index} does not match the campaign matrix: "
-                f"{key}={row[key]!r} in the file vs {getattr(job, attr)!r} "
+                f"{key}={row[key]!r} in the file vs {expected!r} "
                 "expanded from the spec (is this another campaign's output file?)"
             )
 

@@ -27,7 +27,7 @@ Wire protocol (NDJSON, one JSON object per line, both directions):
   indices; a ``grant`` with ``done=true`` ends the shard.
 
 Dispatch and failure: a static shard (``--shard I/N``) declares its
-:func:`~repro.campaign.runner.shard_slice` range in the hello and the
+:func:`~repro.campaign.driver.shard_slice` range in the hello and the
 collector leases it; a pull shard leases batches on demand.  When a shard's
 connection drops, its leases are released and the undelivered indices are
 recomputed with the *resume* machinery
@@ -46,16 +46,14 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.campaign.driver import RowCollector, ShardExecutor
 from repro.campaign.jobs import ROW_IDENTITY_ATTRS, RunJob
-from repro.campaign.resume import ResumeError, remaining_jobs, validate_row_matches_job
-from repro.campaign.runner import CampaignResult
-from repro.campaign.sinks import (
-    RowSink,
-    ShardProtocolError,
-    parse_address,
-    row_line,
+from repro.campaign.resume import (
+    ResumeError,
+    is_job_index,
+    remaining_jobs,
+    validate_row_matches_job,
 )
+from repro.campaign.sinks import ShardProtocolError, parse_address, row_line
 
 #: op -> the exact key set of that control message.  Every key is always
 #: present (``hello``'s ``range`` is ``null`` for a pull shard rather than
@@ -252,7 +250,7 @@ class CollectorState:
         so the latest copy is the same copy.
         """
         index = row.get("job")
-        if not isinstance(index, int):
+        if not is_job_index(index):
             raise ShardProtocolError(
                 f"row without an integer 'job' index: {sorted(row)!r}"
             )
@@ -547,69 +545,3 @@ class Collector:
                     control_message("reject", error=f"unexpected op {op!r}"),
                 )
                 return
-
-
-def run_shard(
-    address: str,
-    jobs: Sequence[RunJob],
-    shard: Optional[Tuple[int, int]] = None,
-    name: Optional[str] = None,
-    workers: int = 1,
-    batch: Optional[int] = None,
-    extra_sink: Optional[RowSink] = None,
-    prior_rows: Optional[Iterable[Dict[str, object]]] = None,
-    retry_errors: bool = False,
-    retries: int = 3,
-    sink_timing: bool = False,
-    cache=None,
-    mp_context: str = "spawn",
-) -> CampaignResult:
-    """Run this machine's share of a collector-fed campaign.
-
-    ``jobs`` is the *full* expanded matrix (every participant expands it
-    identically; the handshake enforces that).  ``shard=(index, count)``
-    (0-based) selects static mode: this process announces its
-    :func:`~repro.campaign.driver.shard_slice` range and runs it.  Without
-    ``shard`` the process is a pull worker: it asks the collector for
-    ``batch`` job indices at a time (default ``max(workers,``
-    :data:`DEFAULT_PULL_BATCH` ``)``) until the collector says ``done``.
-
-    ``prior_rows`` (a shard-local ``--resume``) are uploaded first — the
-    collector adopts them and the static remainder shrinks accordingly.
-    Every row travels through an acking, reconnecting
-    :class:`~repro.campaign.sinks.AckingSocketSink`; ``extra_sink``
-    additionally receives each row locally (e.g. the shard's own ``--out``
-    file).  Raises :class:`ConnectionError` when the collector stays
-    unreachable past the reconnect budget and
-    :class:`~repro.campaign.sinks.ShardProtocolError` when it rejects the
-    shard; the caller owns ``extra_sink``'s lifecycle.  ``cache``
-    (optional, a :class:`~repro.campaign.store.RunCache`) is probed per
-    granted batch, so cached rows short-circuit execution on this shard
-    and still travel acked to the collector like any executed row.
-
-    Since the driver decomposition this is a thin composition of the
-    shared stages: a :class:`~repro.campaign.driver.ShardExecutor` (which
-    owns the protocol loop above) draining into a
-    :class:`~repro.campaign.driver.RowCollector`.
-    """
-    executor = ShardExecutor(
-        address,
-        jobs,
-        shard=shard,
-        name=name,
-        workers=workers,
-        mp_context=mp_context,
-        batch=batch,
-        retries=retries,
-        prior_rows=prior_rows or (),
-        retry_errors=retry_errors,
-    )
-    collector = RowCollector(sink=extra_sink, sink_timing=sink_timing, cache=cache)
-    workers_used = executor.run((), collector)
-    return CampaignResult(
-        jobs=executor.jobs_run,
-        results=collector.finish(),
-        workers=workers_used,
-        elapsed_seconds=executor.elapsed,
-        store=collector.store,
-    )

@@ -2,13 +2,15 @@
 
 PR 4's campaign buffered every row in memory and wrote the JSONL once, at
 the end — so a crash at job 9,999 of 10,000 lost everything.  A
-:class:`RowSink` receives each row from the runner's drain loop **in
+:class:`RowSink` receives each row from the driver's collect stage **in
 completion order**, the moment its job finishes; the ``"job"`` index
 travels in-row, so any consumer (or the resume module) can map a partial
-stream back to the matrix.  The runner never reorders before the sink —
-job-order output is restored by the *final rewrite* the CLI performs once
-the campaign completes (see :mod:`repro.campaign.resume` and docs/ARCHITECTURE.md,
-"Persistence & resume").
+stream back to the matrix.  The driver never reorders before the sink —
+job-order output is restored by the *final rewrite* of the finalize stage
+once the campaign completes (see :mod:`repro.campaign.resume` and
+docs/ARCHITECTURE.md, "Persistence & resume").  A local campaign streams
+into a :class:`JsonlSink` (``--out``); a shard streams into an
+:class:`AckingSocketSink` (``--collector``).
 
 Sinks are deliberately dumb: ``write_row(row)`` then ``close()``.  All of
 them are module-top-level classes whose *unopened* instances pickle (so a
@@ -23,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import socket
-import sys
 import tempfile
 import time
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO
@@ -206,65 +207,14 @@ def _truncate_partial_tail(path: str) -> None:
         fh.truncate(0)  # the whole file was one partial line
 
 
-class SocketSink(RowSink):
-    """Stream rows as newline-delimited JSON over TCP or a Unix socket.
+class AckingSocketSink(RowSink):
+    """The shard transport: rows over TCP or a Unix socket, acked and reconnecting.
 
     ``address`` is ``"tcp:HOST:PORT"`` or ``"unix:PATH"``.  The connection
-    is opened lazily on the first row (construction stays cheap and
-    picklable); a consumer on the other end sees one sorted-key JSON line
-    per completed job, in completion order, while the campaign runs.
-
-    The socket is an observability side channel, not the artifact of
-    record (that is ``--out``): a connection failure — collector never
-    listening, or disconnecting mid-campaign — is reported to stderr once
-    and the sink goes dark, rather than aborting an otherwise healthy
-    campaign from inside the drain loop.
-    """
-
-    def __init__(self, address: str) -> None:
-        self.address = address
-        self._family, self._target = parse_address(address)
-        self._sock: Optional[socket.socket] = None
-        self._broken = False
-
-    def _ensure_connected(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = socket.socket(self._family, socket.SOCK_STREAM)
-            self._sock.connect(self._target)
-        return self._sock
-
-    def write_row(self, row: Dict[str, object]) -> None:
-        if self._broken:
-            return
-        try:
-            self._ensure_connected().sendall((row_line(row) + "\n").encode("utf-8"))
-        except OSError as exc:
-            self._broken = True
-            self.close()
-            print(
-                f"campaign: stream sink {self.address} failed ({exc}); "
-                "continuing without it",
-                file=sys.stderr,
-            )
-
-    def close(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        if self._sock is not None:
-            raise TypeError("cannot pickle a SocketSink with an open connection")
-        return self.__dict__.copy()
-
-
-class AckingSocketSink(SocketSink):
-    """The shard-transport mode of :class:`SocketSink`: acked and reconnecting.
-
-    Where the base sink is a best-effort observability side channel (failures
-    reported once, then dark), this mode is the *primary* transport between a
-    campaign shard and a `repro.campaign.shard` collector, so delivery is
-    confirmed and failure is loud:
+    is opened lazily on the first exchange, so construction stays cheap and
+    picklable.  This is the transport between a campaign shard and a
+    `repro.campaign.shard` collector, so delivery is confirmed and failure
+    is loud:
 
     * every outbound line expects exactly one NDJSON reply line — a row is
       only considered delivered once the collector's ``{"op": "ack", ...}``
@@ -292,11 +242,13 @@ class AckingSocketSink(SocketSink):
         retries: int = 3,
         retry_delay: float = 0.2,
     ) -> None:
-        super().__init__(address)
+        self.address = address
+        self._family, self._target = parse_address(address)
         self.hello = dict(hello) if hello is not None else None
         self.retries = retries
         self.retry_delay = retry_delay
         self.welcome: Optional[Dict[str, object]] = None
+        self._sock: Optional[socket.socket] = None
         self._reader = None
 
     def _ensure_connected(self) -> socket.socket:
@@ -377,7 +329,14 @@ class AckingSocketSink(SocketSink):
             except OSError:  # pragma: no cover - best-effort release
                 pass
             self._reader = None
-        super().close()
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        if self._sock is not None:
+            raise TypeError("cannot pickle an AckingSocketSink with an open connection")
+        return self.__dict__.copy()
 
 
 class TeeSink(RowSink):
@@ -404,23 +363,8 @@ class TeeSink(RowSink):
             raise first
 
 
-def sink_from_spec(spec: str) -> RowSink:
-    """Build a streaming sink from a CLI spec string.
-
-    ``tcp:HOST:PORT`` and ``unix:PATH`` map to :class:`SocketSink`; file
-    output goes through ``--out`` (which also gets the final job-order
-    rewrite), so anything else is rejected here.
-    """
-    if spec.startswith(("tcp:", "unix:")):
-        return SocketSink(spec)
-    raise ValueError(
-        f"bad stream spec {spec!r}: expected 'tcp:HOST:PORT' or 'unix:PATH' "
-        "(use --out for files)"
-    )
-
-
 #: Every sink class, for ``tools/check_repo.py``: each must be a
 #: module-top-level class that pickles by reference, and a fresh (unopened)
 #: instance must pickle round-trip — so a sink configuration can always be
 #: shipped between processes before it goes live.
-SINK_TYPES = (AckingSocketSink, BufferedSink, JsonlSink, SocketSink, TeeSink)
+SINK_TYPES = (AckingSocketSink, BufferedSink, JsonlSink, TeeSink)

@@ -20,7 +20,7 @@ Two structures that scale the campaign layer past "reparse the JSONL":
   ``"job"`` index, which is the row's *position* in a matrix, not part of
   the run's identity).  Because each row is a pure function of its
   :class:`~repro.campaign.jobs.RunJob`, a cache hit IS the row the run
-  would produce: :func:`~repro.campaign.runner.run_campaign` consults the
+  would produce: :class:`~repro.campaign.driver.CampaignPlan` consults the
   cache before dispatch, and hits short-circuit execution with rows that
   are byte-identical by construction.  Excluding the index from the key
   means the same run shape hits even when it sits at a different position

@@ -17,10 +17,9 @@ common operations:
   run — streamed crash-safely as jobs complete and rewritten in job order
   at the end, byte-identical for any ``--jobs``.  ``--resume`` continues an
   interrupted ``--out`` file, ``--rerun-disagreements`` re-expands cells
-  whose verdicts differ across seeds, ``--stream`` mirrors rows to a
-  TCP/Unix socket, ``--collector`` (optionally with ``--shard I/N``) turns
-  the process into one shard of a multi-machine campaign feeding a
-  ``collect`` service.  Exit codes: 1 a checked property was violated, 2
+  whose verdicts differ across seeds, ``--collector`` (optionally with
+  ``--shard I/N``) turns the process into one shard of a multi-machine
+  campaign feeding a ``collect`` service.  Exit codes: 1 a checked property was violated, 2
   malformed matrix, 3 a worker raised (error rows present), 4 the
   collector was lost or rejected this shard,
 * ``collect``  -- the merge point of a sharded campaign: listen on a
@@ -77,14 +76,11 @@ from repro.campaign import (
     Finalizer,
     JsonlSink,
     ResumeError,
-    RowSink,
     RunCache,
     ShardProtocolError,
-    TeeSink,
     as_job_result,
     expand_jobs,
     read_rows,
-    sink_from_spec,
     validate_rows_match_jobs,
 )
 from repro.campaign.sinks import row_line, write_lines_atomic
@@ -291,12 +287,6 @@ def _check_campaign_flags(args: argparse.Namespace, shard_spec) -> None:
             "--shard without --collector needs --out (somewhere to "
             "keep the slice's rows for a later merge)"
         )
-    if args.collector and args.rerun_disagreements:
-        raise ValueError(
-            "--rerun-disagreements cannot be combined with --collector "
-            "(adaptive re-run jobs fall outside the matrix the shards and "
-            "the collector agreed on)"
-        )
     if args.resume and not args.out:
         raise ValueError("--resume requires --out (the JSONL file to continue)")
 
@@ -311,11 +301,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     Everything campaign-shaped — resume reconciliation, cache probing,
     dispatch, row fan-out, the summary and the atomic job-order rewrite —
     lives in :class:`repro.campaign.CampaignDriver`; this function only
-    parses flags, builds the sinks (resume appends, so prior rows are
-    validated *before* a sink may touch the file) and maps the driver's
-    exceptions onto exit codes.
+    parses flags, builds the ``--out`` sink (resume appends, so prior rows
+    are validated *before* the sink may touch the file) and maps the
+    driver's exceptions onto exit codes.
     """
-    sinks: List[RowSink] = []
+    sink = None
     try:
         shard_spec = _parse_shard(args.shard) if args.shard else None
         _check_campaign_flags(args, shard_spec)
@@ -325,28 +315,26 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             prior_rows = read_rows(args.out)
             validate_rows_match_jobs(all_jobs, prior_rows)
         if args.out:
-            sinks.append(JsonlSink(args.out, append=args.resume))
-        if args.stream:
-            sinks.append(sink_from_spec(args.stream))
+            sink = JsonlSink(args.out, append=args.resume)
+        driver = CampaignDriver(
+            all_jobs,
+            jobs=args.jobs,
+            mp_context=args.mp_context,
+            sink=sink,
+            timing=args.timing,
+            cache=RunCache(args.cache) if args.cache else None,
+            prior_rows=prior_rows,
+            retry_errors=args.retry_errors,
+            rerun_disagreements=args.rerun_disagreements,
+            shard=shard_spec,
+            collector=args.collector,
+            out=args.out,
+            info=print,
+            warn=_warn,
+        )
     except (KeyError, ValueError, ResumeError) as exc:
         print(f"campaign: {exc}", file=sys.stderr)
         return 2
-    driver = CampaignDriver(
-        all_jobs,
-        jobs=args.jobs,
-        mp_context=args.mp_context,
-        sink=(sinks[0] if len(sinks) == 1 else TeeSink(sinks)) if sinks else None,
-        timing=args.timing,
-        cache=RunCache(args.cache) if args.cache else None,
-        prior_rows=prior_rows,
-        retry_errors=args.retry_errors,
-        rerun_disagreements=args.rerun_disagreements,
-        shard=shard_spec,
-        collector=args.collector,
-        out=args.out,
-        info=print,
-        warn=_warn,
-    )
     try:
         driver.execute()
     except (ConnectionError, ShardProtocolError) as exc:
@@ -364,8 +352,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             )
         return 130
     finally:
-        for open_sink in sinks:
-            open_sink.close()
+        if sink is not None:
+            sink.close()
     try:
         return driver.finalize().exit_code
     except KeyboardInterrupt:
@@ -445,9 +433,9 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         workers=max(1, len(collector.state.shards)),
         elapsed_seconds=0.0,
     )
-    # ``rows`` + ``write_before_summary``: the merged rows are written
-    # verbatim (not re-derived) and ahead of the table, so whatever the
-    # shards sent — including --timing fields — survives byte-for-byte.
+    # ``rows``: the merged rows are written verbatim (not re-derived), so
+    # whatever the shards sent — including --timing fields — survives
+    # byte-for-byte.
     outcome = Finalizer(out=args.out, info=print, prefix="collect").finalize(
         campaign,
         title=(
@@ -456,7 +444,6 @@ def _cmd_collect(args: argparse.Namespace) -> int:
             f"({campaign.violations} with violations, {campaign.errors} errors)"
         ),
         rows=rows,
-        write_before_summary=True,
     )
     return outcome.exit_code
 
@@ -727,13 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the matrix completes, re-run every cell whose verdicts "
         "disagree across seeds with as many fresh seeds (appended "
         "deterministically)",
-    )
-    campaign.add_argument(
-        "--stream",
-        default=None,
-        help="also stream each row as it completes to a socket: "
-        "'tcp:HOST:PORT' or 'unix:PATH' (newline-delimited JSON, "
-        "completion order)",
     )
     campaign.add_argument(
         "--timing",

@@ -15,13 +15,14 @@ import pickle
 import pytest
 
 from repro.campaign import (
+    CampaignDriver,
     CampaignSpec,
     FaultSchedule,
+    Finalizer,
     RunJob,
     SPAWN_ENTRY_POINTS,
     execute_job,
     expand_jobs,
-    run_campaign,
 )
 from repro.workloads.random_scenarios import (
     RandomScenarioSpec,
@@ -216,7 +217,7 @@ class TestExecuteJob:
 
 class TestRunCampaign:
     def test_serial_results_in_job_order(self):
-        result = run_campaign(_small_spec(), jobs=1)
+        result = CampaignDriver(_small_spec()).execute()
         assert [r.index for r in result.results] == list(range(len(result.jobs)))
         assert result.workers == 1
 
@@ -224,14 +225,14 @@ class TestRunCampaign:
         # The acceptance property: a spawn-context pool with several workers
         # produces exactly the same aggregate JSONL bytes as the serial run.
         spec = _small_spec()
-        serial = run_campaign(spec, jobs=1)
-        parallel = run_campaign(spec, jobs=2)
+        serial = CampaignDriver(spec).execute()
+        parallel = CampaignDriver(spec, jobs=2).execute()
         assert parallel.workers == 2
         assert serial.jsonl_lines() == parallel.jsonl_lines()
 
     def test_jsonl_rows_parse_and_sort_keys(self, tmp_path):
         out = tmp_path / "rows.jsonl"
-        result = run_campaign(_small_spec(), jobs=1)
+        result = CampaignDriver(_small_spec()).execute()
         result.write_jsonl(str(out))
         lines = out.read_text().splitlines()
         assert len(lines) == len(result.jobs)
@@ -242,14 +243,14 @@ class TestRunCampaign:
 
     def test_timing_rows_are_opt_in(self, tmp_path):
         out = tmp_path / "rows.jsonl"
-        result = run_campaign(_small_spec(scenarios=("figure1",), random_count=0), jobs=1)
+        result = CampaignDriver(_small_spec(scenarios=("figure1",), random_count=0)).execute()
         result.write_jsonl(str(out), include_timing=True)
         row = json.loads(out.read_text().splitlines()[0])
         assert row["steps_per_sec"] > 0
 
     def test_summary_rows_aggregate_cells(self):
-        result = run_campaign(_small_spec(), jobs=1)
-        rows = result.summary_rows()
+        result = CampaignDriver(_small_spec()).execute()
+        rows = Finalizer.summary_rows(result)
         assert rows[-1]["scenario"] == "TOTAL"
         assert rows[-1]["runs"] == len(result.jobs)
         assert sum(r["runs"] for r in rows[:-1]) == len(result.jobs)
@@ -257,15 +258,15 @@ class TestRunCampaign:
 
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError, match="jobs"):
-            run_campaign(_small_spec(), jobs=0)
+            CampaignDriver(_small_spec(), jobs=0)
 
     def test_progress_callback_sees_every_job(self):
         seen = []
-        run_campaign(
+        CampaignDriver(
             _small_spec(random_count=0, seeds=(1,)),
             jobs=1,
             progress=lambda result, done, total: seen.append((result.index, done, total)),
-        )
+        ).execute()
         assert len(seen) == 2  # cc1 + cc2 on figure1
         assert all(total == 2 for _, _, total in seen)
 

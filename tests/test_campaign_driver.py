@@ -6,10 +6,11 @@ decomposition must never cost: the aggregate JSONL rows are **byte-identical**
 across every frontend combination — worker counts × start methods × resume ×
 cache × static shards × the batched engine.
 
-The service-facing contract is pinned too: `CampaignDriver` round-trips a
-campaign programmatically (no argparse anywhere), and `cli._cmd_campaign`
-stays a thin adapter (line-count ceiling; the RC010 repo check enforces the
-import side of the same invariant).
+The library contract is pinned too: `CampaignDriver` round-trips a
+campaign programmatically (no argparse anywhere), refuses the one flag
+combination it cannot honour, and `cli._cmd_campaign` stays a thin adapter
+(line-count ceiling; the RC010 repo check enforces the import side of the
+same invariant).
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from repro.campaign import (
     RunCache,
     SerialExecutor,
     expand_jobs,
-    run_campaign,
-    run_shard,
 )
+from repro.campaign.driver import dispatch
 from repro.campaign.sinks import row_line
 from repro.kernel.batched import numpy_available
 
@@ -57,7 +57,7 @@ def _spec(**overrides) -> CampaignSpec:
 def matrix():
     """4 expanded jobs, the serial baseline result and its JSONL lines."""
     jobs = expand_jobs(_spec())
-    baseline = run_campaign(jobs, jobs=1)
+    baseline = CampaignDriver(jobs).execute()
     return jobs, baseline, baseline.jsonl_lines()
 
 
@@ -116,20 +116,45 @@ class TestExecutors:
         jobs, _, lines = matrix
         collector = RowCollector()
         assert SerialExecutor().run(jobs, collector) == 1
-        assert [row_line(r.row) for r in collector.finish()] == lines
+        assert [row_line(r.row) for r in collector.results] == lines
 
     def test_pool_executor_matches_serial_byte_for_byte(self, matrix):
         jobs, _, lines = matrix
         collector = RowCollector()
         workers = PoolExecutor(2, mp_context="fork").run(jobs, collector)
         assert workers == 2
-        assert [row_line(r.row) for r in collector.finish()] == lines
+        by_index = sorted(collector.results, key=lambda result: result.index)
+        assert [row_line(r.row) for r in by_index] == lines
 
     def test_pool_executor_guards(self):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             PoolExecutor(0)
         # An empty todo never builds a pool.
         assert PoolExecutor(8).run([], RowCollector()) == 1
+
+    def test_dispatch_drains_cache_hits_before_running_the_rest(
+        self, matrix, tmp_path, monkeypatch
+    ):
+        jobs, baseline, lines = matrix
+        cache = RunCache(str(tmp_path / "cache"))
+        for hit in (baseline.results[3], baseline.results[1]):
+            cache.store(hit)
+        sink = BufferedSink()
+        collector = RowCollector(sink=sink, cache=cache)
+        stored_before = cache.stored
+        assert dispatch(CampaignPlan(jobs, cache=cache), collector) == 1
+        # Hits reach the sink first, in job order, then the executed rows.
+        assert [row_line(row) for row in sink.rows] == [lines[i] for i in (1, 3, 0, 2)]
+        assert cache.stored - stored_before == 2  # the executed rows only
+
+        # With a single job left to run, no pool is built whatever ``jobs`` says.
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a pool was built for a single job")
+
+        monkeypatch.setattr(PoolExecutor, "run", no_pool)
+        collector = RowCollector()
+        assert dispatch(CampaignPlan(jobs[:1]), collector, jobs=4) == 1
+        assert [row_line(r.row) for r in collector.results] == lines[:1]
 
 
 class TestRowCollector:
@@ -149,9 +174,7 @@ class TestRowCollector:
         assert cache.stored == 2
         assert [row_line(row) for row in sink.rows] == [lines[1], lines[0]]
         assert seen == [(1, 1, 4), (0, 2, 4)]
-        assert len(collector.store) == 2
-        # finish() restores job order after the completion-order drain.
-        assert [r.index for r in collector.finish()] == [0, 1]
+        assert [r.index for r in collector.results] == [1, 0]  # completion order
 
     def test_cached_rows_stream_but_are_never_restored(self, matrix, tmp_path):
         _, baseline, _ = matrix
@@ -161,14 +184,6 @@ class TestRowCollector:
         collector.add_cached(baseline.results[0])
         assert cache.stored == 0 and len(sink.rows) == 1
         assert [r.index for r in collector.results] == [0]
-
-    def test_absorb_prior_joins_the_aggregate_only(self, matrix):
-        _, baseline, _ = matrix
-        sink = BufferedSink()
-        collector = RowCollector(sink=sink)
-        collector.absorb_prior(baseline.results[:2])
-        assert len(collector.store) == 2
-        assert collector.results == [] and sink.rows == []
 
 
 class TestFinalizer:
@@ -202,8 +217,14 @@ class TestFinalizer:
         rows = [dict(json.loads(line), extra_field=1) for line in lines]
         out = tmp_path / "merged.jsonl"
         said = []
-        Finalizer(out=str(out), info=said.append, prefix="collect").finalize(
-            self._result(matrix), rows=rows, write_before_summary=True
+
+        def say(line):
+            # --out is rewritten before the table renders.
+            assert out.exists()
+            said.append(line)
+
+        Finalizer(out=str(out), info=say, prefix="collect").finalize(
+            self._result(matrix), rows=rows
         )
         assert out.read_text().splitlines() == [row_line(row) for row in rows]
         assert f"wrote {len(rows)} rows to {out}" in said
@@ -216,7 +237,7 @@ class TestFinalizer:
 
 
 class TestCampaignDriverService:
-    """The future service layer's contract: no argparse anywhere."""
+    """The library contract: no argparse anywhere."""
 
     def test_programmatic_round_trip(self, matrix, tmp_path, monkeypatch):
         _, _, lines = matrix
@@ -229,7 +250,7 @@ class TestCampaignDriverService:
         outcome = driver.run()
         assert outcome.exit_code == 0
         assert out.read_text().splitlines() == lines
-        assert outcome.result.store is not None and outcome.result.summary_rows()
+        assert Finalizer.summary_rows(outcome.result)[-1]["runs"] == len(lines)
         assert any(line.startswith("campaign: cache") for line in said)
         # Second submission over the same cache executes nothing: every job
         # short-circuits to a stored, byte-identical row.
@@ -262,6 +283,13 @@ class TestCampaignDriverService:
         assert sorted(ran) == [1, 2]
         assert result.jsonl_lines() == lines
 
+    def test_rerun_disagreements_is_refused_in_collector_mode(self, matrix):
+        # Re-run jobs fall outside the matrix the shards agreed on, so their
+        # rows could never reach the collector: refused up front.
+        jobs, _, _ = matrix
+        with pytest.raises(ValueError, match="cannot be combined with --collector"):
+            CampaignDriver(jobs, collector="tcp:127.0.0.1:9", rerun_disagreements=True)
+
 
 def test_cmd_campaign_is_a_thin_adapter():
     """The CLI command maps flags onto the driver — nothing else.
@@ -274,16 +302,29 @@ def test_cmd_campaign_is_a_thin_adapter():
     assert len(inspect.getsource(cli._cmd_campaign).splitlines()) < 80
 
 
+def _deterministic_summary(result):
+    """The summary table minus its timing: every column but ``steps/s``, and
+    the TOTAL row without its wall-time cell."""
+    rows = [
+        {column: value for column, value in row.items() if column != "steps/s"}
+        for row in Finalizer.summary_rows(result)
+    ]
+    del rows[-1]["jain min..max"]  # "wall 0.12s xN" on the TOTAL row
+    return rows
+
+
 class TestDifferentialByteIdentity:
     """One sweep: every dispatch/persistence combination, one set of bytes."""
 
     def test_workers_and_start_methods(self, matrix):
-        jobs, _, lines = matrix
-        assert run_campaign(jobs, jobs=2, mp_context="fork").jsonl_lines() == lines
-        assert run_campaign(jobs, jobs=2, mp_context="spawn").jsonl_lines() == lines
+        jobs, baseline, lines = matrix
+        for mp_context in ("fork", "spawn"):
+            result = CampaignDriver(jobs, jobs=2, mp_context=mp_context).execute()
+            assert result.jsonl_lines() == lines
+            assert _deterministic_summary(result) == _deterministic_summary(baseline)
 
     def test_resume_and_cache_compose(self, matrix, tmp_path):
-        jobs, _, lines = matrix
+        jobs, baseline, lines = matrix
         rows = [json.loads(line) for line in lines]
         cache = RunCache(str(tmp_path / "cache"))
         first = CampaignDriver(jobs, prior_rows=rows[:2], cache=cache).execute()
@@ -294,6 +335,9 @@ class TestDifferentialByteIdentity:
             jobs, prior_rows=rows[2:], cache=RunCache(str(tmp_path / "cache"))
         ).execute()
         assert second.jsonl_lines() == lines
+        # The summary covers the merged whole, resumed rows included.
+        for resumed in (first, second):
+            assert _deterministic_summary(resumed) == _deterministic_summary(baseline)
 
     def test_static_shards_merge_to_the_baseline(self, matrix):
         jobs, _, lines = matrix
@@ -309,9 +353,9 @@ class TestDifferentialByteIdentity:
         with Collector(jobs, "tcp:127.0.0.1:0") as collector:
             threads = [
                 threading.Thread(
-                    target=run_shard,
-                    args=(collector.address, jobs),
-                    kwargs=dict(shard=(i, 2)),
+                    target=CampaignDriver(
+                        jobs, collector=collector.address, shard=(i, 2)
+                    ).execute
                 )
                 for i in range(2)
             ]
@@ -327,6 +371,6 @@ class TestDifferentialByteIdentity:
     )
     def test_batched_engine_keeps_the_contract(self):
         batched_jobs = expand_jobs(_spec(engines=("batched",), max_steps=50))
-        serial = run_campaign(batched_jobs, jobs=1).jsonl_lines()
-        pooled = run_campaign(batched_jobs, jobs=2, mp_context="fork").jsonl_lines()
+        serial = CampaignDriver(batched_jobs).execute().jsonl_lines()
+        pooled = CampaignDriver(batched_jobs, jobs=2, mp_context="fork").execute().jsonl_lines()
         assert serial == pooled

@@ -14,20 +14,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import pickle
-import socket
-import threading
 
 import pytest
 
 from repro.campaign import (
+    AckingSocketSink,
     BufferedSink,
+    CampaignDriver,
     CampaignResult,
     CampaignSpec,
     FaultSchedule,
+    Finalizer,
     JobResult,
     JsonlSink,
     ResumeError,
-    SocketSink,
     TeeSink,
     disagreement_cells,
     execute_job,
@@ -36,8 +36,6 @@ from repro.campaign import (
     read_rows,
     remaining_jobs,
     rerun_jobs,
-    run_campaign,
-    sink_from_spec,
     validate_rows_match_jobs,
 )
 from repro.campaign.jobs import ERROR_ROW_FIELDS, ROW_FIELDS, error_result
@@ -70,7 +68,7 @@ _DISAGREE_SPEC = CampaignSpec(
 class TestSinks:
     def test_buffered_sink_collects_in_completion_order(self):
         sink = BufferedSink()
-        result = run_campaign(_spec(scenarios=("figure1",), seeds=(1,)), sink=sink)
+        result = CampaignDriver(_spec(scenarios=("figure1",), seeds=(1,)), sink=sink).execute()
         assert sink.rows == [r.row for r in result.results]
 
     def test_jsonl_sink_flushes_every_row_before_close(self, tmp_path):
@@ -120,7 +118,8 @@ class TestSinks:
         with pytest.raises(TypeError, match="open file handle"):
             pickle.dumps(fresh)
         fresh.close()
-        assert isinstance(pickle.loads(pickle.dumps(SocketSink("tcp:127.0.0.1:9"))), SocketSink)
+        fresh_socket = AckingSocketSink("tcp:127.0.0.1:9")
+        assert isinstance(pickle.loads(pickle.dumps(fresh_socket)), AckingSocketSink)
 
     def test_tee_sink_fans_out(self):
         first, second = BufferedSink(), BufferedSink()
@@ -151,72 +150,13 @@ class TestSinks:
         # file handles / sockets of the sinks behind it.
         assert closed == ["first", "quiet", "last"]
 
-    def test_unix_socket_sink_streams_rows(self, tmp_path):
-        address = str(tmp_path / "rows.sock")
-        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        server.bind(address)
-        server.listen(1)
-        received = bytearray()
-
-        def serve():
-            conn, _ = server.accept()
-            while chunk := conn.recv(4096):
-                received.extend(chunk)
-            conn.close()
-
-        thread = threading.Thread(target=serve)
-        thread.start()
-        with sink_from_spec(f"unix:{address}") as sink:
-            assert isinstance(sink, SocketSink)
-            sink.write_row({"job": 0, "ok": True})
-            sink.write_row({"job": 1, "ok": False})
-        thread.join(timeout=5)
-        server.close()
-        rows = [json.loads(line) for line in bytes(received).decode().splitlines()]
-        assert [row["job"] for row in rows] == [0, 1]
-
-    def test_tcp_socket_sink_streams_rows(self):
-        server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        port = server.getsockname()[1]
-        received = bytearray()
-
-        def serve():
-            conn, _ = server.accept()
-            while chunk := conn.recv(4096):
-                received.extend(chunk)
-            conn.close()
-
-        thread = threading.Thread(target=serve)
-        thread.start()
-        with SocketSink(f"tcp:127.0.0.1:{port}") as sink:
-            sink.write_row({"job": 3})
-        thread.join(timeout=5)
-        server.close()
-        assert json.loads(bytes(received).decode())["job"] == 3
-
-    def test_broken_stream_socket_does_not_abort_the_campaign(self, capsys):
-        # The collector was never listening: the sink must report once and
-        # go dark, not blow up the drain loop of an otherwise healthy run.
-        dead = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        dead.bind(("127.0.0.1", 0))
-        port = dead.getsockname()[1]
-        dead.close()  # nothing listens on this port now
-        sink = SocketSink(f"tcp:127.0.0.1:{port}")
-        result = run_campaign(_spec(scenarios=("figure1",), seeds=(1, 2)), sink=sink)
-        assert len(result.results) == 4
-        err = capsys.readouterr().err
-        assert err.count("continuing without it") == 1  # reported once, then dark
-        sink.close()
-
     def test_sink_spec_rejects_files_and_garbage(self):
-        with pytest.raises(ValueError, match="stream spec"):
-            sink_from_spec("rows.jsonl")
-        with pytest.raises(ValueError, match="tcp:HOST:PORT"):
-            SocketSink("tcp:localhost")
         with pytest.raises(ValueError, match="socket sink address"):
-            SocketSink("carrier-pigeon:coop")
+            AckingSocketSink("rows.jsonl")
+        with pytest.raises(ValueError, match="tcp:HOST:PORT"):
+            AckingSocketSink("tcp:localhost")
+        with pytest.raises(ValueError, match="socket sink address"):
+            AckingSocketSink("carrier-pigeon:coop")
 
 
 class TestResumeParsing:
@@ -301,7 +241,7 @@ class TestResumeParsing:
 class TestKillAndResume:
     def test_interrupted_stream_resumes_byte_identical(self, tmp_path):
         jobs = expand_jobs(_spec())
-        uninterrupted = run_campaign(jobs, jobs=1)
+        uninterrupted = CampaignDriver(jobs).execute()
         expected_lines = uninterrupted.jsonl_lines()
 
         # Crash simulation: the sink flushed k complete rows and died
@@ -319,7 +259,7 @@ class TestKillAndResume:
         with JsonlSink(str(path)) as sink:  # truncate-and-rewrite survivors
             for row in prior:
                 sink.write_row(row)
-            resumed = run_campaign(todo, jobs=1, sink=sink)
+            resumed = CampaignDriver(todo, sink=sink).execute()
 
         merged = merge_results(prior, resumed.results)
         final = CampaignResult(jobs=jobs, results=merged, workers=1,
@@ -335,7 +275,7 @@ class TestKillAndResume:
         # not re-derive them from the reconstructed elapsed time.
         jobs = expand_jobs(_spec(scenarios=("figure1",), seeds=(1, 2)))
         path = tmp_path / "timed.jsonl"
-        run_campaign(jobs, jobs=1).write_jsonl(str(path), include_timing=True)
+        CampaignDriver(jobs).execute().write_jsonl(str(path), include_timing=True)
         original_lines = path.read_text().splitlines()
         assert all("steps_per_sec" in json.loads(line) for line in original_lines)
 
@@ -355,7 +295,7 @@ class TestKillAndResume:
         prior = read_rows(str(path))
         assert len(prior) == k
         todo = remaining_jobs(jobs, prior)
-        resumed = run_campaign(todo, jobs=1)
+        resumed = CampaignDriver(todo).execute()
         merged = merge_results(prior, resumed.results)
         final = CampaignResult(jobs=jobs, results=merged, workers=1,
                                elapsed_seconds=resumed.elapsed_seconds)
@@ -381,7 +321,7 @@ class TestErrorRows:
     def test_error_rows_survive_a_spawn_pool(self):
         jobs = expand_jobs(_spec(scenarios=("figure1",), algorithms=("cc1", "cc2"), seeds=(1,)))
         poisoned = dataclasses.replace(jobs[0], index=len(jobs), scenario="no-such-scenario")
-        result = run_campaign(jobs + [poisoned], jobs=2)
+        result = CampaignDriver(jobs + [poisoned], jobs=2).execute()
         assert result.workers == 2
         assert result.errors == 1
         assert result.violations == 0
@@ -392,8 +332,8 @@ class TestErrorRows:
     def test_summary_table_surfaces_error_counts(self):
         jobs = expand_jobs(_spec(scenarios=("figure1",), algorithms=("cc2",), seeds=(1,)))
         poisoned = dataclasses.replace(jobs[0], index=len(jobs), scenario="no-such-scenario")
-        result = run_campaign(jobs + [poisoned], jobs=1)
-        rows = result.summary_rows()
+        result = CampaignDriver(jobs + [poisoned]).execute()
+        rows = Finalizer.summary_rows(result)
         assert rows[-1]["errors"] == 1
         poisoned_cells = [r for r in rows if r["scenario"] == "no-such-scenario"]
         assert poisoned_cells and poisoned_cells[0]["errors"] == 1
@@ -421,13 +361,13 @@ class TestZeroElapsedGuards:
         campaign = CampaignResult(jobs=[], results=[frozen], workers=1, elapsed_seconds=0.0)
         assert campaign.steps_per_sec == 0.0
         assert json.loads("[%s]" % ",".join(campaign.jsonl_lines(include_timing=True)))
-        assert campaign.summary_rows()[-1]["steps/s"] == "-"
+        assert Finalizer.summary_rows(campaign)[-1]["steps/s"] == "-"
 
 
 class TestAdaptiveReruns:
     def test_disagreeing_cell_is_rerun_with_fresh_seeds(self):
         base = expand_jobs(_DISAGREE_SPEC)
-        result = run_campaign(base, jobs=1)
+        result = CampaignDriver(base).execute()
         verdicts = [r.ok for r in result.results]
         assert True in verdicts and False in verdicts  # the fixture's point
 
@@ -445,12 +385,12 @@ class TestAdaptiveReruns:
         # Deterministic: same inputs, same re-expansion.
         assert rerun_jobs(base, result.results) == extra
         # The fresh jobs actually run.
-        extra_result = run_campaign(extra, jobs=1)
+        extra_result = CampaignDriver(extra).execute()
         assert len(extra_result.results) == 3
 
     def test_agreeing_campaign_adds_no_jobs(self):
         jobs = expand_jobs(_spec(scenarios=("figure1",), seeds=(1, 2)))
-        result = run_campaign(jobs, jobs=1)
+        result = CampaignDriver(jobs).execute()
         assert rerun_jobs(jobs, result.results) == []
 
     def test_error_rows_do_not_fake_disagreement(self):

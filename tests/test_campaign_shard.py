@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import socket
 import subprocess
 import sys
@@ -28,6 +29,7 @@ import repro
 from repro.campaign import (
     AckingSocketSink,
     CONTROL_SCHEMAS,
+    CampaignDriver,
     CampaignSpec,
     Collector,
     CollectorState,
@@ -39,8 +41,6 @@ from repro.campaign import (
     expand_jobs,
     hello_message,
     matrix_fingerprint,
-    run_campaign,
-    run_shard,
     shard_slice,
     validate_control,
 )
@@ -62,7 +62,7 @@ def _jobs(seeds=(1, 2), max_steps=60, **overrides):
 def small_matrix():
     """Four quick jobs plus their executed rows and --jobs 1 baseline."""
     jobs = _jobs()
-    baseline = run_campaign(jobs, jobs=1)
+    baseline = CampaignDriver(jobs).execute()
     rows = {result.index: result.row for result in baseline.results}
     return jobs, rows, baseline.jsonl_lines()
 
@@ -164,6 +164,19 @@ class TestCollectorState:
         state.deliver(shard, rows[0])
         assert len(state.merged_rows()) == 1
 
+    def test_deliver_is_type_strict(self, small_matrix):
+        # ``true == 1`` and ``60.0 == 60`` in Python, but neither row is
+        # the one job 1 produces: acking it would merge the wrong bytes.
+        jobs, rows, _ = small_matrix
+        state = CollectorState(jobs)
+        shard = ShardRecord(name="a", static=False)
+        state.register(shard)
+        with pytest.raises(ShardProtocolError, match="integer 'job' index"):
+            state.deliver(shard, {**rows[1], "job": True})
+        with pytest.raises(ResumeError, match="max_steps=60.0"):
+            state.deliver(shard, {**rows[1], "max_steps": 60.0})
+        assert state.rows == {} and shard.delivered == 0
+
     def test_release_returns_leases_for_redispatch(self, small_matrix):
         jobs, rows, _ = small_matrix
         state = CollectorState(jobs)
@@ -193,9 +206,9 @@ class TestCollectorService:
         with Collector(jobs, "tcp:127.0.0.1:0") as collector:
             threads = [
                 threading.Thread(
-                    target=run_shard,
-                    args=(collector.address, jobs),
-                    kwargs=dict(shard=(i, 2)),
+                    target=CampaignDriver(
+                        jobs, collector=collector.address, shard=(i, 2)
+                    ).execute
                 )
                 for i in range(2)
             ]
@@ -213,9 +226,9 @@ class TestCollectorService:
         with Collector(jobs, address) as collector:
             threads = [
                 threading.Thread(
-                    target=run_shard,
-                    args=(address, jobs),
-                    kwargs=dict(batch=1, name=f"puller-{i}"),
+                    target=CampaignDriver(
+                        jobs, collector=address, batch=1, shard_name=f"puller-{i}"
+                    ).execute
                 )
                 for i in range(2)
             ]
@@ -230,10 +243,12 @@ class TestCollectorService:
         jobs, _, _ = small_matrix
         with Collector(jobs, "tcp:127.0.0.1:0") as collector:
             with pytest.raises(ShardProtocolError, match="fingerprint mismatch"):
-                run_shard(collector.address, _jobs(max_steps=61), retries=0)
+                CampaignDriver(
+                    _jobs(max_steps=61), collector=collector.address, retries=0
+                ).execute()
             # A matrix of a different size gets the clearer size diagnostic.
             with pytest.raises(ShardProtocolError, match="matrix size mismatch"):
-                run_shard(collector.address, jobs[:2], retries=0)
+                CampaignDriver(jobs[:2], collector=collector.address, retries=0).execute()
         assert collector.state.rows == {}
 
     def test_dead_shard_range_is_redispatched(self, small_matrix, tmp_path):
@@ -260,8 +275,10 @@ class TestCollectorService:
             # The rescuer's pulls block until the victim's handler notices
             # the dead connection and releases its leases — then the whole
             # undelivered range is re-dispatched here.
-            result = run_shard(f"unix:{path}", jobs, name="rescue")
-            assert [job.index for job in result.jobs] == [1, 2, 3]
+            result = CampaignDriver(
+                jobs, collector=f"unix:{path}", shard_name="rescue"
+            ).execute()
+            assert [job_result.index for job_result in result.results] == [1, 2, 3]
             assert collector.state.wait_done(timeout=10)
             merged = collector.state.merged_rows()
         assert [row_line(row) for row in merged] == baseline
@@ -277,7 +294,9 @@ class TestCollectorService:
         assert collector.skipped_prior == 1
         assert collector.state.pending_count() == len(jobs) - 1
         with collector:
-            worker = threading.Thread(target=run_shard, args=(address, jobs))
+            worker = threading.Thread(
+                target=CampaignDriver(jobs, collector=address).execute
+            )
             worker.start()
             merged = collector.run(timeout=60)
             worker.join(timeout=10)
@@ -338,6 +357,36 @@ class TestAckingClient:
         assert len(hellos) == 2 and all(h == hello for h in hellos)
         assert rows == [{"job": 7, "ok": True}]
 
+    def test_open_connection_refuses_pickling_until_closed(self, tmp_path):
+        path = str(tmp_path / "acking.sock")
+        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        server.bind(path)
+        server.listen(1)
+
+        def serve():
+            conn, _ = server.accept()
+            reader = conn.makefile("r", encoding="utf-8")
+            row = json.loads(reader.readline())
+            conn.sendall((row_line({"op": "ack", "job": row["job"]}) + "\n").encode())
+            reader.readline()  # blocks until the client hangs up
+            reader.close()
+            conn.close()
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        with AckingSocketSink(f"unix:{path}", retry_delay=0.01) as sink:
+            sink.write_row({"job": 3, "ok": True})
+            # A live connection must never be shipped to another process.
+            with pytest.raises(TypeError, match="open connection"):
+                pickle.dumps(sink)
+        # Leaving the ``with`` block closed the socket: the sink pickles
+        # again, and the clone reconnects lazily to the same address.
+        clone = pickle.loads(pickle.dumps(sink))
+        thread.join(timeout=10)
+        server.close()
+        assert not thread.is_alive()
+        assert isinstance(clone, AckingSocketSink) and clone.address == f"unix:{path}"
+
 
 class TestShardedCampaignEndToEnd:
     """The PR's acceptance property, at the process level.
@@ -372,7 +421,7 @@ class TestShardedCampaignEndToEnd:
             )
         )
         assert len(jobs) == 6
-        baseline = run_campaign(jobs, jobs=1).jsonl_lines()
+        baseline = CampaignDriver(jobs).execute().jsonl_lines()
 
         src_dir = str(Path(repro.__file__).resolve().parents[1])
         env = dict(os.environ)

@@ -26,11 +26,11 @@ import threading
 import pytest
 
 from repro.campaign import (
+    CampaignDriver,
     CampaignSpec,
     ColumnStore,
     RunCache,
     expand_jobs,
-    run_campaign,
     run_cache_key,
     run_cache_key_for_row,
 )
@@ -48,7 +48,7 @@ SPEC = CampaignSpec(
 @pytest.fixture(scope="module")
 def campaign_rows():
     """Eight executed rows (two scenarios x two algorithms x two seeds)."""
-    return run_campaign(SPEC, jobs=1).rows
+    return CampaignDriver(SPEC).execute().rows
 
 
 class TestColumnStoreRoundTrip:
@@ -145,7 +145,7 @@ class TestRunCache:
     def test_hit_is_byte_identical_and_position_independent(self, tmp_path):
         jobs = expand_jobs(SPEC)
         cache = RunCache(str(tmp_path / "cache"))
-        baseline = run_campaign(jobs, jobs=1, cache=cache)
+        baseline = CampaignDriver(jobs, cache=cache).execute()
         assert cache.stored == len(jobs) and cache.hits == 0
         row = cache.lookup(jobs[0])
         assert row_line(row) == row_line(baseline.rows[0])
@@ -168,7 +168,7 @@ class TestRunCache:
     def test_corrupt_and_mismatched_entries_are_misses(self, tmp_path):
         jobs = expand_jobs(SPEC)[:2]
         cache = RunCache(str(tmp_path / "cache"))
-        run_campaign(jobs, jobs=1, cache=cache)
+        CampaignDriver(jobs, cache=cache).execute()
         misses_before = cache.misses  # the cold run's pre-dispatch consults
         # Corrupt entry: unparseable bytes.
         path = cache._path(run_cache_key(jobs[0]))
@@ -189,7 +189,6 @@ class TestRunCache:
 
     def test_error_rows_are_never_stored(self, tmp_path, monkeypatch):
         import repro.campaign.jobs as jobs_module
-        import repro.campaign.runner as runner_module
 
         real_run = jobs_module._run_job
 
@@ -199,31 +198,49 @@ class TestRunCache:
             return real_run(job)
 
         monkeypatch.setattr(jobs_module, "_run_job", boom)
-        monkeypatch.setattr(runner_module, "_run_job", boom, raising=False)
         jobs = expand_jobs(SPEC)
         cache = RunCache(str(tmp_path / "cache"))
-        result = run_campaign(jobs, jobs=1, cache=cache)
+        result = CampaignDriver(jobs, cache=cache).execute()
         errors = sum(1 for row in result.rows if row["status"] == "error")
         assert errors == 4
         assert cache.stored == len(jobs) - errors
         # The error jobs miss on re-consult and re-execute.
-        rerun = run_campaign(jobs, jobs=1, cache=cache)
+        rerun = CampaignDriver(jobs, cache=cache).execute()
         assert cache.hits == len(jobs) - errors
         assert sum(1 for row in rerun.rows if row["status"] == "error") == errors
 
     def test_fully_cached_campaign_executes_nothing(self, tmp_path, monkeypatch):
         jobs = expand_jobs(SPEC)
         cache = RunCache(str(tmp_path / "cache"))
-        baseline = run_campaign(jobs, jobs=1, cache=cache)
+        baseline = CampaignDriver(jobs, cache=cache).execute()
         import repro.campaign.driver as driver_module
 
         monkeypatch.setattr(
             driver_module, "execute_job",
             lambda job: (_ for _ in ()).throw(AssertionError("no job should run")),
         )
-        cached = run_campaign(jobs, jobs=1, cache=cache)
+        cached = CampaignDriver(jobs, cache=cache).execute()
         assert cached.jsonl_lines() == baseline.jsonl_lines()
         assert cache.hits == len(jobs)
+
+    def test_type_drifted_entry_is_a_miss_and_re_executes(self, tmp_path):
+        # ``120.0 == 120`` in Python, but an entry saying ``"max_steps":
+        # 120.0`` is not the row this job produces: serving it would put
+        # wrong bytes in --out.
+        jobs = expand_jobs(SPEC)[:2]
+        cache = RunCache(str(tmp_path / "cache"))
+        baseline = CampaignDriver(jobs, cache=cache).execute()
+        path = cache._path(run_cache_key(jobs[0]))
+        with open(path, "r", encoding="utf-8") as fh:
+            entry = json.load(fh)
+        entry["max_steps"] = 120.0
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(row_line(entry) + "\n")
+        warm = RunCache(str(tmp_path / "cache"))
+        rerun = CampaignDriver(jobs, cache=warm).execute()
+        assert rerun.jsonl_lines() == baseline.jsonl_lines()
+        # Job 0 missed, re-executed and was stored back; job 1 still hit.
+        assert (warm.hits, warm.misses, warm.stored) == (1, 1, 1)
 
 
 class TestCacheEndToEnd:
@@ -277,27 +294,28 @@ class TestCacheEndToEnd:
         assert main(argv + ["--out", str(out), "--cache", str(cache)]) in (0, 1)
         capsys.readouterr()
         expected = out.read_bytes()
-        import repro.campaign.runner as runner_module
-
         warm = tmp_path / "warm.jsonl"
         assert main(argv + ["--out", str(warm), "--cache", str(cache)]) in (0, 1)
         assert "8 hit(s)" in capsys.readouterr().out
         assert warm.read_bytes() == expected
 
     def test_five_shard_collector_merge_with_caches(self, tmp_path):
-        from repro.campaign.shard import Collector, run_shard
+        from repro.campaign.shard import Collector
 
         jobs = expand_jobs(SPEC)
-        baseline = run_campaign(jobs, jobs=1).jsonl_lines()
+        baseline = CampaignDriver(jobs).execute().jsonl_lines()
         # Warm one shared cache first, then a sharded campaign over it.
         cache = RunCache(str(tmp_path / "cache"))
-        run_campaign(jobs[:4], jobs=1, cache=cache)
+        CampaignDriver(jobs[:4], cache=cache).execute()
         with Collector(jobs, "tcp:127.0.0.1:0") as collector:
             threads = [
                 threading.Thread(
-                    target=run_shard,
-                    args=(collector.address, jobs),
-                    kwargs=dict(shard=(i, 5), cache=RunCache(str(tmp_path / "cache"))),
+                    target=CampaignDriver(
+                        jobs,
+                        collector=collector.address,
+                        shard=(i, 5),
+                        cache=RunCache(str(tmp_path / "cache")),
+                    ).execute
                 )
                 for i in range(5)
             ]
@@ -350,9 +368,9 @@ class TestResumeCrashSafety:
         expected = full.read_bytes()
 
         out = tmp_path / "rows.jsonl"
-        import repro.campaign.runner as runner_module
+        import repro.campaign.driver as driver_module
 
-        real_row_line = runner_module.row_line
+        real_row_line = driver_module.row_line
         emitted = []
 
         def dying_row_line(row):
@@ -362,7 +380,7 @@ class TestResumeCrashSafety:
             emitted.append(line)
             return line
 
-        monkeypatch.setattr(runner_module, "row_line", dying_row_line)
+        monkeypatch.setattr(driver_module, "row_line", dying_row_line)
         code = main(self.ARGV + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == 130
@@ -370,10 +388,8 @@ class TestResumeCrashSafety:
         # The completion-order stream survived the kill whole...
         streamed = out.read_bytes()
         assert sorted(streamed.splitlines()) == sorted(expected.splitlines())
-        monkeypatch.setattr(runner_module, "row_line", real_row_line)
+        monkeypatch.setattr(driver_module, "row_line", real_row_line)
         # ...so a resume executes nothing and lands byte-identical.
-        import repro.campaign.driver as driver_module
-
         monkeypatch.setattr(
             driver_module, "execute_job",
             lambda job: (_ for _ in ()).throw(AssertionError("no job should run")),

@@ -256,38 +256,26 @@ class TestCampaignCrashSafety:
         verdicts = {row["ok"] for row in rows[:3]}
         assert verdicts == {True, False}
 
-    def test_stream_sink_receives_rows_while_running(self, capsys, tmp_path):
-        import socket
-        import threading
-
-        address = str(tmp_path / "rows.sock")
-        server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        server.bind(address)
-        server.listen(1)
-        received = bytearray()
-
-        def serve():
-            conn, _ = server.accept()
-            while chunk := conn.recv(4096):
-                received.extend(chunk)
-            conn.close()
-
-        thread = threading.Thread(target=serve)
-        thread.start()
-        code = main(["campaign", "--scenario", "figure1", "--seeds", "2",
-                     "--steps", "100", "--stream", f"unix:{address}"])
-        thread.join(timeout=5)
-        server.close()
+    def test_resume_is_type_strict(self, capsys, tmp_path):
+        # ``50.0 == 50`` in Python, but a row that says ``"max_steps": 50.0``
+        # was not written by this matrix: adopting it would rewrite the file
+        # with bytes no uninterrupted run produces.
+        argv = ["campaign", "--scenario", "figure1", "--algorithm", "cc2",
+                "--seeds", "3", "--steps", "50"]
+        out = tmp_path / "rows.jsonl"
+        assert main(argv + ["--out", str(out)]) in (0, 1)
         capsys.readouterr()
-        assert code == 0
-        rows = [json.loads(line) for line in bytes(received).decode().splitlines()]
-        assert [row["job"] for row in rows] == [0, 1]
+        rows = [json.loads(line) for line in out.read_text().splitlines()[:2]]
+        rows[1]["max_steps"] = 50.0
+        out.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        assert main(argv + ["--out", str(out), "--resume"]) == 2
+        assert "max_steps=50.0" in capsys.readouterr().err
 
-    def test_bad_stream_spec_exits_two(self, capsys):
-        code = main(["campaign", "--scenario", "figure1",
-                     "--stream", "rows.jsonl", "--steps", "10"])
+    def test_rerun_disagreements_with_collector_exits_two(self, capsys):
+        code = main(["campaign", "--scenario", "figure1", "--steps", "10",
+                     "--collector", "tcp:127.0.0.1:9", "--rerun-disagreements"])
         assert code == 2
-        assert "stream spec" in capsys.readouterr().err
+        assert "cannot be combined with --collector" in capsys.readouterr().err
 
 
 class TestBatchedCampaignEndToEnd:
@@ -360,9 +348,9 @@ class TestBatchedCampaignEndToEnd:
     def test_collector_shard_mode_byte_identical(self, capsys, tmp_path):
         import threading
 
-        from repro.campaign import expand_jobs, run_campaign
+        from repro.campaign import CampaignDriver, expand_jobs
         from repro.campaign.matrix import CampaignSpec, FaultSchedule
-        from repro.campaign.shard import Collector, run_shard
+        from repro.campaign.shard import Collector
         from repro.campaign.sinks import row_line
 
         spec = CampaignSpec(
@@ -378,7 +366,7 @@ class TestBatchedCampaignEndToEnd:
         jobs = expand_jobs(spec)
         baseline = [
             row_line(result.output_row())
-            for result in run_campaign(jobs, jobs=1).results
+            for result in CampaignDriver(jobs).execute().results
         ]
         # Five static shards over 12 jobs: every cell's 6-seed sweep is
         # split across shard boundaries, so the merged rows prove a batch
@@ -386,9 +374,9 @@ class TestBatchedCampaignEndToEnd:
         with Collector(jobs, "tcp:127.0.0.1:0") as collector:
             threads = [
                 threading.Thread(
-                    target=run_shard,
-                    args=(collector.address, jobs),
-                    kwargs=dict(shard=(i, 5)),
+                    target=CampaignDriver(
+                        jobs, collector=collector.address, shard=(i, 5)
+                    ).execute
                 )
                 for i in range(5)
             ]

@@ -120,3 +120,19 @@ def test_checks_catch_drift():
     assert "repro.kernel.trace.StepDelta" in check_repo._MODULE_RE.findall(
         "see `repro.kernel.trace.StepDelta` for details"
     )
+    # Attribute chains resolve through methods and dataclass fields (a field
+    # without a default is no class attribute), and typos still fail.
+    assert check_repo._module_resolves("repro.campaign.driver.CampaignDriver.execute")
+    assert check_repo._module_resolves("repro.campaign.jobs.JobResult.elapsed_seconds")
+    assert not check_repo._module_resolves("repro.campaign.jobs.JobResult.elapsed")
+    assert not check_repo._module_resolves("repro.campaign.jobs.JobResult.row.keys")
+    # Code docstring cross-references are checked too, with their line.
+    errors = check_repo._xref_errors(
+        "src/repro/example.py",
+        '"""Doc.\n\nSee :func:`~repro.campaign.driver.run_everything` and\n'
+        ':class:`repro.campaign.driver.CampaignDriver`, :meth:`Local.name`.\n"""\n',
+    )
+    assert errors == [
+        "src/repro/example.py:3: unknown cross-reference "
+        ":func:`repro.campaign.driver.run_everything`"
+    ]

@@ -14,9 +14,12 @@ Ten checks, each returning a list of human-readable error strings:
   re-enter the git index (they were purged once; ``.gitignore`` keeps new
   ones out of ``git add .``, this check keeps them out of force-adds);
 * ``check_doc_links`` — every relative markdown link in ``README.md`` and
-  ``docs/*.md`` resolves to an existing file, and every backticked
+  ``docs/*.md`` resolves to an existing file, every backticked
   ``repro.foo.bar`` dotted name names an importable module (or an attribute
-  of one), so the architecture tables cannot drift from the package layout;
+  of one), and every ``repro.`` target of a ``:func:``/``:class:``/
+  ``:meth:``/``:mod:``/``:data:``/``:attr:``/``:exc:`` cross-reference in
+  ``src/`` resolves too, so neither the architecture tables nor the code
+  docstrings can drift from the package layout;
 * ``check_cli_docs`` — ``docs/CLI.md`` documents every ``--flag`` of every
   ``repro-cc`` subcommand (each in its own section) and mentions no flag
   the parser does not define, introspected live from
@@ -63,6 +66,7 @@ the test suite (``tests/test_repo_checks.py`` calls :func:`run_checks`).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -85,6 +89,12 @@ _MODULE_RE = re.compile(
     r"`(repro(?:\.[a-z_][a-z_0-9]*)*(?:\.[A-Za-z_][A-Za-z0-9_]*)?)`"
 )
 _FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
+#: Sphinx-style cross-references in code docstrings, e.g.
+#: :class:`~repro.campaign.driver.CampaignDriver`; only ``repro.`` targets
+#: are resolved (relative targets name something in the same module).
+_XREF_RE = re.compile(
+    r":(func|class|meth|mod|data|attr|exc):`~?(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)*)`"
+)
 
 
 def _doc_files() -> List[Path]:
@@ -132,10 +142,12 @@ def _module_resolves(dotted: str) -> bool:
     Tries the full dotted path as a module first, then successively shorter
     prefixes (``find_spec`` raising because a prefix is a plain module, not a
     package, just means "try shorter"); a trailing remainder must then be a
-    real attribute of the longest importable prefix — so
-    ``repro.kernel.trace``, ``repro.kernel.trace.StepDelta`` and
-    ``repro.kernel.StopRun`` all resolve, while any typo in either the
-    module path or the attribute name fails.
+    real attribute chain from the longest importable prefix — so
+    ``repro.kernel.trace``, ``repro.kernel.trace.StepDelta``,
+    ``repro.kernel.StopRun`` and ``repro.campaign.driver.CampaignDriver.run``
+    all resolve, while any typo in either the module path or an attribute
+    name fails.  A dataclass field counts as an attribute of its class
+    even without a class-level default.
     """
     if str(SRC_DIR) not in sys.path:
         sys.path.insert(0, str(SRC_DIR))
@@ -148,14 +160,28 @@ def _module_resolves(dotted: str) -> bool:
             continue  # a prefix is a non-package module: try shorter
         if spec is None:
             continue
+        target: object = importlib.import_module(candidate)
         remainder = parts[cut:]
-        if not remainder:
-            return True
-        if len(remainder) > 1:
-            return False
-        module = importlib.import_module(candidate)
-        return hasattr(module, remainder[0])
+        for position, name in enumerate(remainder):
+            if hasattr(target, name):
+                target = getattr(target, name)
+            elif position == len(remainder) - 1 and dataclasses.is_dataclass(target):
+                return name in {field.name for field in dataclasses.fields(target)}
+            else:
+                return False
+        return True
     return False
+
+
+def _xref_errors(rel: str, text: str) -> List[str]:
+    """Unresolvable ``repro.`` cross-reference targets in one source file."""
+    errors: List[str] = []
+    for match in _XREF_RE.finditer(text):
+        role, target = match.groups()
+        if not _module_resolves(target):
+            line = text.count("\n", 0, match.start()) + 1
+            errors.append(f"{rel}:{line}: unknown cross-reference :{role}:`{target}`")
+    return errors
 
 
 def check_doc_links() -> List[str]:
@@ -175,6 +201,9 @@ def check_doc_links() -> List[str]:
         for bench in sorted(set(re.findall(r"benchmarks/bench_[a-z0-9_]+\.py", text))):
             if not (REPO_ROOT / bench).is_file():
                 errors.append(f"{rel}: unknown benchmark reference {bench}")
+    for source in sorted(SRC_DIR.rglob("*.py")):
+        rel = source.relative_to(REPO_ROOT).as_posix()
+        errors.extend(_xref_errors(rel, source.read_text(encoding="utf-8")))
     return errors
 
 
@@ -446,7 +475,6 @@ def check_sink_picklability() -> List[str]:
         ),
         "BufferedSink": sinks.BufferedSink(),
         "JsonlSink": sinks.JsonlSink("rows.jsonl"),
-        "SocketSink": sinks.SocketSink("tcp:127.0.0.1:9"),
         "TeeSink": sinks.TeeSink([sinks.BufferedSink()]),
     }
     for sink_type in getattr(sinks, "SINK_TYPES", ()):
@@ -542,13 +570,15 @@ def check_collector_merge() -> List[str]:
     jobs = matrix.expand_jobs(
         matrix.CampaignSpec(scenarios=("figure1",), seeds=(1, 2), max_steps=5)
     )
-    baseline = campaign.run_campaign(jobs, jobs=1).jsonl_lines()
+    baseline = campaign.CampaignDriver(jobs).execute().jsonl_lines()
     collector = campaign.Collector(jobs, "tcp:127.0.0.1:0").start()
     failures: List[str] = []
 
     def feed(index: int) -> None:
         try:
-            campaign.run_shard(collector.address, jobs, shard=(index, 2))
+            campaign.CampaignDriver(
+                jobs, collector=collector.address, shard=(index, 2)
+            ).execute()
         except Exception as exc:
             failures.append(f"shard {index + 1}/2 failed: {exc!r}")
 

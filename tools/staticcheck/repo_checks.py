@@ -11,7 +11,7 @@ into :class:`~tools.staticcheck.diagnostics.Diagnostic` rows.
 
 ========  ==============================================================
 RC001     tracked bytecode artefacts (``.pyc`` / ``__pycache__``)
-RC002     broken docs links / dangling ``repro.*`` module references
+RC002     broken docs links / dangling ``repro.*`` module or docstring references
 RC003     ``docs/CLI.md`` flag drift against ``repro.cli.build_parser()``
 RC004     ``benchmarks/perf_rows.jsonl`` row-schema violations
 RC005     spawn entry points not resolvable/picklable from a worker
@@ -114,7 +114,7 @@ REPO_CHECK_PASSES = (
     ),
     _make_pass(
         "repo-doc-links", "RC002",
-        "broken docs link or dangling module/benchmark reference",
+        "broken docs link or dangling module/benchmark/docstring reference",
         "README.md", "check_doc_links",
     ),
     _make_pass(
