@@ -17,7 +17,7 @@ the campaign's JSONL output regardless of worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.campaign.jobs import RunJob
@@ -26,7 +26,7 @@ from repro.workloads.random_scenarios import random_scenarios
 from repro.workloads.request_models import environment_from_spec
 from repro.workloads.scenarios import scenario_by_name
 
-ENGINES_CHOICES = ("auto", "dense", "incremental", "batched")
+ENGINES_CHOICES = ("dense", "incremental", "batched")
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,10 @@ class CampaignSpec:
         environment_from_spec(self.environment, self.discussion_steps, seed=0)
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        # RequestOut is read only after observe counted the done step, so
+        # every length <= 1 runs exactly like 1: reject the aliases.
+        if self.discussion_steps < 1:
+            raise ValueError("discussion_steps must be >= 1")
         for algorithm in self.algorithms:
             if algorithm not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

@@ -548,7 +548,7 @@ def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         action="append",
-        choices=["auto", "dense", "incremental", "batched"],
+        choices=["dense", "incremental", "batched"],
         help="engine axis (repeatable; default incremental; 'batched' runs a "
         "cell's seed sweep in numpy lockstep — rows stay byte-identical to "
         "solo runs, requires the repro-cc[batched] extra)",
@@ -573,7 +573,7 @@ def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=1, help="base run seed")
     parser.add_argument("--steps", type=_positive_int, default=2000, help="step budget per run")
-    parser.add_argument("--discussion", type=int, default=1, help="voluntary discussion length")
+    parser.add_argument("--discussion", type=_positive_int, default=1, help="voluntary discussion length, >= 1")
     parser.add_argument(
         "--environment",
         default="always",
@@ -606,13 +606,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--engine",
         default="incremental",
-        choices=["auto", "dense", "incremental"],
+        choices=["dense", "incremental"],
         help="execution engine (default: incremental — copy-on-write + "
         "delta-driven enabled-set reuse, trace-identical to the reference "
-        "double-sweep dense engine for any seed; 'auto' means incremental)",
+        "double-sweep dense engine for any seed)",
     )
-    run.add_argument("--steps", type=int, default=2000)
-    run.add_argument("--discussion", type=int, default=1)
+    run.add_argument("--steps", type=_positive_int, default=2000, help="step budget, >= 1")
+    run.add_argument("--discussion", type=_positive_int, default=1)
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--arbitrary", action="store_true", help="start from an arbitrary configuration")
     run.add_argument("--verbose", action="store_true", help="print meeting events")
@@ -628,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--engine",
         default="incremental",
-        choices=["auto", "dense", "incremental"],
+        choices=["dense", "incremental"],
         help="execution engine (default: incremental — spec checking is the "
         "sparse-run workhorse; verdicts are identical on both engines)",
     )
@@ -638,7 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=2000,
         help="step budget, >= 1 (a zero-step run would vacuously 'hold')",
     )
-    check.add_argument("--discussion", type=int, default=1)
+    check.add_argument("--discussion", type=_positive_int, default=1)
     check.add_argument("--seed", type=int, default=1)
     check.add_argument(
         "--sparse",
@@ -672,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="compare CC1/CC2/CC3 and the baselines")
     compare.add_argument("--scenario", default="figure1")
-    compare.add_argument("--steps", type=int, default=2000)
-    compare.add_argument("--rounds", type=int, default=400)
+    compare.add_argument("--steps", type=_positive_int, default=2000)
+    compare.add_argument("--rounds", type=_positive_int, default=400)
     compare.add_argument("--seed", type=int, default=1)
     compare.set_defaults(func=_cmd_compare)
 

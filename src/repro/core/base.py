@@ -20,11 +20,10 @@ The concrete algorithms only add their macros, guards and action lists.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
 from repro.kernel.algorithm import (
-    Action,
     ActionContext,
     DistributedAlgorithm,
     merge_read_dependency_variables,
@@ -51,15 +50,6 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
     # ------------------------------------------------------------------ #
     # DistributedAlgorithm plumbing
     # ------------------------------------------------------------------ #
-    #: Statuses in which a guard consults a request predicate: ``Step1`` reads
-    #: ``RequestIn`` (only relevant while ``idle``) and ``Step4`` reads
-    #: ``RequestOut`` (only relevant while ``done``).  Processes in these
-    #: statuses are the only ones whose enabledness can change between two
-    #: steps without any process writing, so they are what the incremental
-    #: engine refreshes when the environment cannot report its delta;
-    #: ``CC2``/``CC3`` narrow this to ``(done,)``.
-    environment_sensitive_statuses: Tuple[str, ...] = (IDLE, DONE)
-
     def process_ids(self) -> Tuple[ProcessId, ...]:
         return self._pids
 
@@ -78,48 +68,27 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
     #: variables via ``TokenBinding.read_dependency_variables``.
     neighbour_guard_variables: Tuple[str, ...] = (STATUS, POINTER, TOKEN_FLAG)
 
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
+    def read_dependency_variables(
+        self, pid: ProcessId
+    ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
         """Guards of ``pid`` read its ``G_H`` neighbourhood plus its token link.
 
         Every CC-layer predicate (``Ready``, ``Meeting``, ``FreeEdges``,
         ``TPointingEdges``, ...) scans members of committees incident to
-        ``pid`` — all of which lie in ``N(pid) ∪ {pid}`` — and the composed
-        ``Token(p)`` predicate additionally reads the token module's
-        variables of the module-declared link processes (the virtual-ring
-        predecessor for the Dijkstra substrates).  See
-        :meth:`read_dependency_variables` for the variable-granular form the
-        incremental engine actually consumes.
-        """
-        deps = {pid}
-        deps.update(self.hypergraph.neighbors(pid))
-        deps.update(self.token.read_dependencies(pid))
-        return tuple(sorted(deps))
-
-    def read_dependency_variables(
-        self, pid: ProcessId
-    ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
-        """Variable-granular dependencies: CC variables of neighbours + token link.
-
-        Of a ``G_H`` neighbour the guards read only
-        :attr:`neighbour_guard_variables`; of the token-link processes only
-        the module's prefixed variables (e.g. ``tc_c`` of the ring
-        predecessor).  A neighbour updating its token-module counter
-        therefore no longer dirties the whole ``G_H`` neighbourhood — only
-        the counter's declared readers.  ``pid`` itself is a full dependency
+        ``pid``, all of which lie in ``N(pid) ∪ {pid}``, and of a ``G_H``
+        neighbour it reads only :attr:`neighbour_guard_variables`.  The
+        composed ``Token(p)`` predicate additionally reads the token
+        module's prefixed variables of the module-declared link processes
+        (e.g. ``tc_c`` of the virtual-ring predecessor for the Dijkstra
+        substrates).  A neighbour updating its token-module counter
+        therefore does not dirty the whole ``G_H`` neighbourhood, only the
+        counter's declared readers.  ``pid`` itself is a full dependency
         (own-variable reads are ubiquitous).
         """
         return merge_read_dependency_variables(
             {pid: None},
             {q: self.neighbour_guard_variables for q in self.hypergraph.neighbors(pid)},
             self.token.read_dependency_variables(pid),
-        )
-
-    def environment_sensitive_processes(
-        self, configuration: Configuration
-    ) -> Tuple[ProcessId, ...]:
-        sensitive = self.environment_sensitive_statuses
-        return tuple(
-            pid for pid in self._pids if configuration.get(pid, STATUS) in sensitive
         )
 
     @abc.abstractmethod

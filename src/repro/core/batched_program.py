@@ -28,7 +28,7 @@ or ``-1``.  Environment-dependent guards (``Step1`` reads ``RequestIn``,
 ``Step4`` reads ``RequestOut``; nothing else consults the environment) are
 stored as environment-*independent* base matrices and intersected with the
 request matrices at fold time, so the post-step sweep can be cached and
-reused as the next step's pre-step sweep (see the dirty-matrix protocol in
+reused as the next step's pre-step sweep (see the cached sweep in
 :mod:`repro.kernel.batched`).
 
 Coverage
@@ -50,7 +50,7 @@ the solo engines.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.core.cc1 import CC1Algorithm
 from repro.core.cc2 import CC2Algorithm
@@ -310,7 +310,7 @@ class BatchedProgram:
             variables.append(CURSOR)
         variables.append(self._counter_var)
         self.variables: Tuple[str, ...] = tuple(variables)
-        self._var_index = {name: i for i, name in enumerate(self.variables)}
+        self._known_variables = frozenset(self.variables)
         self._dtypes: Dict[str, Any] = {
             STATUS: np.int8,
             POINTER: np.int32,
@@ -383,9 +383,9 @@ class BatchedProgram:
             TOKEN_FLAG: lambda a, l, c: bool(a[TOKEN_FLAG][l, c]),
             counter: lambda a, l, c: int(a[counter][l, c]),
         }
-        if LOCK_FLAG in self._var_index:
+        if LOCK_FLAG in self._known_variables:
             decoders[LOCK_FLAG] = lambda a, l, c: bool(a[LOCK_FLAG][l, c])
-        if CURSOR in self._var_index:
+        if CURSOR in self._known_variables:
             decoders[CURSOR] = lambda a, l, c: int(a[CURSOR][l, c])
         return decoders
 
@@ -424,7 +424,7 @@ class BatchedProgram:
         }
         kind, limit, active, quiet = self._env_spec
         env = _VectorEnvironment(kind, runs, self.pids, limit, active, quiet)
-        state = BatchedConfiguration(runs, arrays, self._var_index, env)
+        state = BatchedConfiguration(runs, arrays, env)
         for lane, configuration in enumerate(configurations):
             self.encode_lane(state, lane, configuration)
         return state
@@ -433,20 +433,19 @@ class BatchedProgram:
         self, state: BatchedConfiguration, lane: int, configuration: Configuration
     ) -> None:
         """(Re-)encode one lane's row from a full configuration."""
-        known = self._var_index
+        known = self._known_variables
         arrays = state.arrays
         for pid in self.pids:
             col = self._col[pid]
             variables = configuration.state_of(pid)
-            extra = set(variables) - set(known)
+            extra = set(variables) - known
             if extra:
                 raise _unsupported(f"unknown variables {sorted(extra)} of {pid}")
-            missing = set(known) - set(variables)
+            missing = known - set(variables)
             if missing:
                 raise _unsupported(f"missing variables {sorted(missing)} of {pid}")
             for variable, value in variables.items():
                 arrays[variable][lane, col] = self._encode_value(pid, variable, value)
-        state.mark_lane_dirty(lane)
 
     def encode_writes(
         self,
@@ -454,18 +453,15 @@ class BatchedProgram:
         lane: int,
         writes: Dict[ProcessId, Dict[str, Any]],
     ) -> None:
-        """Apply one lane's buffered step writes, flagging the dirty matrix."""
+        """Apply one lane's buffered step writes."""
         arrays = state.arrays
-        dirty = state.dirty
-        var_index = self._var_index
+        known = self._known_variables
         for pid, written in writes.items():
             col = self._col[pid]
             for variable, value in written.items():
-                slot = var_index.get(variable)
-                if slot is None:
+                if variable not in known:
                     raise _unsupported(f"write to unknown variable {variable!r}")
                 arrays[variable][lane, col] = self._encode_value(pid, variable, value)
-                dirty[lane, slot] = True
 
     def decode_lane(self, state: BatchedConfiguration, lane: int) -> Configuration:
         """One lane's row as a full canonical :class:`Configuration`."""

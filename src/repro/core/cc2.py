@@ -38,12 +38,6 @@ class CC2Algorithm(CommitteeAlgorithmBase):
 
     statuses: Tuple[str, ...] = (LOOKING, WAITING, DONE)
 
-    #: ``CC2`` has no ``idle`` status and never reads ``RequestIn``; only
-    #: ``Step4`` (guarded on ``done``) consults the environment, so only
-    #: ``done`` processes need re-evaluation between steps in the
-    #: incremental engine.
-    environment_sensitive_statuses: Tuple[str, ...] = (DONE,)
-
     #: ``CC2`` guards additionally read the lock flag ``L`` of neighbours
     #: (``FreeEdges`` excludes locked processes), refining the per-variable
     #: dirty protocol accordingly.  ``CC3`` inherits this: its round-robin

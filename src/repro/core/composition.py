@@ -97,19 +97,15 @@ class TokenBinding:
     # ------------------------------------------------------------------ #
     # dirty-set protocol (incremental scheduler engine)
     # ------------------------------------------------------------------ #
-    def read_dependencies(self, pid: ProcessId) -> Sequence[ProcessId]:
-        """Processes whose (prefixed) variables ``Token(pid)`` may read."""
-        return self.module.read_dependencies(pid)
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Dict[ProcessId, "Sequence[str] | None"]:
-        """Variable-granular form of :meth:`read_dependencies`, prefixed.
+        """The (prefixed) variables ``Token(pid)`` may read, per process.
 
         The module declares its dependencies in its own (un-prefixed)
         variable names; the binding maps them into the composed state's
-        namespace (``c`` becomes ``tc_c``) so the scheduler's inverse maps
-        match the names that actually appear in step deltas.
+        namespace (``c`` becomes ``tc_c``) so the scheduler's reader map
+        matches the names that actually appear in step deltas.
         """
         return {
             source: (

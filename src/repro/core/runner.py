@@ -17,14 +17,14 @@ benchmarks use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.base import CommitteeAlgorithmBase
 from repro.core.cc1 import CC1Algorithm
 from repro.core.cc2 import CC2Algorithm
 from repro.core.cc3 import CC3Algorithm
 from repro.core.composition import TokenBinding
-from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
+from repro.hypergraph.hypergraph import Hyperedge, Hypergraph
 from repro.kernel.algorithm import Environment
 from repro.kernel.configuration import Configuration
 from repro.kernel.daemon import DAEMON_NAMES, Daemon, daemon_from_name
@@ -32,7 +32,7 @@ from repro.kernel.faults import arbitrary_configuration
 from repro.kernel.scheduler import ENGINES, Scheduler, SchedulerResult
 from repro.kernel.trace import Trace
 from repro.metrics.collector import StreamingMetricsCollector, TraceMetrics, collect_metrics
-from repro.spec.events import MeetingEvent, convened_meetings, meeting_events
+from repro.spec.events import MeetingEvent, meeting_events
 from repro.spec.fairness import FairnessSummary, professor_fairness_counts
 from repro.spec.streaming import SpecVerdicts, StreamingSpecSuite
 from repro.tokenring.dijkstra_ring import DijkstraRingToken
@@ -99,10 +99,10 @@ class CommitteeCoordinator:
     seed:
         Seed for the daemon / arbitrary-configuration RNG.
     engine:
-        Execution engine: ``"incremental"`` (the default via ``None``/
-        ``"auto"`` — copy-on-write configurations plus enabled-set reuse via
-        the per-variable dirty-set protocol; identical traces for a fixed
-        seed, measurably faster at scale) or ``"dense"`` (the reference
+        Execution engine: ``"incremental"`` (the default via ``None`` —
+        copy-on-write configurations plus enabled-set reuse via the
+        per-variable dirty-set protocol; identical traces for a fixed seed,
+        measurably faster at scale) or ``"dense"`` (the reference
         double-sweep scheduler).  See :mod:`repro.kernel.scheduler`.
     """
 
@@ -117,10 +117,10 @@ class CommitteeCoordinator:
     ) -> None:
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-        if engine is not None and engine != "auto" and engine not in ENGINES:
+        if engine is not None and engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES} "
-                "(or None/'auto' to pick automatically)"
+                "(or None for incremental)"
             )
         self.hypergraph = hypergraph
         self.algorithm_name = algorithm

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import abc
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.kernel.configuration import Configuration, ProcessId
@@ -76,8 +76,8 @@ class Environment:
         from its answer just before this call (extra processes are allowed,
         missing ones are not), or ``None`` when the environment cannot tell.
         The incremental engine re-evaluates exactly these processes between
-        steps; on ``None`` it falls back to
-        :meth:`DistributedAlgorithm.environment_sensitive_processes`.
+        steps; on ``None`` it drops its cached enabled map, so the next step
+        sweeps every guard.
         """
         return None
 
@@ -331,73 +331,32 @@ class DistributedAlgorithm(abc.ABC):
                 enabled[pid] = action
         return enabled
 
-    def variable_names(self) -> Tuple[str, ...]:
-        """Names of the variables of the first process (assumed uniform)."""
-        first = self.process_ids()[0]
-        return tuple(sorted(self.initial_state(first)))
-
     # ------------------------------------------------------------------ #
     # dirty-set protocol (incremental scheduler engine)
     # ------------------------------------------------------------------ #
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        """Processes whose *variables* the guards of ``pid`` may read.
-
-        This is the process-granular half of the dirty-set protocol: the
-        incremental scheduler engine re-evaluates the guards of ``pid`` after
-        a step only if some process in this set wrote a variable.  The
-        default is maximally conservative (every process), which makes the
-        incremental engine correct for any algorithm at the cost of
-        re-evaluating everything; algorithms with local guards (the committee
-        coordination layer reads its ``G_H`` neighbourhood plus its token
-        link, the ring modules read their ring predecessor) override this to
-        unlock the speed-up.  ``pid`` itself is always treated as a
-        dependency by the scheduler, whether or not it appears here.
-
-        For *variable*-granular invalidation — re-evaluate ``pid`` only when
-        specific variables of a source process change — override
-        :meth:`read_dependency_variables` instead; its default delegates to
-        this method.
-        """
-        return self.process_ids()
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Mapping[ProcessId, Optional[Tuple[str, ...]]]:
-        """Variable-granular read dependencies of the guards of ``pid``.
+        """The variables the guards of ``pid`` read, per source process.
 
-        Returns a mapping ``source process -> variable names read`` where
-        ``None`` means "any variable of that source" (process-granular).  The
-        incremental scheduler engine inverts this map at construction: after
-        a step it re-evaluates ``pid`` iff some step writer wrote a variable
-        ``pid`` declares here (matching against the step's
-        :class:`~repro.kernel.trace.StepDelta`).  This is strictly finer than
-        :meth:`read_dependencies` — e.g. the committee coordination layer
-        reads only ``S``/``P``/``T``(/``L``) of its hypergraph neighbours,
-        so a neighbour updating its token-module counter no longer dirties
-        the whole neighbourhood, only the counter's ring successor.
+        Returns a mapping ``source process -> variable names read``, where
+        ``None`` means "any variable of that source".  This declaration is
+        what the incremental scheduler engine's dirty set is built from: at
+        construction it inverts every process's map into one
+        ``(writer, variable) -> readers`` map, and after a step it
+        re-evaluates exactly the readers of the pairs the step wrote.  A
+        ``None`` entry expands to the source's variables in the run's
+        initial configuration, and ``pid`` always reads all of its own
+        variables, whatever this returns.
 
-        The default delegates to :meth:`read_dependencies` with ``None``
-        variables (process granularity), so algorithms that only declare the
-        coarse form keep working unchanged.  ``pid`` itself is always treated
-        as a full dependency by the scheduler regardless of what this
-        returns.
+        The default is maximally conservative (every variable of every
+        process), which makes the incremental engine correct for any
+        algorithm at the cost of re-evaluating everything after every step.
+        Algorithms with local guards override it to unlock the speed-up: the
+        committee coordination layer reads only ``S``/``P``/``T`` (and
+        ``L``) of its ``G_H`` neighbours plus the token module's counter of
+        its ring link, so a neighbour updating its token-module counter
+        dirties only the counter's ring successor, not the whole
+        neighbourhood.
         """
-        return {source: None for source in self.read_dependencies(pid)}
-
-    def environment_sensitive_processes(
-        self, configuration: Configuration
-    ) -> Tuple[ProcessId, ...]:
-        """Processes whose enabledness may change with the *environment* alone.
-
-        Between two steps the configuration is frozen but the environment
-        advances (``observe`` runs after every step), so guards that read
-        ``RequestIn`` / ``RequestOut`` can flip without any process writing.
-        The incremental engine normally re-evaluates just the processes the
-        environment's ``observe`` reports as flipped; this is its fallback
-        when ``observe`` returns ``None`` (it cannot tell).  The default is
-        conservative (every process -- the refresh then degenerates to a full
-        sweep); algorithms whose guards never consult the environment return
-        ``()``, and the committee coordination layer returns the processes
-        whose status makes a request predicate relevant (``idle``/``done``).
-        """
-        return self.process_ids()
+        return {q: None for q in self.process_ids()}

@@ -43,19 +43,17 @@ continue.  Permuting lanes or splitting a batch therefore never changes any
 lane's results — the lane-independence property the property-based tests
 assert.
 
-The dirty-matrix protocol
--------------------------
+The cached sweep
+----------------
 
-The per-variable dirty protocol of the incremental engine becomes a boolean
-*dirty matrix* of shape ``(runs, n_vars)`` on
-:class:`BatchedConfiguration`.  The guard sweep computed after step ``k``'s
-writes is cached and reused as step ``k+1``'s pre-step sweep — valid because
-between the two only the environment advances, and the environment-dependent
-guard factors (``RequestIn``/``RequestOut``) are folded in fresh each time.
-Anything that mutates the arrays *outside* the step loop (mid-run fault
-injection re-encoding a corrupted lane) marks dirty bits, which force a full
+The guard sweep computed after step ``k``'s writes is cached and reused as
+step ``k+1``'s pre-step sweep — valid because between the two only the
+environment advances, and the environment-dependent guard factors
+(``RequestIn``/``RequestOut``) are folded in fresh each time.  The one thing
+that mutates the arrays *outside* the step loop, mid-run fault injection
+re-encoding a corrupted lane, drops the cached sweep, which forces a full
 re-sweep before the next step, mirroring
-:meth:`~repro.kernel.scheduler.Scheduler.set_configuration` invalidating the
+:meth:`~repro.kernel.scheduler.Scheduler.set_configuration` dropping the
 incremental engine's cache.  Net effect: one full vectorized sweep per step
 instead of the dense engine's two.
 
@@ -68,7 +66,7 @@ actually needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.kernel.configuration import Configuration, ProcessId
 from repro.kernel.daemon import Daemon
@@ -115,43 +113,20 @@ def require_numpy() -> Any:
 
 
 class BatchedConfiguration:
-    """Array-of-lanes state: variable arrays plus the dirty matrix.
+    """Array-of-lanes state: the variable arrays plus the environment.
 
     ``arrays`` maps each compiled variable slot (e.g. ``"S"``, ``"P"``,
-    ``"C"``) to an array of shape ``(runs, n)``; ``dirty`` is the boolean
-    dirty matrix of shape ``(runs, n_vars)`` described in the module
-    docstring; ``env`` is the scenario's vectorized environment state (owned
-    by the compiled program).  Instances are produced by
-    ``BatchedProgram.encode`` — the kernel only reads/flags them.
+    ``"C"``) to an array of shape ``(runs, n)``; ``env`` is the scenario's
+    vectorized environment state (owned by the compiled program).  Instances
+    are produced by ``BatchedProgram.encode`` — the kernel only reads them.
     """
 
-    __slots__ = ("runs", "arrays", "dirty", "var_index", "env")
+    __slots__ = ("runs", "arrays", "env")
 
-    def __init__(
-        self,
-        runs: int,
-        arrays: Dict[str, Any],
-        var_index: Mapping[str, int],
-        env: Any,
-    ) -> None:
-        np = require_numpy()
+    def __init__(self, runs: int, arrays: Dict[str, Any], env: Any) -> None:
         self.runs = runs
         self.arrays = arrays
-        self.var_index = dict(var_index)
-        self.dirty = np.ones((runs, len(self.var_index)), dtype=bool)
         self.env = env
-
-    def mark_dirty(self, lane: int, variable: str) -> None:
-        self.dirty[lane, self.var_index[variable]] = True
-
-    def mark_lane_dirty(self, lane: int) -> None:
-        self.dirty[lane, :] = True
-
-    def any_dirty(self) -> bool:
-        return bool(self.dirty.any())
-
-    def clear_dirty(self) -> None:
-        self.dirty[:, :] = False
 
 
 @dataclass
@@ -176,8 +151,8 @@ class _LaneSchedulerProxy:
 
     Exposes exactly the two members the injector touches: ``configuration``
     and ``set_configuration``.  The setter routes the corrupted configuration
-    back into the batch (re-encode the lane row, bump the lane epoch, mark
-    the dirty matrix), mirroring what
+    back into the batch (re-encode the lane row, bump the lane epoch, drop
+    the cached sweep), mirroring what
     :meth:`~repro.kernel.scheduler.Scheduler.set_configuration` does to the
     solo engines.
     """
@@ -301,11 +276,11 @@ class BatchedScheduler:
 
         Mirrors ``Scheduler.set_configuration``: the lane row is re-encoded,
         the lane's epoch is bumped (so the next step's delta tells observers
-        the world was swapped), and the dirty matrix invalidates the cached
-        guard sweep.
+        the world was swapped), and the cached guard sweep is dropped.
         """
         self.program.encode_lane(self.state, lane, configuration)
         self._epochs[lane] += 1
+        self._bundle = None
         if self.record:
             self._configurations[lane] = configuration
 
@@ -339,10 +314,9 @@ class BatchedScheduler:
                     injector = self._injectors[lane]
                     if injector is not None:
                         injector.corrupt_scheduler(_LaneSchedulerProxy(self, lane))
-            # -- pre-step enabled sweep (cached unless dirty) ------------- #
-            if self._bundle is None or state.any_dirty():
+            # -- pre-step enabled sweep (cached unless dropped) ----------- #
+            if self._bundle is None:
                 self._bundle = program.sweep(state)
-                state.clear_dirty()
             priority = program.fold(self._bundle, state)
             # -- phase 1: per-lane selection + execution ------------------ #
             still_active: List[int] = []
@@ -391,7 +365,6 @@ class BatchedScheduler:
             # this fold sees the same request predicates the pre-step sweep
             # did — exactly the solo scheduler's neutralization semantics.
             self._bundle = program.sweep(state)
-            state.clear_dirty()
             after = program.fold(self._bundle, state)
             # -- phase 3: per-lane commit (records, rounds, traces) ------- #
             committed: List[Tuple[int, StepRecord, Optional[Configuration]]] = []

@@ -21,19 +21,18 @@ Two execution engines are available (``engine=`` parameter):
     and after every step.
 ``"incremental"``
     The post-step enabled map of step ``k`` is cached and reused as the
-    pre-step map of step ``k+1``; after a step only the processes whose
-    declared read dependencies intersect the step's writer set are
-    re-evaluated — at **variable** granularity via
-    :meth:`~repro.kernel.algorithm.DistributedAlgorithm.read_dependency_variables`
-    (with
-    :meth:`~repro.kernel.algorithm.DistributedAlgorithm.read_dependencies`
-    as the process-granular fallback) — and between steps only the
-    processes whose request answers flipped are refreshed: the *environment
-    delta* that :meth:`~repro.kernel.algorithm.Environment.observe` returns,
-    collected over every ``observe`` since the last refresh (idle ticks
-    included).  An environment that cannot tell returns ``None``, and the
-    refresh falls back to
-    :meth:`~repro.kernel.algorithm.DistributedAlgorithm.environment_sensitive_processes`.
+    pre-step map of step ``k+1``.  Re-evaluation has exactly two inputs:
+
+    * after a step, the readers of the ``(writer, variable)`` pairs the step
+      wrote, from the reader map inverted at construction from
+      :meth:`~repro.kernel.algorithm.DistributedAlgorithm.read_dependency_variables`;
+    * between steps, the processes whose request answers flipped: the
+      *environment delta* that
+      :meth:`~repro.kernel.algorithm.Environment.observe` returns, collected
+      over every ``observe`` since the last refresh (idle ticks included).
+      An environment that cannot tell returns ``None``, which drops the
+      cached map, so the next step sweeps every guard.
+
     Produces traces identical to the dense engine for any fixed seed.
 
 Both engines evaluate guards through per-run *action tables*: at
@@ -47,8 +46,7 @@ request predicates are pure reads, so which and how many guards run cannot
 change the run.  The tables belong to the scheduler, not to the algorithm,
 so a finished run is freed by reference counting alone.
 
-The **default** is ``engine=None`` (equivalently ``"auto"``), which means
-``incremental``.
+The **default** is ``engine=None``, which means ``incremental``.
 
 The delta protocol
 ------------------
@@ -77,8 +75,8 @@ from repro.kernel.configuration import Configuration, ProcessId
 from repro.kernel.daemon import Daemon, default_daemon
 from repro.kernel.trace import StepDelta, StepRecord, Trace
 
-#: Concrete execution engines (the ``engine`` parameter also accepts ``None``
-#: or ``"auto"``, which mean ``incremental``).
+#: Concrete execution engines (the ``engine`` parameter also accepts ``None``,
+#: which means ``incremental``).
 ENGINES = ("dense", "incremental")
 
 #: Signature of a scheduler observer (see ``Scheduler`` ``step_listener``).
@@ -145,8 +143,8 @@ class Scheduler:
         :class:`~repro.metrics.collector.StreamingMetricsCollector`) to
         compute trace metrics online instead.
     engine:
-        ``"dense"``, ``"incremental"``, or ``None``/``"auto"`` (the default,
-        meaning ``incremental``).  See the module docstring.
+        ``"dense"``, ``"incremental"``, or ``None`` (the default, meaning
+        ``incremental``).  See the module docstring.
     step_listener:
         Optional observer — a callable or a sequence of callables — invoked
         as ``listener(configuration, record)``: once at construction with the
@@ -173,12 +171,12 @@ class Scheduler:
     ) -> None:
         self.algorithm = algorithm
         self.environment = environment if environment is not None else Environment()
-        if engine is None or engine == "auto":
+        if engine is None:
             engine = "incremental"
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES} "
-                "(or None/'auto' for incremental)"
+                "(or None for incremental)"
             )
         self.daemon = daemon if daemon is not None else default_daemon()
         self.daemon.reset()
@@ -211,34 +209,13 @@ class Scheduler:
         # run (see ``DistributedAlgorithm.action_table``).
         self._tables = {pid: algorithm.action_table(pid) for pid in algorithm.process_ids()}
         # Incremental engine state: the cached enabled map (valid for the
-        # current configuration, modulo environment drift handled in
-        # ``_current_enabled``); the environment delta collected since the
-        # map was last refreshed (``None`` once an ``observe`` could not
-        # tell); and the inverse dependency maps
-        #   writer              -> processes reading *any* of its variables,
-        #   (writer, variable)  -> processes reading exactly that variable,
-        # built from ``read_dependency_variables`` (whose default delegates
-        # to the process-granular ``read_dependencies``).
+        # current configuration, modulo the environment flips collected
+        # since it was last refreshed) and the reader map.
         self._enabled_cache: Optional[Dict[ProcessId, Any]] = None
-        self._env_flips: Optional[Set[ProcessId]] = set()
-        self._proc_dependents: Optional[Dict[ProcessId, FrozenSet[ProcessId]]] = None
-        self._var_dependents: Optional[
-            Dict[Tuple[ProcessId, str], FrozenSet[ProcessId]]
-        ] = None
-        if engine == "incremental":
-            proc: Dict[ProcessId, Set[ProcessId]] = {
-                pid: {pid} for pid in algorithm.process_ids()
-            }
-            var: Dict[Tuple[ProcessId, str], Set[ProcessId]] = {}
-            for pid in algorithm.process_ids():
-                for source, variables in algorithm.read_dependency_variables(pid).items():
-                    if variables is None:
-                        proc.setdefault(source, set()).add(pid)
-                    else:
-                        for name in variables:
-                            var.setdefault((source, name), set()).add(pid)
-            self._proc_dependents = {q: frozenset(ps) for q, ps in proc.items()}
-            self._var_dependents = {key: frozenset(ps) for key, ps in var.items()}
+        self._env_flips: Set[ProcessId] = set()
+        self._readers: Dict[Tuple[ProcessId, str], FrozenSet[ProcessId]] = (
+            self._reader_map() if engine == "incremental" else {}
+        )
         # Let stateful environments see the initial configuration (its delta
         # is moot: the first step sweeps every guard).
         self.environment.observe(self.configuration, -1)
@@ -255,28 +232,31 @@ class Scheduler:
         self._step_listeners.append(listener)
         listener(self.configuration, None)
 
+    def _reader_map(self) -> Dict[Tuple[ProcessId, str], FrozenSet[ProcessId]]:
+        """``(writer, variable) -> readers``, inverted from the declarations.
+
+        Every process reads all of its own variables, and a ``None`` entry
+        of :meth:`~repro.kernel.algorithm.DistributedAlgorithm.read_dependency_variables`
+        ("any variable of that source") expands to the source's variables
+        in the initial configuration.  A statement that writes outside that
+        layout (repro-lint RL201) finds no entry, and its step raises
+        ``KeyError``.
+        """
+        algorithm, configuration = self.algorithm, self.configuration
+        readers: Dict[Tuple[ProcessId, str], Set[ProcessId]] = {}
+        for pid in algorithm.process_ids():
+            declared = dict(algorithm.read_dependency_variables(pid))
+            declared[pid] = None
+            for source, variables in declared.items():
+                if variables is None:
+                    variables = tuple(configuration.state_of(source))
+                for name in variables:
+                    readers.setdefault((source, name), set()).add(pid)
+        return {pair: frozenset(ps) for pair, ps in readers.items()}
+
     # ------------------------------------------------------------------ #
     # single step
     # ------------------------------------------------------------------ #
-    def enabled(self) -> Dict[ProcessId, Any]:
-        """``Enabled(γ)`` with each process's priority action."""
-        return dict(self._current_enabled())
-
-    def invalidate_enabled_cache(self) -> None:
-        """Drop the incremental engine's cached enabled map.
-
-        This only protects the engine's *own* cache.  Never use it as the
-        hook for an external configuration swap — route those through
-        :meth:`set_configuration`, which also bumps the configuration
-        :attr:`epoch` so delta-driven observers (streaming spec monitors,
-        metrics) resynchronize; replacing ``self.configuration`` directly
-        and calling only this method would leave them applying deltas
-        against a world they never saw.  Calling it on its own is only
-        appropriate after mutating the *environment* in a way that changes
-        guard outcomes between steps.
-        """
-        self._enabled_cache = None
-
     def set_configuration(self, configuration: Configuration) -> None:
         """Replace the current configuration from outside the step loop.
 
@@ -294,7 +274,7 @@ class Scheduler:
         """
         self.configuration = configuration
         self.epoch += 1
-        self.invalidate_enabled_cache()
+        self._enabled_cache = None
 
     def _sweep(self, configuration: Configuration) -> Dict[ProcessId, Any]:
         """A full guard sweep; it also makes every collected flip moot."""
@@ -302,13 +282,16 @@ class Scheduler:
         return self.algorithm.enabled_processes(configuration, self.environment, self._tables)
 
     def _observe(self, configuration: Configuration, step_index: int) -> None:
-        """Let the environment observe ``configuration``; collect its delta."""
+        """Let the environment observe ``configuration``; collect its delta.
+
+        An environment that cannot tell (``None``) drops the cached enabled
+        map, so the next step sweeps every guard.
+        """
         flips = self.environment.observe(configuration, step_index)
-        pending = self._env_flips
         if flips is None:
-            self._env_flips = None
-        elif pending is not None:
-            pending.update(flips)
+            self._enabled_cache = None
+        else:
+            self._env_flips.update(flips)
 
     def _current_enabled(self) -> Dict[ProcessId, Any]:
         """The enabled map for the current configuration (cached if incremental)."""
@@ -320,11 +303,8 @@ class Scheduler:
             return cache
         # The cache was computed before the environment observed the current
         # configuration; refresh the processes whose request answers flipped
-        # since (all environment-sensitive ones if the environment could not
-        # tell).
-        refresh: Any = self._env_flips
-        if refresh is None:
-            refresh = self.algorithm.environment_sensitive_processes(self.configuration)
+        # since.
+        refresh = self._env_flips
         if refresh:
             configuration, environment, tables = self.configuration, self.environment, self._tables
             enabled_action = self.algorithm.enabled_action
@@ -334,7 +314,7 @@ class Scheduler:
                     cache.pop(pid, None)
                 else:
                     cache[pid] = action
-        self._env_flips = set()
+            self._env_flips = set()
         return cache
 
     def _enabled_after_step(
@@ -346,27 +326,19 @@ class Scheduler:
         """The enabled map of ``new_configuration`` (γ').
 
         Dense engine: a full sweep.  Incremental engine: start from the
-        pre-step map and re-evaluate only the processes whose declared read
-        dependencies intersect the step's writes — matched per *variable*
-        where the algorithm declares variable-granular dependencies
-        (``read_dependency_variables``), per process otherwise.  For everyone
+        pre-step map and re-evaluate the dirty set, the union of the readers
+        of every ``(writer, variable)`` pair the step wrote.  For everyone
         else neither the variables their guards read nor the environment
         changed, so their enabledness is unchanged by construction.
         """
-        if self.engine == "dense" or self._proc_dependents is None:
+        if self.engine == "dense":
             return self._sweep(new_configuration)
         after = dict(enabled_map)
         dirty: Set[ProcessId] = set()
-        proc_dependents = self._proc_dependents
-        var_dependents = self._var_dependents or {}
+        readers = self._readers
         for writer, written in writers.items():
-            if not written:  # executed but wrote nothing: γ' is unchanged for its dependents
-                continue
-            dirty.update(proc_dependents.get(writer, (writer,)))
             for name in written:
-                readers = var_dependents.get((writer, name))
-                if readers:
-                    dirty.update(readers)
+                dirty.update(readers[writer, name])
         environment, tables = self.environment, self._tables
         enabled_action = self.algorithm.enabled_action
         for pid in dirty:
@@ -535,7 +507,3 @@ class Scheduler:
             terminated=terminated,
             stop_reason=stop_reason,
         )
-
-    def run_rounds(self, rounds: int, max_steps: int = 100_000) -> SchedulerResult:
-        """Run for (up to) a fixed number of rounds."""
-        return self.run(max_steps=max_steps, max_rounds=rounds)

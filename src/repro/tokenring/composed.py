@@ -111,12 +111,6 @@ class ComposedTokenCirculation(DistributedAlgorithm):
         return tuple([token_action] + election_actions)
 
     # -- dirty-set protocol (incremental scheduler engine) ---------------- #
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        """``T`` reads the ring predecessor's counter; ``Elect`` reads ``G_H`` neighbours."""
-        deps = {pid, self._pred[pid]}
-        deps.update(self.hypergraph.neighbors(pid))
-        return tuple(sorted(deps))
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
@@ -129,9 +123,6 @@ class ComposedTokenCirculation(DistributedAlgorithm):
             {pid: None, self._pred[pid]: (COUNTER,)},
             {q: (LEADER, DISTANCE) for q in self.hypergraph.neighbors(pid)},
         )
-
-    def environment_sensitive_processes(self, configuration) -> Tuple[ProcessId, ...]:
-        return ()  # neither guard consults the environment
 
     # ------------------------------------------------------------------ #
     # diagnostics

@@ -36,7 +36,6 @@ that follows the communication graph.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.kernel.algorithm import Action, ActionContext, DistributedAlgorithm
@@ -140,10 +139,6 @@ class DijkstraRingToken(TokenModule):
             pred_value = read(self._pred[pid], COUNTER)
             ctx.write(COUNTER, 0 if pred_value is None else pred_value)
 
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        """``Token(p)`` reads only ``p``'s counter and its ring predecessor's."""
-        return (pid, self._pred[pid])
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
@@ -189,16 +184,10 @@ class DijkstraRingAlgorithm(DistributedAlgorithm):
         return (Action(label="T", guard=guard, statement=statement),)
 
     # -- dirty-set protocol (incremental scheduler engine) ---------------- #
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        return self.module.read_dependencies(pid)
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
         return self.module.read_dependency_variables(pid)
-
-    def environment_sensitive_processes(self, configuration) -> Tuple[ProcessId, ...]:
-        return ()  # the ``T`` guard never consults the environment
 
     # Convenience used by tests.
     def token_holders_in(self, configuration) -> Tuple[ProcessId, ...]:

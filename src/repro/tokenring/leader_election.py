@@ -104,21 +104,14 @@ class SelfStabilizingLeaderElection(DistributedAlgorithm):
         return (Action(label="Elect", guard=guard, statement=statement),)
 
     # -- dirty-set protocol (incremental scheduler engine) ---------------- #
-    def read_dependencies(self, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        """The ``Elect`` guard reads the claims of ``pid`` and its ``G_H`` neighbours."""
-        return (pid,) + tuple(self._neighbors[pid])
-
     def read_dependency_variables(
         self, pid: ProcessId
     ) -> Dict[ProcessId, Optional[Tuple[str, ...]]]:
-        """Per variable: only the claims ``(lid, d)`` of the neighbours matter."""
+        """The ``Elect`` guard reads the claims ``(lid, d)`` of the ``G_H`` neighbours."""
         spec: Dict[ProcessId, Optional[Tuple[str, ...]]] = {pid: None}
         for q in self._neighbors[pid]:
             spec[q] = (LEADER, DISTANCE)
         return spec
-
-    def environment_sensitive_processes(self, configuration) -> Tuple[ProcessId, ...]:
-        return ()  # election guards never consult the environment
 
     # ------------------------------------------------------------------ #
     # queries used by tests, the composition, and the benchmarks

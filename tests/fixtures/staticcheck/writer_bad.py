@@ -45,21 +45,6 @@ class UndeclaredReader(DistributedAlgorithm):
         return fine and own is None and not bad
 
 
-class EnvironmentBlind(DistributedAlgorithm):  # expect: RL203
-    """Consults the environment but declares it can never matter."""
-
-    neighbour_guard_variables = (STATUS,)
-
-    def initial_state(self, pid):
-        return {STATUS: "idle"}
-
-    def environment_sensitive_processes(self, configuration):
-        return ()
-
-    def guard(self, ctx):
-        return ctx.request_in() and ctx.own(STATUS) == "idle"
-
-
 class DynamicWriter(DistributedAlgorithm):
     """Write target that static analysis cannot resolve."""
 

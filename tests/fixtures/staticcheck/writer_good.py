@@ -16,9 +16,6 @@ class Conformant(DistributedAlgorithm):
     def initial_state(self, pid):
         return {STATUS: "idle", POINTER: None, TOKEN_FLAG: False}
 
-    def environment_sensitive_processes(self, configuration):
-        return tuple(pid for pid in configuration if configuration.get(pid, STATUS) == "idle")
-
     def guard(self, ctx, pid, neighbours):
         if not ctx.request_in():
             return False

@@ -158,6 +158,13 @@ class TestMatrixExpansion:
             CampaignSpec(scenarios=("figure1",), engines=("warp",))
         with pytest.raises(ValueError, match="unknown daemon"):
             CampaignSpec(scenarios=("figure1",), daemons=("chaotic",))
+        # Every discussion length <= 1 runs exactly like 1, and "auto" was a
+        # second name for incremental: each would be a new row identity and
+        # cache key for the same run.
+        with pytest.raises(ValueError, match="discussion_steps must be >= 1"):
+            CampaignSpec(scenarios=("figure1",), discussion_steps=0)
+        with pytest.raises(ValueError, match="unknown engine"):
+            CampaignSpec(scenarios=("figure1",), engines=("auto",))
 
     def test_jobs_pickle_roundtrip(self):
         for job in expand_jobs(_small_spec()):

@@ -123,6 +123,27 @@ class TestCampaignEndToEnd:
         assert code == 2
         assert "campaign:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["campaign", "--engine", "auto"],
+            ["campaign", "--discussion", "0"],
+            ["collect", "--listen", "tcp:127.0.0.1:0", "--out", "rows.jsonl", "--timeout", "1",
+             "--discussion", "0"],
+            ["run", "--steps", "0"],
+            ["run", "--discussion", "0"],
+            ["check", "--discussion", "-3"],
+            ["compare", "--steps", "0"],
+            ["compare", "--rounds", "0"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_aliases_and_empty_budgets_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--scenario", "figure1"])
+        assert excinfo.value.code == 2
+        assert "argument --" in capsys.readouterr().err
+
     def test_bad_environment_exits_two(self, capsys):
         code = main(["campaign", "--scenario", "figure1",
                      "--environment", "warp", "--steps", "10"])

@@ -169,7 +169,12 @@ class TestGuardPurity:
 
     def test_default_engine_is_incremental(self):
         assert Scheduler(_CountUp(2, 2)).engine == "incremental"
-        assert Scheduler(_CountUp(2, 2), engine="auto").engine == "incremental"
+        # ``None`` is the one spelling of the default: a second one would
+        # split run identities (and cache keys) for the same computation.
+        with pytest.raises(ValueError, match="unknown engine 'auto'"):
+            Scheduler(_CountUp(2, 2), engine="auto")
+        with pytest.raises(ValueError, match="unknown engine 'auto'"):
+            CommitteeCoordinator(figure1_hypergraph(), engine="auto")
 
 
 #: The ``shared`` predicates of each algorithm; every binding adds ``token``.

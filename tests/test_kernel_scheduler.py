@@ -136,7 +136,7 @@ class TestRounds:
 
     def test_run_rounds_bound(self):
         scheduler = Scheduler(CountUpAlgorithm(3, 1000), daemon=SynchronousDaemon())
-        result = scheduler.run_rounds(5)
+        result = scheduler.run(max_rounds=5)
         assert result.stop_reason == "max_rounds"
         assert result.trace.rounds >= 5
 

@@ -136,3 +136,17 @@ def test_checks_catch_drift():
         "src/repro/example.py:3: unknown cross-reference "
         ":func:`repro.campaign.driver.run_everything`"
     ]
+    # Bare `Class.member` references in docs resolve against the public
+    # classes defined under repro: a removed method (even when called with
+    # arguments) fails, dataclass fields count, and names that are no repro
+    # class are left alone.
+    errors = check_repo._member_ref_errors(
+        "docs/EXAMPLE.md",
+        "Use `Scheduler.set_configuration` and `JobResult.elapsed_seconds`.\n"
+        "Call `Scheduler.run(max_rounds=5)`, not `Scheduler.rewind(5)`;\n"
+        "`config.get` and `Local.name` are not repro classes.\n",
+        check_repo._public_classes(),
+    )
+    assert errors == [
+        "docs/EXAMPLE.md:2: unknown member reference `Scheduler.rewind`"
+    ]

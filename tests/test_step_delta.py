@@ -7,9 +7,10 @@ Covers
 * the configuration epoch starting at 0, surviving normal steps, and being
   bumped by ``Scheduler.set_configuration`` /
   ``FaultInjector.corrupt_scheduler``;
-* the per-variable dirty maps the incremental engine builds from
-  ``read_dependency_variables`` (token-counter writes dirty the ring
-  successor, not the whole ``G_H`` neighbourhood);
+* the ``(writer, variable) -> readers`` map the incremental engine builds
+  from ``read_dependency_variables`` (token-counter writes dirty the ring
+  successor, not the whole ``G_H`` neighbourhood), and that every guard
+  outcome a one-variable change can flip belongs to a declared reader;
 * the streaming monitors riding the delta fast path on normal steps and
   resynchronizing (full scan) exactly on epoch changes, with dense-identical
   verdicts either way — the mid-run ``set_configuration`` regression test;
@@ -17,6 +18,8 @@ Covers
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -26,14 +29,17 @@ from repro.kernel.daemon import default_daemon
 from repro.kernel.faults import FaultInjector
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.trace import StepDelta
-from repro.kernel.algorithm import merge_read_dependency_variables
+from repro.kernel.algorithm import Environment, merge_read_dependency_variables
 from repro.spec.properties import (
     check_exclusion,
     check_progress,
     check_synchronization,
 )
 from repro.spec.streaming import StreamingSpecSuite
+from repro.tokenring.composed import ComposedTokenCirculation
+from repro.tokenring.leader_election import SelfStabilizingLeaderElection
 from repro.workloads.request_models import AlwaysRequestingEnvironment
+from repro.workloads.scenarios import scenario_by_name
 
 
 def _scheduler(engine=None, seed=3, record=True, listeners=None, algorithm="cc2"):
@@ -123,24 +129,94 @@ class TestEpoch:
         assert scheduler.epoch == 2
 
 
+class _FixedAnswers(Environment):
+    """Request answers fixed per process, so guards depend on the configuration alone."""
+
+    def __init__(self, answers):
+        self._answers = answers
+
+    def request_in(self, pid, configuration):
+        return self._answers[pid][0]
+
+    def request_out(self, pid, configuration):
+        return self._answers[pid][1]
+
+
+#: Every algorithm whose read declaration feeds the incremental engine.
+DECLARING_ALGORITHMS = {
+    **{
+        f"{name}-{token}": (
+            lambda hypergraph, name=name, token=token: CommitteeCoordinator(
+                hypergraph, algorithm=name, token=token
+            ).algorithm
+        )
+        for name in ("cc1", "cc2", "cc3")
+        for token in ("tree", "ring", "oracle")
+    },
+    "composed-token": ComposedTokenCirculation,
+    "leader-election": SelfStabilizingLeaderElection,
+}
+
+
 class TestPerVariableDirtyMaps:
     def test_token_counter_dirties_ring_successor_not_neighbourhood(self):
         algorithm, scheduler = _scheduler(engine="incremental")
         module = algorithm.token.module
-        var_dependents = scheduler._var_dependents
-        proc_dependents = scheduler._proc_dependents
+        readers = scheduler._readers
         for pid in algorithm.process_ids():
-            pred = module.predecessor(pid)
-            # pid declares (pred, tc_c) as a variable-granular dependency.
-            assert pid in var_dependents[(pred, "tc_c")]
-            # A CC-variable write of a *non-neighbour, non-link* process must
-            # not dirty pid: its process-granular dependents are only itself.
-            assert proc_dependents[pid] == frozenset({pid})
-        # The CC-layer variables of a neighbour are variable-granular too.
-        some = algorithm.process_ids()[0]
-        for q in algorithm.hypergraph.neighbors(some):
-            assert some in var_dependents[(q, "S")]
-            assert some in var_dependents[(q, "P")]
+            neighbourhood = frozenset({pid, *algorithm.hypergraph.neighbors(pid)})
+            # A token-counter write dirties the writer and its ring successor
+            # only, not the writer's G_H neighbourhood ...
+            assert readers[(pid, "tc_c")] == frozenset({pid, module.successor(pid)})
+            # ... and a CC-variable write dirties exactly that neighbourhood.
+            for variable in ("S", "P", "T", "L"):
+                assert readers[(pid, variable)] == neighbourhood
+
+    @pytest.mark.parametrize("scenario", ["figure1", "grid-3x3"])
+    @pytest.mark.parametrize("name", sorted(DECLARING_ALGORITHMS))
+    def test_declared_readers_cover_every_guard_outcome_change(self, name, scenario):
+        """Change one variable of one process, re-sweep every guard, and
+        require each process whose priority action changed to be a reader
+        of that ``(process, variable)`` in the scheduler's map."""
+        algorithm = DECLARING_ALGORITHMS[name](scenario_by_name(scenario).hypergraph)
+        rng = random.Random(17)
+        pids = algorithm.process_ids()
+        # Every professor wants to meet and leaves on a fixed coin, so guards
+        # depend on the configuration alone.
+        environment = _FixedAnswers({pid: (True, rng.random() < 0.5) for pid in pids})
+        readers = Scheduler(algorithm, environment=environment)._readers
+        # Arbitrary configurations, plus the ones a clean start passes
+        # through (consistent token flags and free committees there expose
+        # the reads of neighbours' flags).
+        run = Scheduler(algorithm, environment=environment, daemon=default_daemon(seed=17))
+        bases = [
+            algorithm.arbitrary_configuration(random.Random(rng.random())) for _ in range(3)
+        ] + list(run.run(max_steps=20).trace.configurations)[::5]
+
+        def labels(configuration):
+            enabled = algorithm.enabled_processes(configuration, environment)
+            return {pid: action.label for pid, action in enabled.items()}
+
+        changes = 0
+        for base in bases:
+            before = labels(base)
+            for pid in pids:
+                for _ in range(3):
+                    # A fresh RNG per draw: the oracle module memoises its
+                    # token position on the RNG it is handed.
+                    drawn = algorithm.arbitrary_state(pid, random.Random(rng.random()))
+                    for variable, value in sorted(drawn.items()):
+                        if value == base.get(pid, variable):
+                            continue
+                        after = labels(base.updated({pid: {variable: value}}))
+                        changed = {q for q in pids if before.get(q) != after.get(q)}
+                        missed = changed - readers[(pid, variable)]
+                        assert not missed, (
+                            f"writing {variable!r} of {pid} changed the priority "
+                            f"action of {sorted(missed)}, which do not declare it"
+                        )
+                        changes += bool(changed)
+        assert changes > 0
 
     def test_merge_absorbs_none(self):
         merged = merge_read_dependency_variables(

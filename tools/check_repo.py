@@ -16,7 +16,9 @@ Ten checks, each returning a list of human-readable error strings:
 * ``check_doc_links`` — every relative markdown link in ``README.md`` and
   ``docs/*.md`` resolves to an existing file, every backticked
   ``repro.foo.bar`` dotted name names an importable module (or an attribute
-  of one), and every ``repro.`` target of a ``:func:``/``:class:``/
+  of one), every backticked ``Class.member`` (optionally called) whose
+  ``Class`` is a public class defined under ``repro`` names a real member
+  of it, and every ``repro.`` target of a ``:func:``/``:class:``/
   ``:meth:``/``:mod:``/``:data:``/``:attr:``/``:exc:`` cross-reference in
   ``src/`` resolves too, so neither the architecture tables nor the code
   docstrings can drift from the package layout;
@@ -66,6 +68,7 @@ the test suite (``tests/test_repo_checks.py`` calls :func:`run_checks`).
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -76,7 +79,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
-from typing import Callable, Dict, List, Set
+from typing import Callable, Dict, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS_DIR = REPO_ROOT / "docs"
@@ -88,6 +91,9 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)]+)\)")
 _MODULE_RE = re.compile(
     r"`(repro(?:\.[a-z_][a-z_0-9]*)*(?:\.[A-Za-z_][A-Za-z0-9_]*)?)`"
 )
+#: Bare class-qualified references, optionally called:
+#: `Scheduler.set_configuration`, `DistributedAlgorithm.enabled_action(pid)`.
+_MEMBER_RE = re.compile(r"`([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\([^`]*\))?`")
 _FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 #: Sphinx-style cross-references in code docstrings, e.g.
 #: :class:`~repro.campaign.driver.CampaignDriver`; only ``repro.`` targets
@@ -184,8 +190,39 @@ def _xref_errors(rel: str, text: str) -> List[str]:
     return errors
 
 
+def _public_classes() -> Dict[str, Tuple[str, ...]]:
+    """``class name -> dotted paths`` of every public top-level class under ``repro``."""
+    classes: Dict[str, Tuple[str, ...]] = {}
+    for source in sorted((SRC_DIR / "repro").rglob("*.py")):
+        parts = source.relative_to(SRC_DIR).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in ast.parse(source.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                classes[node.name] = classes.get(node.name, ()) + (f"{module}.{node.name}",)
+    return classes
+
+
+def _member_ref_errors(
+    rel: str, text: str, classes: Dict[str, Tuple[str, ...]]
+) -> List[str]:
+    """Backticked ``Class.member`` references in one doc whose member is gone.
+
+    ``classes`` is :func:`_public_classes`; names that are no public class
+    under ``repro`` (``config.get``, ``np.int8``) are left alone.
+    """
+    errors: List[str] = []
+    for match in _MEMBER_RE.finditer(text):
+        name, member = match.groups()
+        paths = classes.get(name)
+        if paths and not any(_module_resolves(f"{path}.{member}") for path in paths):
+            line = text.count("\n", 0, match.start()) + 1
+            errors.append(f"{rel}:{line}: unknown member reference `{name}.{member}`")
+    return errors
+
+
 def check_doc_links() -> List[str]:
     errors: List[str] = []
+    classes = _public_classes()
     for doc in _doc_files():
         text = doc.read_text(encoding="utf-8")
         rel = doc.relative_to(REPO_ROOT)
@@ -198,6 +235,7 @@ def check_doc_links() -> List[str]:
         for dotted in sorted(set(_MODULE_RE.findall(text))):
             if not _module_resolves(dotted):
                 errors.append(f"{rel}: unknown module reference `{dotted}`")
+        errors.extend(_member_ref_errors(rel.as_posix(), text, classes))
         for bench in sorted(set(re.findall(r"benchmarks/bench_[a-z0-9_]+\.py", text))):
             if not (REPO_ROOT / bench).is_file():
                 errors.append(f"{rel}: unknown benchmark reference {bench}")

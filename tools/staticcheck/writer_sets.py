@@ -3,18 +3,13 @@
 The incremental engine's correctness contract (docs/ARCHITECTURE.md) is:
 
 * every variable a statement **writes** is part of the algorithm's declared
-  state (it appears in the initial-state layout), so the per-variable dirty
-  maps built from :class:`StepDelta` writer sets can name it;
+  state (it appears in the initial-state layout), so the scheduler's
+  ``(writer, variable) -> readers`` map, whose ``None`` entries expand to
+  that layout, can name it;
 * every variable a guard **reads of another process** is declared in the
   class's read-dependency declaration (``neighbour_guard_variables`` for the
   committee layer, the tuples inside ``read_dependency_variables`` for the
-  token modules), so a write to it actually re-evaluates the reader;
-* a class whose guards consult the environment (``ctx.request_in()`` /
-  ``ctx.request_out()``) must not answer ``()`` from
-  ``environment_sensitive_processes`` (which tells the engine that
-  enabledness never changes between steps without a write: under an
-  environment whose ``observe`` cannot report its delta, such a process
-  would never be refreshed).
+  token modules), so a write to it actually re-evaluates the reader.
 
 Until now these contracts were only caught *probabilistically*, by the seeded
 fuzz differential tests; this pass checks them at lint time, per class, for
@@ -25,8 +20,6 @@ RL201     a statement writes a variable that is not part of the class's
           statically-resolvable state layout (undeclared writer variable)
 RL202     a guard-evaluable method reads a variable of *another* process
           that the class's read-dependency declaration does not cover
-RL203     guards consult the environment but the class's
-          ``environment_sensitive_processes`` returns ``()``
 RL204     a write's variable name is dynamic (not statically resolvable)
           inside an algorithm class — the conformance of that write cannot
           be verified; prefer a named constant
@@ -47,7 +40,7 @@ import ast
 from typing import Dict, List, Optional, Set, Tuple
 
 from tools.staticcheck.diagnostics import Diagnostic, apply_suppressions
-from tools.staticcheck.project import Project, SourceFile, iter_functions
+from tools.staticcheck.project import Project, SourceFile
 
 #: Class names that make a class an "algorithm" for this pass (matched along
 #: the statically-resolved base chain, by simple name, so fixture files can
@@ -65,7 +58,6 @@ DECLARATION_METHODS = ("read_dependency_variables",)
 CODES: Dict[str, str] = {
     "RL201": "statement writes an undeclared state variable",
     "RL202": "guard reads an undeclared variable of another process",
-    "RL203": "guards consult the environment but environment_sensitive_processes returns ()",
     "RL204": "dynamic write target cannot be checked against the writer-set protocol",
 }
 
@@ -209,8 +201,6 @@ class WriterSetConformancePass:
     def _check_class(self, project: Project, source: SourceFile, cls: ast.ClassDef) -> List[Diagnostic]:
         model = self._build_model(project, source, cls)
         diagnostics: List[Diagnostic] = []
-
-        uses_environment = False
         for method in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
             own_pids = self._own_pid_names(method)
             for node in ast.walk(method):
@@ -225,44 +215,17 @@ class WriterSetConformancePass:
                     diagnostics.extend(
                         self._check_read(project, source, cls, model, node, own_pids)
                     )
-                elif kind == "environment":
-                    uses_environment = True
-
-        if uses_environment:
-            definitions = project.class_methods(source, cls, "environment_sensitive_processes")
-            if definitions and self._returns_empty_tuple(definitions[0][1]):
-                diagnostics.append(
-                    Diagnostic(
-                        source.rel,
-                        cls.lineno,
-                        "RL203",
-                        f"{cls.name} guards call request_in()/request_out() but its "
-                        "environment_sensitive_processes returns () — under an environment "
-                        "that cannot report its delta the incremental engine would never "
-                        "refresh its enabledness between steps",
-                    )
-                )
         return diagnostics
 
     @staticmethod
-    def _returns_empty_tuple(method: ast.FunctionDef) -> bool:
-        """Does every ``return`` of ``method`` return the literal ``()``?"""
-        returns = [node for node in ast.walk(method) if isinstance(node, ast.Return)]
-        return bool(returns) and all(
-            isinstance(node.value, ast.Tuple) and not node.value.elts for node in returns
-        )
-
-    @staticmethod
     def _call_kind(node: ast.Call) -> Optional[str]:
-        """Classify ``*.write(var, value)``, 2-arg reads, and request calls."""
+        """Classify ``*.write(var, value)`` and 2-arg reads."""
         func = node.func
         if isinstance(func, ast.Attribute):
             if func.attr == "write" and len(node.args) >= 2:
                 return "write"
             if func.attr in {"read", "own"} and node.args:
                 return "read"
-            if func.attr in {"request_in", "request_out"}:
-                return "environment"
         elif isinstance(func, ast.Name):
             # Token modules receive a bare ``read(pid, var)`` accessor.
             if func.id == "read" and len(node.args) == 2:
