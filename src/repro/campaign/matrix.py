@@ -123,13 +123,16 @@ class CampaignSpec:
             if engine not in ENGINES_CHOICES:
                 raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES_CHOICES}")
         if "batched" in self.engines:
-            from repro.kernel.batched import NUMPY_HINT, numpy_available
+            from repro.kernel.batched import BatchedUnsupported, require_numpy
 
             # Fail at spec time with the extra's name, not mid-campaign:
             # without numpy every batched group would fall back solo, which
             # is correct but silently forfeits the speed the user asked for.
-            if not numpy_available():
-                raise ValueError(NUMPY_HINT)
+            # Only a batched campaign imports numpy, and it does so here.
+            try:
+                require_numpy()
+            except BatchedUnsupported as exc:
+                raise ValueError(str(exc)) from None
         for daemon in self.daemons:
             if daemon not in DAEMONS:
                 raise ValueError(f"unknown daemon {daemon!r}; expected one of {DAEMONS}")

@@ -46,6 +46,10 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
         self.hypergraph = hypergraph
         self.token = token
         self._pids = hypergraph.vertices
+        #: ``pid -> E_p``, looked up once per macro call.
+        self._incident: Dict[ProcessId, Tuple[Hyperedge, ...]] = {
+            pid: hypergraph.incident_edges(pid) for pid in self._pids
+        }
 
     # ------------------------------------------------------------------ #
     # DistributedAlgorithm plumbing
@@ -55,7 +59,7 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
 
     def incident(self, pid: ProcessId) -> Tuple[Hyperedge, ...]:
         """``E_p``."""
-        return self.hypergraph.incident_edges(pid)
+        return self._incident[pid]
 
     # ------------------------------------------------------------------ #
     # dirty-set protocol (incremental scheduler engine)
@@ -117,27 +121,33 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
     # ------------------------------------------------------------------ #
     # shared predicates (Algorithms 1 and 2)
     # ------------------------------------------------------------------ #
+    # The macros below index the snapshot's rows (``ctx.states``) directly
+    # and test members with ``for``/``else`` in place of ``all``/``any``: no
+    # Python frame per member read or pointer test.  Each keeps the order of
+    # its formula's conjuncts, so every short-circuit stays where it is.
     @shared
     def ready(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``Ready(p) ≡ ∃ε ∈ E_p : ∀q ∈ ε : (P_q = ε ∧ S_q ∈ {looking, waiting})``."""
-        read = ctx.read
-        for edge in self.incident(pid):
-            if all(
-                read(q, POINTER) == edge and read(q, STATUS) in (LOOKING, WAITING)
-                for q in edge.members
-            ):
+        states = ctx.states
+        for edge in self._incident[pid]:
+            for q in edge:
+                state = states[q]
+                if state[POINTER] != edge or state[STATUS] not in (LOOKING, WAITING):
+                    break
+            else:
                 return True
         return False
 
     @shared
     def meeting(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``Meeting(p) ≡ ∃ε ∈ E_p : ∀q ∈ ε : (P_q = ε ∧ S_q ∈ {waiting, done})``."""
-        read = ctx.read
-        for edge in self.incident(pid):
-            if all(
-                read(q, POINTER) == edge and read(q, STATUS) in (WAITING, DONE)
-                for q in edge.members
-            ):
+        states = ctx.states
+        for edge in self._incident[pid]:
+            for q in edge:
+                state = states[q]
+                if state[POINTER] != edge or state[STATUS] not in (WAITING, DONE):
+                    break
+            else:
                 return True
         return False
 

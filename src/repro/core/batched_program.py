@@ -50,7 +50,7 @@ the solo engines.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.cc1 import CC1Algorithm
 from repro.core.cc2 import CC2Algorithm
@@ -196,38 +196,61 @@ class _LaneEnvironment:
         pass
 
 
-class _LaneView:
-    """Read-only view of one lane's row, with the ``Configuration.get`` protocol.
+class _LaneRows(dict):
+    """``pid -> {variable: value}`` of one lane, each row decoded on first access.
 
-    Decodes array cells back to the canonical Python values the guard and
-    statement closures expect (status strings, ``Hyperedge``/``None``
-    pointers, ``bool`` flags, ``int`` counters), served from the pre-step
-    snapshot — composite atomicity is preserved because the scheduler encodes
-    a lane's writes only after every selected process of that lane executed.
+    Rows hold the canonical Python values the guard and statement closures
+    expect (status strings, ``Hyperedge``/``None`` pointers, ``bool``
+    flags, ``int`` counters), decoded from the arrays; this is the only
+    decoder of array cells.
     """
 
-    __slots__ = ("_decoders", "_col", "_arrays", "_lane")
+    __slots__ = ("_variables", "_edges", "_col", "_arrays", "_lane")
 
     def __init__(
         self,
-        decoders: Dict[str, Callable[[Dict[str, Any], int, int], Any]],
+        variables: Tuple[str, ...],
+        edges: Tuple[Any, ...],
         col: Dict[ProcessId, int],
         arrays: Dict[str, Any],
         lane: int,
     ) -> None:
-        self._decoders = decoders
+        super().__init__()
+        self._variables = variables
+        self._edges = edges
         self._col = col
         self._arrays = arrays
         self._lane = lane
 
-    def get(self, pid: ProcessId, variable: str, default: Any = None) -> Any:
-        col = self._col.get(pid)
-        if col is None:
-            return default
-        decoder = self._decoders.get(variable)
-        if decoder is None:
-            return default
-        return decoder(self._arrays, self._lane, col)
+    def __missing__(self, pid: ProcessId) -> Dict[str, Any]:
+        arrays = self._arrays
+        lane = self._lane
+        col = self._col[pid]
+        # ``item`` hands out Python scalars: ``bool`` for the flag arrays,
+        # ``int`` for the integer ones.
+        row = {variable: arrays[variable].item(lane, col) for variable in self._variables}
+        row[STATUS] = STATUS_NAMES[row[STATUS]]
+        pointer = row[POINTER]
+        row[POINTER] = None if pointer < 0 else self._edges[pointer]
+        self[pid] = row
+        return row
+
+
+class _LaneView:
+    """Read-only view of one lane, with the ``Configuration.states_view()`` protocol.
+
+    Every statement of one lane step reads the same pre-step rows --
+    composite atomicity is preserved because the scheduler encodes a lane's
+    writes only after every selected process of that lane executed.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: _LaneRows) -> None:
+        self._rows = rows
+
+    def states_view(self) -> _LaneRows:
+        return self._rows
 
 
 # --------------------------------------------------------------------------- #
@@ -322,7 +345,6 @@ class BatchedProgram:
         self._allowed_status_codes = frozenset(
             STATUS_CODES[s] for s in algorithm.statuses
         )
-        self._decoders = self._build_decoders()
         # -- action tables (labels double as a transcription checksum) --- #
         expected = _CC1_LABELS if kind == "cc1" else _CC2_LABELS
         self._actions: Dict[ProcessId, Tuple[Any, ...]] = {}
@@ -372,23 +394,6 @@ class BatchedProgram:
     # ------------------------------------------------------------------ #
     # codecs
     # ------------------------------------------------------------------ #
-    def _build_decoders(self) -> Dict[str, Callable[[Dict[str, Any], int, int], Any]]:
-        edges = self.edges
-        counter = self._counter_var
-        decoders: Dict[str, Callable[[Dict[str, Any], int, int], Any]] = {
-            STATUS: lambda a, l, c: STATUS_NAMES[a[STATUS][l, c]],
-            POINTER: lambda a, l, c: (
-                None if a[POINTER][l, c] < 0 else edges[a[POINTER][l, c]]
-            ),
-            TOKEN_FLAG: lambda a, l, c: bool(a[TOKEN_FLAG][l, c]),
-            counter: lambda a, l, c: int(a[counter][l, c]),
-        }
-        if LOCK_FLAG in self._known_variables:
-            decoders[LOCK_FLAG] = lambda a, l, c: bool(a[LOCK_FLAG][l, c])
-        if CURSOR in self._known_variables:
-            decoders[CURSOR] = lambda a, l, c: int(a[CURSOR][l, c])
-        return decoders
-
     def _encode_value(self, pid: ProcessId, variable: str, value: Any) -> Any:
         """Validate ``value`` against the variable's domain and return its code."""
         if variable == STATUS:
@@ -465,19 +470,14 @@ class BatchedProgram:
 
     def decode_lane(self, state: BatchedConfiguration, lane: int) -> Configuration:
         """One lane's row as a full canonical :class:`Configuration`."""
-        arrays = state.arrays
-        decoders = self._decoders
-        states = {
-            pid: {
-                variable: decoders[variable](arrays, lane, self._col[pid])
-                for variable in self.variables
-            }
-            for pid in self.pids
-        }
-        return Configuration(states)
+        rows = self._rows(state, lane)
+        return Configuration({pid: rows[pid] for pid in self.pids})
 
     def lane_view(self, state: BatchedConfiguration, lane: int) -> _LaneView:
-        return _LaneView(self._decoders, self._col, state.arrays, lane)
+        return _LaneView(self._rows(state, lane))
+
+    def _rows(self, state: BatchedConfiguration, lane: int) -> _LaneRows:
+        return _LaneRows(self.variables, self.edges, self._col, state.arrays, lane)
 
     def lane_environment(self, state: BatchedConfiguration, lane: int) -> _LaneEnvironment:
         return _LaneEnvironment(state.env, lane, self._col)

@@ -69,28 +69,31 @@ class CC1Algorithm(CommitteeAlgorithmBase):
     @shared
     def free_edges(self, ctx: ActionContext, pid: ProcessId) -> Tuple[Hyperedge, ...]:
         """``FreeEdges_p = {ε ∈ E_p | ∀q ∈ ε : S_q = looking}``."""
-        read = ctx.read
-        return tuple(
-            edge
-            for edge in self.incident(pid)
-            if all(read(q, STATUS) == LOOKING for q in edge.members)
-        )
+        states = ctx.states
+        free = []
+        for edge in self._incident[pid]:
+            for q in edge:
+                if states[q][STATUS] != LOOKING:
+                    break
+            else:
+                free.append(edge)
+        return tuple(free)
 
     @shared
     def free_nodes(self, ctx: ActionContext, pid: ProcessId) -> Tuple[ProcessId, ...]:
         """``FreeNodes_p``: processes incident to some free edge of ``p``."""
         nodes: set = set()
         for edge in self.free_edges(ctx, pid):
-            nodes.update(edge.members)
+            nodes.update(edge)
         return tuple(sorted(nodes))
 
     @shared
     def candidates(self, ctx: ActionContext, pid: ProcessId) -> Tuple[ProcessId, ...]:
         """``Cands_p``: token-flagged free nodes if any, otherwise all free nodes."""
-        read = ctx.read
+        states = ctx.states
         free_nodes = self.free_nodes(ctx, pid)
-        token_flagged = tuple(q for q in free_nodes if read(q, TOKEN_FLAG))
-        return token_flagged if token_flagged else free_nodes
+        token_flagged = [q for q in free_nodes if states[q][TOKEN_FLAG]]
+        return tuple(token_flagged) if token_flagged else free_nodes
 
     # ------------------------------------------------------------------ #
     # predicates (Algorithm 1)
@@ -126,12 +129,16 @@ class CC1Algorithm(CommitteeAlgorithmBase):
     @shared
     def leave_meeting(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``LeaveMeeting(p) ≡ ∃ε ∈ E_p : (P_p = ε ∧ ∀q ∈ ε : (P_q = ε ⇒ S_q = done))``."""
-        read = ctx.read
-        pointer = read(pid, POINTER)
-        for edge in self.incident(pid):
+        states = ctx.states
+        pointer = states[pid][POINTER]
+        for edge in self._incident[pid]:
             if pointer != edge:
                 continue
-            if all(read(q, STATUS) == DONE for q in edge.members if read(q, POINTER) == edge):
+            for q in edge:
+                state = states[q]
+                if state[POINTER] == edge and state[STATUS] != DONE:
+                    break
+            else:
                 return True
         return False
 

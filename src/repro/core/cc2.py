@@ -67,45 +67,43 @@ class CC2Algorithm(CommitteeAlgorithmBase):
     @shared
     def free_edges(self, ctx: ActionContext, pid: ProcessId) -> Tuple[Hyperedge, ...]:
         """``FreeEdges_p = {ε ∈ E_p | ∀q ∈ ε : (S_q = looking ∧ ¬L_q ∧ ¬T_q)}``."""
-        read = ctx.read
-        return tuple(
-            edge
-            for edge in self.incident(pid)
-            if all(
-                read(q, STATUS) == LOOKING
-                and not read(q, LOCK_FLAG)
-                and not read(q, TOKEN_FLAG)
-                for q in edge.members
-            )
-        )
+        states = ctx.states
+        free = []
+        for edge in self._incident[pid]:
+            for q in edge:
+                state = states[q]
+                if state[STATUS] != LOOKING or state[LOCK_FLAG] or state[TOKEN_FLAG]:
+                    break
+            else:
+                free.append(edge)
+        return tuple(free)
 
     @shared
     def free_nodes(self, ctx: ActionContext, pid: ProcessId) -> Tuple[ProcessId, ...]:
         nodes: set = set()
         for edge in self.free_edges(ctx, pid):
-            nodes.update(edge.members)
+            nodes.update(edge)
         return tuple(sorted(nodes))
 
     @shared
     def t_pointing_edges(self, ctx: ActionContext, pid: ProcessId) -> Tuple[Hyperedge, ...]:
-        """``TPointingEdges_p``: incident committees selected by a looking token holder."""
-        read = ctx.read
-        return tuple(
-            edge
-            for edge in self.incident(pid)
-            if any(
-                read(q, POINTER) == edge
-                and read(q, TOKEN_FLAG)
-                and read(q, STATUS) == LOOKING
-                for q in edge.members
-            )
-        )
+        """``TPointingEdges_p = {ε ∈ E_p | ∃q ∈ ε : (P_q = ε ∧ T_q ∧ S_q = looking)}``:
+        incident committees selected by a looking token holder."""
+        states = ctx.states
+        pointing = []
+        for edge in self._incident[pid]:
+            for q in edge:
+                state = states[q]
+                if state[POINTER] == edge and state[TOKEN_FLAG] and state[STATUS] == LOOKING:
+                    pointing.append(edge)
+                    break
+        return tuple(pointing)
 
     @shared
     def t_pointing_nodes(self, ctx: ActionContext, pid: ProcessId) -> Tuple[ProcessId, ...]:
         nodes: set = set()
         for edge in self.t_pointing_edges(ctx, pid):
-            nodes.update(edge.members)
+            nodes.update(edge)
         return tuple(sorted(nodes))
 
     def min_edges(self, pid: ProcessId) -> Tuple[Hyperedge, ...]:
@@ -130,15 +128,21 @@ class CC2Algorithm(CommitteeAlgorithmBase):
 
     @shared
     def leave_meeting(self, ctx: ActionContext, pid: ProcessId) -> bool:
-        """``LeaveMeeting(p)``: done, pointing at ``ε`` and no member of ``ε`` still waiting."""
-        read = ctx.read
-        if read(pid, STATUS) != DONE:
+        """``LeaveMeeting(p) ≡ S_p = done ∧ ∃ε ∈ E_p : (P_p = ε ∧ ∀q ∈ ε : (P_q = ε ⇒ S_q ≠ waiting))``:
+        done, pointing at ``ε`` and no member of ``ε`` still waiting."""
+        states = ctx.states
+        own = states[pid]
+        if own[STATUS] != DONE:
             return False
-        pointer = read(pid, POINTER)
-        for edge in self.incident(pid):
+        pointer = own[POINTER]
+        for edge in self._incident[pid]:
             if pointer != edge:
                 continue
-            if all(read(q, STATUS) != WAITING for q in edge.members if read(q, POINTER) == edge):
+            for q in edge:
+                state = states[q]
+                if state[POINTER] == edge and state[STATUS] == WAITING:
+                    break
+            else:
                 return True
         return False
 

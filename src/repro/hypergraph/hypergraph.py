@@ -14,54 +14,50 @@ be safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 ProcessId = int
 
 
-@dataclass(frozen=True, order=True)
-class Hyperedge:
-    """A committee: an immutable, canonically-ordered set of professor ids.
+class Hyperedge(tuple):
+    """A committee: the sorted tuple of its distinct professor ids.
 
-    Hyperedges compare and hash by their member set, so they can be used as
-    values of the edge pointer variable ``P_p`` in the algorithms and as
-    dictionary keys in the spec checkers.
+    An edge *is* its canonical member tuple, so equality, ordering, hashing,
+    ``len``, iteration and ``in`` are the tuple's own C implementations: the
+    test of an edge pointer ``P_q = ε`` in a guard costs no Python frame.
+    Edges are the values of the edge pointer variable ``P_p`` in the
+    algorithms and dictionary keys in the spec checkers.  An edge equals the
+    plain tuple of its members and hashes like it.
     """
 
-    members: Tuple[ProcessId, ...]
+    __slots__ = ()
 
-    def __init__(self, members: Iterable[ProcessId]) -> None:
-        ordered = tuple(sorted(set(int(m) for m in members)))
-        if len(ordered) == 0:
+    def __new__(cls, members: Iterable[ProcessId]) -> "Hyperedge":
+        ordered = sorted(set(int(m) for m in members))
+        if not ordered:
             raise ValueError("a committee must have at least one member")
-        object.__setattr__(self, "members", ordered)
+        return super().__new__(cls, ordered)
 
-    def __contains__(self, process: object) -> bool:
-        return process in self.members
-
-    def __iter__(self) -> Iterator[ProcessId]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
+    @property
+    def members(self) -> Tuple[ProcessId, ...]:
+        """The member ids in increasing order, as a plain tuple."""
+        return tuple(self)
 
     @property
     def size(self) -> int:
         """Number of professors in the committee (``|ε|`` in the paper)."""
-        return len(self.members)
+        return len(self)
 
     def as_set(self) -> FrozenSet[ProcessId]:
-        return frozenset(self.members)
+        return frozenset(self)
 
     def intersects(self, other: "Hyperedge") -> bool:
         """``True`` iff the two committees are *conflicting* (share a member)."""
-        small, large = (self.members, other.members) if len(self) <= len(other) else (other.members, self.members)
-        large_set = set(large)
-        return any(m in large_set for m in small)
+        small, large = (self, other) if len(self) <= len(other) else (other, self)
+        return not set(large).isdisjoint(small)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "Hyperedge({%s})" % ", ".join(str(m) for m in self.members)
+        return "Hyperedge({%s})" % ", ".join(str(m) for m in self)
 
 
 class Hypergraph:
@@ -95,7 +91,7 @@ class Hypergraph:
         vertex_set = set(self._vertices)
 
         edges: List[Hyperedge] = []
-        seen: Set[Tuple[ProcessId, ...]] = set()
+        seen: Set[Hyperedge] = set()
         for raw in hyperedges:
             edge = raw if isinstance(raw, Hyperedge) else Hyperedge(raw)
             missing = [m for m in edge if m not in vertex_set]
@@ -103,8 +99,8 @@ class Hypergraph:
                 raise ValueError(
                     f"hyperedge {edge!r} references unknown vertices {missing}"
                 )
-            if edge.members not in seen:
-                seen.add(edge.members)
+            if edge not in seen:
+                seen.add(edge)
                 edges.append(edge)
         self._edges: Tuple[Hyperedge, ...] = tuple(sorted(edges))
 

@@ -96,6 +96,15 @@ class ActionContext:
     writes against the same configuration ``γ``).  Writes are buffered and
     applied by the scheduler when building ``γ'``.
 
+    **The read protocol.**  ``states`` is the snapshot's row mapping
+    ``pid -> {variable: value}``, taken once from the configuration's
+    ``states_view()``; it MUST NOT be mutated.  Hot macros index it directly
+    (``states[q][STATUS]``, no Python frame per read), and :meth:`read` and
+    :meth:`own` are the one-call forms over the same rows.  Every provider
+    of a context's configuration implements just this mapping: a
+    :class:`~repro.kernel.configuration.Configuration`, a batched lane view
+    and a composed component's prefixing view.
+
     The atomic-state model only allows a process to read its neighbours'
     variables; the context does not mechanically enforce this (the token
     circulation substrate legitimately reads its virtual-ring predecessor,
@@ -112,7 +121,7 @@ class ActionContext:
     outlived its context would serve values of an older configuration.
     """
 
-    __slots__ = ("pid", "configuration", "environment", "read", "_writes", "memo")
+    __slots__ = ("pid", "configuration", "environment", "states", "_writes", "memo")
 
     def __init__(
         self,
@@ -123,17 +132,18 @@ class ActionContext:
         self.pid = pid
         self.configuration = configuration
         self.environment = environment
-        #: ``read(pid, variable, default=None)``: read ``variable`` of process
-        #: ``pid`` from the pre-step snapshot.  Bound to the snapshot's own
-        #: ``get``, so a guard's read costs one Python frame, not two.
-        self.read: Callable[..., Any] = configuration.get
+        self.states: Mapping[ProcessId, Mapping[str, Any]] = configuration.states_view()
         self._writes: Dict[str, Any] = {}
         self.memo: Dict[Callable[..., Any], Any] = {}
 
     # -- reads ---------------------------------------------------------- #
+    def read(self, pid: ProcessId, variable: str, default: Any = None) -> Any:
+        """Read ``variable`` of process ``pid`` from the pre-step snapshot."""
+        return self.states[pid].get(variable, default)
+
     def own(self, variable: str, default: Any = None) -> Any:
         """Read one of the executing process's own variables."""
-        return self.configuration.get(self.pid, variable, default)
+        return self.states[self.pid].get(variable, default)
 
     def request_in(self) -> bool:
         return self.environment.request_in(self.pid, self.configuration)
@@ -162,7 +172,7 @@ def shared(predicate: Callable[[Any, ActionContext, ProcessId], Any]) -> Callabl
 
     The contract a decorated predicate keeps:
 
-    * it is a pure function of ``ctx.read`` (the immutable snapshot) and
+    * it is a pure function of ``ctx.states`` (the immutable snapshot) and
       ``pid``: it never calls ``ctx.request_in``/``ctx.request_out`` or
       touches ``ctx.environment``, which a statement may mutate partway
       through a context;

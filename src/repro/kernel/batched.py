@@ -58,9 +58,8 @@ incremental engine's cache.  Net effect: one full vectorized sweep per step
 instead of the dense engine's two.
 
 numpy is an optional extra (``pip install 'repro-cc[batched]'``): this module
-imports without it, and :func:`require_numpy` raises
-:class:`BatchedUnsupported` with the extra's name when the arrays are
-actually needed.
+never imports it at load time, and :func:`require_numpy` imports it on first
+use or raises :class:`BatchedUnsupported` with the extra's name.
 """
 
 from __future__ import annotations
@@ -72,11 +71,6 @@ from repro.kernel.configuration import Configuration, ProcessId
 from repro.kernel.daemon import Daemon
 from repro.kernel.scheduler import StopRun
 from repro.kernel.trace import StepDelta, StepRecord, Trace
-
-try:  # pragma: no cover - exercised only in numpy-less environments
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Engine name (accepted by the campaign matrix / CLI, not by the solo
 #: :class:`~repro.kernel.scheduler.Scheduler`, whose unit of work is one run).
@@ -100,16 +94,26 @@ class BatchedUnsupported(RuntimeError):
     """
 
 
-def numpy_available() -> bool:
-    """``True`` iff numpy is importable (the ``repro-cc[batched]`` extra)."""
-    return _np is not None
-
-
 def require_numpy() -> Any:
-    """Return the numpy module or raise :class:`BatchedUnsupported` with the hint."""
-    if _np is None:
-        raise BatchedUnsupported(NUMPY_HINT)
-    return _np
+    """Import and return numpy, or raise :class:`BatchedUnsupported` with the hint.
+
+    numpy is imported here, on first use, never at module load: a campaign
+    with no batched job does not pay for it.
+    """
+    try:
+        import numpy
+    except ImportError:
+        raise BatchedUnsupported(NUMPY_HINT) from None
+    return numpy
+
+
+def numpy_available() -> bool:
+    """``True`` iff numpy imports (the ``repro-cc[batched]`` extra)."""
+    try:
+        require_numpy()
+    except BatchedUnsupported:
+        return False
+    return True
 
 
 class BatchedConfiguration:
@@ -448,10 +452,11 @@ class BatchedScheduler:
 def _lane_context(pid: ProcessId, view: Any, environment: Any) -> Any:
     """A real :class:`~repro.kernel.algorithm.ActionContext` over a lane view.
 
-    The context's ``configuration`` slot holds the lane view (same ``.get``
-    protocol as a :class:`~repro.kernel.configuration.Configuration`), so the
-    unmodified guard/statement closures read decoded canonical values from
-    the pre-step arrays.
+    The context's ``configuration`` slot holds the lane view (the same
+    ``states_view()`` protocol as a
+    :class:`~repro.kernel.configuration.Configuration`), so the unmodified
+    guard/statement closures read decoded canonical values from the pre-step
+    arrays.
     """
     from repro.kernel.algorithm import ActionContext
 

@@ -23,10 +23,35 @@ construction for obtaining ``TC``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.kernel.algorithm import Action, ActionContext, DistributedAlgorithm, Environment
 from repro.kernel.configuration import ProcessId
+
+
+class _PrefixedStates(dict):
+    """One component's rows: ``pid -> {variable: value}`` with the prefix cut.
+
+    Built lazily, one row per process on first access, from the inner
+    snapshot's variables named ``<prefix><variable>``.
+    """
+
+    __slots__ = ("_inner", "_prefix")
+
+    def __init__(self, inner: Mapping[ProcessId, Mapping[str, Any]], prefix: str) -> None:
+        super().__init__()
+        self._inner = inner
+        self._prefix = prefix
+
+    def __missing__(self, pid: ProcessId) -> Dict[str, Any]:
+        prefix = self._prefix
+        cut = len(prefix)
+        row = self[pid] = {
+            name[cut:]: value
+            for name, value in self._inner[pid].items()
+            if name.startswith(prefix)
+        }
+        return row
 
 
 class _NamespacedContext(ActionContext):
@@ -41,15 +66,10 @@ class _NamespacedContext(ActionContext):
         self.pid = inner.pid
         self.configuration = inner.configuration
         self.environment = inner.environment
+        self.states = _PrefixedStates(inner.states, prefix)
         self._writes = inner._writes
         self.memo = {}
         self._prefix = prefix
-
-    def read(self, pid: ProcessId, variable: str, default: Any = None) -> Any:
-        return self.configuration.get(pid, self._prefix + variable, default)
-
-    def own(self, variable: str, default: Any = None) -> Any:
-        return self.configuration.get(self.pid, self._prefix + variable, default)
 
     def write(self, variable: str, value: Any) -> None:
         self._writes[self._prefix + variable] = value

@@ -27,8 +27,10 @@ class Configuration:
     dictionaries of processes that did not move are *shared* between the
     parent and the derived configuration (never mutated afterwards — nothing
     in this class writes into ``_states`` after construction, and every
-    accessor that hands state out returns a copy), so the cost of a step is
-    proportional to the number of written variables, not to ``n``.
+    accessor that hands state out returns a copy).  A step therefore copies
+    the row of each writing process plus the top-level ``pid -> row`` map:
+    ``O(n)`` pointer copies (one C-level ``dict`` copy) and ``O(row)`` per
+    writer, never a deep copy of the ``n`` rows.
     """
 
     __slots__ = ("_states",)
@@ -67,8 +69,9 @@ class Configuration:
         The returned mapping (and the per-process mappings inside it) MUST
         NOT be mutated — they are the configuration's internal state, shared
         copy-on-write with derived configurations.  This accessor exists for
-        per-step observers (streaming metrics/spec monitors) whose inner
-        loops would otherwise pay one :meth:`get` call per variable read.
+        hot loops that would otherwise pay one :meth:`get` call per variable
+        read: per-step observers (streaming metrics/spec monitors) and every
+        guard and statement, whose ``ActionContext.states`` it is.
         """
         return self._states
 

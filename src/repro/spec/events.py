@@ -155,7 +155,7 @@ class MeetingEventStream:
         self._held_count += 1
         self._held_cache = None
         order = self._edge_order
-        for q in edge.members:
+        for q in edge:
             others = self._held_by_member.setdefault(q, set())
             for other in others:
                 pair = (
@@ -167,7 +167,7 @@ class MeetingEventStream:
     def _flip_off(self, edge: Hyperedge) -> None:
         self._held_count -= 1
         self._held_cache = None
-        for q in edge.members:
+        for q in edge:
             others = self._held_by_member.get(q)
             if others is not None:
                 others.discard(edge)
@@ -215,7 +215,7 @@ class MeetingEventStream:
         previous = self._previous
         for edge in edges:
             now = True
-            for q in edge.members:
+            for q in edge:
                 state = states[q]
                 pointer = state.get(POINTER)
                 if pointer is not edge and pointer != edge:

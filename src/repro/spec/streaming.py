@@ -390,7 +390,7 @@ class StreamingProgressMonitor(StreamingPropertyMonitor):
         # not-waiting *now*, members of still-held meetings are meeting now.
         meeting_now: set = set()
         for edge in self._stream.held:
-            meeting_now.update(edge.members)
+            meeting_now.update(edge)
         waiting = self._waiting
         last_not_waiting = self._last_not_waiting
         last_met = self._last_met

@@ -44,6 +44,19 @@ class UndeclaredReader(DistributedAlgorithm):
         bad = any(ctx.read(q, POINTER) for q in neighbours)  # expect: RL202
         return fine and own is None and not bad
 
+    def row_guard(self, ctx, pid, neighbours):
+        states = ctx.states
+        own = states[pid]
+        if own[POINTER] is not None:  # ok: own row
+            return False
+        for q in neighbours:
+            state = states[q]
+            if state[STATUS] != "idle":  # ok: declared
+                return False
+            if state[POINTER] is not None:  # expect: RL202
+                return False
+        return states[pid][STATUS] == "idle" and ctx.states[ctx.pid][POINTER] is None  # ok: own reads
+
 
 class DynamicWriter(DistributedAlgorithm):
     """Write target that static analysis cannot resolve."""

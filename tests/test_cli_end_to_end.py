@@ -9,6 +9,10 @@ violation/clean runs — exactly the way a shell invocation would.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -409,11 +413,28 @@ class TestBatchedCampaignEndToEnd:
         assert [row_line(row) for row in merged] == baseline
 
     def test_batched_without_numpy_exits_two_with_hint(self, capsys, monkeypatch):
-        import repro.kernel.batched as batched_module
-
-        monkeypatch.setattr(batched_module, "_np", None)
+        # A ``None`` entry in sys.modules makes ``import numpy`` fail, as it
+        # does where the extra is not installed.
+        monkeypatch.setitem(sys.modules, "numpy", None)
         code = main(["campaign", "--scenario", "figure1",
                      "--engine", "batched", "--steps", "20"])
         err = capsys.readouterr().err
         assert code == 2
         assert "repro-cc[batched]" in err
+
+
+class TestCliImport:
+    def test_import_leaves_numpy_unloaded(self):
+        # numpy is the batched engine's optional extra: only a campaign with
+        # a batched job imports it, so a fresh ``import repro.cli`` must not.
+        import repro
+
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        probe = "import sys, repro.cli; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout.strip() == "False"

@@ -7,10 +7,10 @@ Covers
   arbitrary starts), and identical summary metrics on sparse runs;
 * guard purity: first-enabled exit over the priority table picks what a
   code-order sweep picks, and neither touches any request model's state;
-* shared predicates: a macro's value is the same however many guards have
-  already run on the context, calls for other processes bypass the memo,
-  no macro consults the environment, and namespaced contexts start with a
-  memo of their own;
+* shared predicates: a macro's value equals a transcription of its paper
+  formula however many guards have already run on the context, calls for
+  other processes bypass the memo, no macro consults the environment, and
+  namespaced contexts start with a memo of their own;
 * the environment delta: every request-answer flip is reported, and the
   refresh it drives is invisible next to the ``None`` fallback;
 * a finished run being freed by reference counting alone;
@@ -36,6 +36,7 @@ from typing import Any, Dict, Sequence, Tuple
 import pytest
 
 from repro.core.runner import CommitteeCoordinator
+from repro.core.states import DONE, IDLE, LOCK_FLAG, LOOKING, POINTER, STATUS, TOKEN_FLAG, WAITING
 from repro.hypergraph.generators import figure1_hypergraph
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernel.algorithm import Action, ActionContext, DistributedAlgorithm, Environment
@@ -244,20 +245,115 @@ class TestSharedPredicates:
                 if scheduler.step() is None:
                     break
 
+    @staticmethod
+    def _formulas(algorithm, algo, configuration):
+        """``name -> f(pid)`` for every shared predicate: its formula from
+        Algorithm 1 or 2 over ``configuration.get`` with ``all``/``any``, as
+        the macro's docstring states it.  This transcription, not the macro's
+        own code, is the reference each macro must equal."""
+        get = configuration.get
+        incident = algo.hypergraph.incident_edges
+
+        def nodes_of(edges):
+            return tuple(sorted({q for edge in edges for q in edge.members}))
+
+        def ready(p):
+            return any(
+                all(get(q, POINTER) == e and get(q, STATUS) in (LOOKING, WAITING) for q in e.members)
+                for e in incident(p)
+            )
+
+        def meeting(p):
+            return any(
+                all(get(q, POINTER) == e and get(q, STATUS) in (WAITING, DONE) for q in e.members)
+                for e in incident(p)
+            )
+
+        def free_nodes(p):
+            return nodes_of(formulas["free_edges"](p))
+
+        def correct_by_status(p):
+            status = get(p, STATUS)
+            if status == WAITING and not (ready(p) or meeting(p)):
+                return False
+            if status == DONE and not (meeting(p) or formulas["leave_meeting"](p)):
+                return False
+            return True
+
+        formulas = {
+            "ready": ready,
+            "meeting": meeting,
+            "free_nodes": free_nodes,
+            "token": lambda p: algo.token.token_in(configuration, p),
+        }
+        if algorithm == "cc1":
+
+            def candidates(p):
+                flagged = tuple(q for q in free_nodes(p) if get(q, TOKEN_FLAG))
+                return flagged if flagged else free_nodes(p)
+
+            formulas.update(
+                free_edges=lambda p: tuple(
+                    e for e in incident(p) if all(get(q, STATUS) == LOOKING for q in e.members)
+                ),
+                candidates=candidates,
+                local_max=lambda p: bool(candidates(p)) and p == max(candidates(p)),
+                leave_meeting=lambda p: any(
+                    get(p, POINTER) == e
+                    and all(get(q, STATUS) == DONE for q in e.members if get(q, POINTER) == e)
+                    for e in incident(p)
+                ),
+                correct=lambda p: not (get(p, STATUS) == IDLE and get(p, POINTER) is not None)
+                and correct_by_status(p),
+            )
+        else:
+
+            def t_pointing_edges(p):
+                return tuple(
+                    e
+                    for e in incident(p)
+                    if any(
+                        get(q, POINTER) == e and get(q, TOKEN_FLAG) and get(q, STATUS) == LOOKING
+                        for q in e.members
+                    )
+                )
+
+            formulas.update(
+                free_edges=lambda p: tuple(
+                    e
+                    for e in incident(p)
+                    if all(
+                        get(q, STATUS) == LOOKING and not get(q, LOCK_FLAG) and not get(q, TOKEN_FLAG)
+                        for q in e.members
+                    )
+                ),
+                t_pointing_edges=t_pointing_edges,
+                t_pointing_nodes=lambda p: nodes_of(t_pointing_edges(p)),
+                locked=lambda p: bool(t_pointing_edges(p)),
+                local_max=lambda p: bool(free_nodes(p)) and p == max(free_nodes(p)),
+                leave_meeting=lambda p: get(p, STATUS) == DONE
+                and any(
+                    get(p, POINTER) == e
+                    and all(get(q, STATUS) != WAITING for q in e.members if get(q, POINTER) == e)
+                    for e in incident(p)
+                ),
+                correct=correct_by_status,
+            )
+        return formulas
+
     def _reference(self, monkeypatch, algorithm, algo, configuration, environment, tables):
         """Every predicate's value and the winning action of every process,
-        with each shared predicate replaced by its plain code (no memo at all)
+        with each shared predicate replaced by its formula (no memo at all)
         and a fresh context per guard."""
         names = SHARED_PREDICATES[algorithm] + ("token",)
+        formulas = self._formulas(algorithm, algo, configuration)
+        assert set(formulas) == set(names)
         values, winners = {}, {}
         with monkeypatch.context() as plain:
-            for cls, name, function in self._shared_members(algo):
-                plain.setattr(cls, name, function.__wrapped__)
+            for cls, name, _ in self._shared_members(algo):
+                plain.setattr(cls, name, lambda _self, ctx, pid, f=formulas[name]: f(pid))
             for pid in algo.process_ids():
-                values[pid] = {
-                    name: self._call(algo, name, ActionContext(pid, configuration, environment), pid)
-                    for name in names
-                }
+                values[pid] = {name: formulas[name](pid) for name in names}
                 winners[pid] = next(
                     (
                         action.label

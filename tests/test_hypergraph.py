@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import random
+
 import pytest
 
+from repro.core.runner import CommitteeCoordinator
+from repro.core.states import POINTER
 from repro.hypergraph.generators import figure1_communication_edges, figure1_hypergraph
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph
+from repro.kernel.batched import numpy_available
+from repro.kernel.faults import FaultInjector
+from repro.workloads.request_models import AlwaysRequestingEnvironment
 
 
 class TestHyperedge:
@@ -27,6 +36,10 @@ class TestHyperedge:
     def test_equality_and_hash(self):
         assert Hyperedge([1, 2]) == Hyperedge([2, 1])
         assert hash(Hyperedge([1, 2])) == hash(Hyperedge([2, 1]))
+        # An edge is the tuple of its members.
+        assert isinstance(Hyperedge([2, 1]), tuple)
+        assert Hyperedge([2, 1]) == (1, 2)
+        assert hash(Hyperedge([2, 1])) == hash((1, 2))
 
     def test_ordering_is_deterministic(self):
         assert sorted([Hyperedge([2, 3]), Hyperedge([1, 5])])[0] == Hyperedge([1, 5])
@@ -41,6 +54,59 @@ class TestHyperedge:
 
     def test_as_set(self):
         assert Hyperedge([1, 2]).as_set() == frozenset({1, 2})
+
+    def test_comparisons_and_hash_are_the_tuple_slots(self):
+        # A Python-level comparison would cost one frame per pointer test in
+        # every guard; the edge must keep the tuple's own slots.
+        for name in ("__eq__", "__ne__", "__hash__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(Hyperedge, name) is getattr(tuple, name), name
+        assert Hyperedge.__slots__ == ()
+
+    def test_pickle_and_copy_round_trip(self):
+        edge = Hyperedge([4, 2, 9])
+        for clone in (pickle.loads(pickle.dumps(edge)), copy.copy(edge), copy.deepcopy(edge)):
+            assert type(clone) is Hyperedge
+            assert clone == edge
+            assert clone.members == (2, 4, 9)
+
+    def test_members_is_a_plain_tuple_and_repr_is_unchanged(self):
+        edge = Hyperedge([2, 1])
+        assert type(edge.members) is tuple
+        assert edge.members == (1, 2)
+        assert repr(edge) == "Hyperedge({1, 2})"
+
+    def test_every_pointer_producer_hands_out_the_hypergraph_edges(self):
+        algo = CommitteeCoordinator(figure1_hypergraph(), algorithm="cc2", token="ring", seed=3).algorithm
+        hypergraph = algo.hypergraph
+        pids = algo.process_ids()
+        produced = {"incident_edges": [], "arbitrary_state": [], "corrupt": []}
+        for pid in pids:
+            produced["incident_edges"].extend((pid, edge) for edge in hypergraph.incident_edges(pid))
+        rng = random.Random(7)
+        for _ in range(20):
+            for pid in pids:
+                produced["arbitrary_state"].append((pid, algo.arbitrary_state(pid, rng)[POINTER]))
+        injector = FaultInjector(algo, fraction=1.0, seed=7)
+        configurations = [injector.corrupt(algo.initial_configuration()) for _ in range(8)]
+        for configuration in configurations:
+            produced["corrupt"].extend((pid, configuration.get(pid, POINTER)) for pid in pids)
+        if numpy_available():  # lane rows need the repro-cc[batched] extra
+            from repro.core.batched_program import compile_program
+
+            program = compile_program(algo, AlwaysRequestingEnvironment(1))
+            state = program.encode(configurations)
+            for lane, configuration in enumerate(configurations):
+                rows = program.lane_view(state, lane).states_view()
+                for pid in pids:
+                    assert rows[pid][POINTER] == configuration.get(pid, POINTER)
+                    produced.setdefault("lane row", []).append((pid, rows[pid][POINTER]))
+        for producer, values in produced.items():
+            edges = [(pid, value) for pid, value in values if value is not None]
+            assert edges, producer
+            for pid, value in edges:
+                assert type(value) is Hyperedge, (producer, value)
+                assert value in hypergraph.hyperedges, (producer, value)
+                assert value in hypergraph.incident_edges(pid), (producer, pid, value)
 
 
 class TestHypergraphBasics:

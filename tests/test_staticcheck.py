@@ -217,11 +217,11 @@ def test_undeclared_neighbour_read_mutation_is_caught(tmp_path):
     text = cc1.read_text(encoding="utf-8")
     # CC1's guards only declare S/P/T of neighbours; reading the CC2/CC3
     # lock flag "L" of a neighbour is exactly the drift RL202 exists for.
-    # The read goes through the macro's ``read = ctx.read`` alias.
-    needle = "read(q, STATUS) == LOOKING for q in edge.members"
+    # The read indexes FreeEdges' ``states = ctx.states`` row mapping.
+    needle = "if states[q][STATUS] != LOOKING:"
     assert needle in text
     cc1.write_text(
-        text.replace(needle, 'read(q, "L") == LOOKING for q in edge.members', 1),
+        text.replace(needle, 'if states[q]["L"] != LOOKING:', 1),
         encoding="utf-8",
     )
     project = Project.load(mutated_root)

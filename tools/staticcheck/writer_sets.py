@@ -215,7 +215,65 @@ class WriterSetConformancePass:
                     diagnostics.extend(
                         self._check_read(project, source, cls, model, node, own_pids)
                     )
+            for line, target, variable_node in self._row_reads(method):
+                diagnostics.extend(
+                    self._check_variable_read(
+                        project, source, cls, model, line, target, variable_node, own_pids
+                    )
+                )
         return diagnostics
+
+    @staticmethod
+    def _row_reads(method: ast.FunctionDef) -> List[Tuple[int, ast.expr, ast.expr]]:
+        """``(line, pid, variable)`` of every read of a snapshot row.
+
+        The two forms are ``<states>[<pid>][<VAR>]`` and ``<row>[<VAR>]``
+        where ``<row> = <states>[<pid>]`` is bound in the method; ``<states>``
+        is ``ctx.states`` or a local bound to it.  A row name bound more
+        than once reads through every process it was bound to.
+        """
+        assigns = [
+            node
+            for node in ast.walk(method)
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+        ]
+        states_names = {
+            node.targets[0].id
+            for node in assigns
+            if isinstance(node.value, ast.Attribute) and node.value.attr == "states"
+        }
+
+        def row_pid(expr: ast.expr) -> Optional[ast.expr]:
+            """The pid of ``<states>[<pid>]``, else ``None``."""
+            if not isinstance(expr, ast.Subscript):
+                return None
+            value = expr.value
+            if (isinstance(value, ast.Attribute) and value.attr == "states") or (
+                isinstance(value, ast.Name) and value.id in states_names
+            ):
+                return expr.slice
+            return None
+
+        row_names: Dict[str, List[ast.expr]] = {}
+        for node in assigns:
+            pid = row_pid(node.value)
+            if pid is not None:
+                row_names.setdefault(node.targets[0].id, []).append(pid)
+
+        reads: List[Tuple[int, ast.expr, ast.expr]] = []
+        for node in ast.walk(method):
+            if not (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)):
+                continue
+            pid = row_pid(node.value)
+            if pid is not None:
+                reads.append((node.lineno, pid, node.slice))
+            elif isinstance(node.value, ast.Name) and node.value.id in row_names:
+                reads.extend(
+                    (node.lineno, bound, node.slice) for bound in row_names[node.value.id]
+                )
+        return reads
 
     @staticmethod
     def _call_kind(node: ast.Call) -> Optional[str]:
@@ -286,7 +344,22 @@ class WriterSetConformancePass:
             return []  # own-variable read: pid itself is always a full dependency
         if len(node.args) < 2:
             return []
-        target, variable_node = node.args[0], node.args[1]
+        return self._check_variable_read(
+            project, source, cls, model, node.lineno, node.args[0], node.args[1], own_pids
+        )
+
+    def _check_variable_read(
+        self,
+        project: Project,
+        source: SourceFile,
+        cls: ast.ClassDef,
+        model: _ClassModel,
+        line: int,
+        target: ast.expr,
+        variable_node: ast.expr,
+        own_pids: Set[str],
+    ) -> List[Diagnostic]:
+        """RL202 for one read of ``variable_node`` of process ``target``."""
         if self._is_own_target(target, own_pids):
             return []
         if not model.declaration_closed:
@@ -298,7 +371,7 @@ class WriterSetConformancePass:
             return [
                 Diagnostic(
                     source.rel,
-                    node.lineno,
+                    line,
                     "RL202",
                     f"{cls.name} reads {variable!r} of another process but its "
                     "read-dependency declaration only covers "
