@@ -15,7 +15,7 @@ Two claims of `repro.campaign.store` are quantified and asserted:
 
 Perf rows land in ``perf_rows.jsonl`` under the ``run_cache_resubmission``
 and ``row_store_aggregates`` schemas registered in
-``tools/check_repo.py``.
+``tools/staticcheck/repo_checks.py``.
 """
 
 from __future__ import annotations

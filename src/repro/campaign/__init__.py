@@ -102,7 +102,6 @@ from repro.campaign.sinks import (
     BufferedSink,
     JsonlSink,
     RowSink,
-    SINK_TYPES,
     ShardProtocolError,
     TeeSink,
     parse_address,
@@ -116,10 +115,10 @@ from repro.campaign.store import (
     run_cache_key_for_row,
 )
 
-#: Dotted names handed to ``multiprocessing`` workers.  ``tools/check_repo.py``
-#: verifies each is a module-top-level callable that pickle round-trips —
-#: i.e. resolvable from a spawn context — so a refactor cannot silently break
-#: ``repro-cc campaign --jobs N``.
+#: Dotted names handed to ``multiprocessing`` workers.  repro-lint's RL303
+#: checks each names a top-level ``def`` and ``tests/test_campaign.py``
+#: that it pickle round-trips — i.e. resolves from a spawn context — so a
+#: refactor cannot silently break ``repro-cc campaign --jobs N``.
 SPAWN_ENTRY_POINTS = ("repro.campaign.jobs.execute_job",)
 
 __all__ = [
@@ -146,7 +145,6 @@ __all__ = [
     "RowSink",
     "RunCache",
     "RunJob",
-    "SINK_TYPES",
     "SPAWN_ENTRY_POINTS",
     "SerialExecutor",
     "ShardExecutor",

@@ -108,6 +108,8 @@ class CampaignResult:
     results: List[JobResult]  # in job-index order
     workers: int
     elapsed_seconds: float  # campaign wall-clock
+    executed_runs: int = 0  # runs this invocation executed (no cache hits or resumed rows)
+    executed_steps: int = 0  # the steps of those runs
 
     @property
     def rows(self) -> List[Dict[str, object]]:
@@ -136,10 +138,12 @@ class CampaignResult:
     def steps_per_sec(self) -> float:
         """Campaign-level throughput: executed steps per wall-clock second.
 
-        0.0 (not inf) when no wall-clock was recorded — ``Infinity`` is not
-        valid JSON and poisons the summary table.
+        Only :attr:`executed_steps` count: cache hits and resumed rows took
+        none of this invocation's time.  0.0 (not inf) when no wall-clock
+        was recorded — ``Infinity`` is not valid JSON and poisons the
+        summary table.
         """
-        return self.total_steps / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
+        return self.executed_steps / self.elapsed_seconds if self.elapsed_seconds > 0 else 0.0
 
     def jsonl_lines(self, include_timing: bool = False) -> List[str]:
         """One sorted-key JSON object per run.
@@ -167,9 +171,9 @@ class CampaignResult:
 class RowCollector:
     """The collect stage: fan each finished row everywhere it must go.
 
-    One object owns every per-row side effect, in a fixed order — store
-    into the cache (executed rows only; the cache refuses error rows),
-    append to the result list, stream to the crash-safety ``sink`` and
+    One object owns every per-row side effect, in a fixed order — count
+    and store into the cache (executed rows only; the cache refuses error
+    rows), append to the result list, stream to the crash-safety ``sink`` and
     invoke the ``progress`` callback — so serial, pool and shard executors
     cannot drift apart on what "a row completed" means.
 
@@ -190,6 +194,8 @@ class RowCollector:
         self.progress = progress
         self.total = total
         self.results: List[JobResult] = []
+        self.executed_runs = 0
+        self.executed_steps = 0
 
     def collect(self, result: JobResult) -> None:
         """A freshly executed result: cached, kept, streamed."""
@@ -200,8 +206,11 @@ class RowCollector:
         self._fan(result, executed=False)
 
     def _fan(self, result: JobResult, executed: bool) -> None:
-        if executed and self.cache is not None:
-            self.cache.store(result)  # no-op for error rows
+        if executed:
+            self.executed_runs += 1
+            self.executed_steps += result.steps
+            if self.cache is not None:
+                self.cache.store(result)  # no-op for error rows
         self.results.append(result)
         if self.sink is not None:
             self.sink.write_row(result.output_row(include_timing=self.sink_timing))
@@ -564,26 +573,35 @@ class Finalizer:
     def summary_rows(result: CampaignResult) -> List[Dict[str, object]]:
         """One row per (scenario, algorithm) cell plus a totals row.
 
-        Reports run/violation counts, aggregate throughput (cell steps over
-        the cell's summed per-run wall time — the workers' view, independent
-        of how many ran concurrently) and the fairness spread (Jain index
-        range across the cell's runs).  Counts, steps and Jain come from one
-        :class:`~repro.campaign.store.ColumnStore` pass over the job-order
-        rows (the aggregates ``repro-cc stats`` serves), so cells appear in
-        job order; per-run wall time is not in the rows, so throughput is
-        joined in from the results.
+        Reports run/violation counts, aggregate throughput (the steps of the
+        cell's timed runs over their summed wall time — the workers' view,
+        independent of how many ran concurrently) and the fairness spread
+        (Jain index range across the cell's runs).  Counts, steps and Jain
+        come from one :class:`~repro.campaign.store.ColumnStore` pass over
+        the job-order rows (the aggregates ``repro-cc stats`` serves), so
+        cells appear in job order; per-run wall time is not in the rows, so
+        throughput is joined in from the results.  A cache hit or a resumed
+        row without a stored ``steps_per_sec`` took no measured time, so it
+        counts in ``steps`` but not in ``steps/s``; the TOTAL row divides
+        the steps this invocation executed by its wall time.
         """
         # Cell identity comes from the row itself (identity fields are
         # present on every row, error and resumed rows included), so
         # merged results need not align index-for-index with ``jobs``.
-        elapsed_by_cell: Dict[tuple, float] = {}
+        timed_by_cell: Dict[tuple, Tuple[int, float]] = {}
         for job_result in result.results:
-            key = (job_result.row["scenario"], job_result.row["algorithm"])
-            elapsed_by_cell[key] = elapsed_by_cell.get(key, 0.0) + job_result.elapsed_seconds
+            if job_result.elapsed_seconds > 0:
+                key = (job_result.row["scenario"], job_result.row["algorithm"])
+                steps, elapsed = timed_by_cell.get(key, (0, 0.0))
+                timed_by_cell[key] = (
+                    steps + job_result.steps,
+                    elapsed + job_result.elapsed_seconds,
+                )
         rows: List[Dict[str, object]] = []
         for cell in ColumnStore.from_rows(result.rows).cell_stats():
-            elapsed = elapsed_by_cell.get((cell["scenario"], cell["algorithm"]), 0.0)
-            steps = cell["steps"]
+            timed_steps, elapsed = timed_by_cell.get(
+                (cell["scenario"], cell["algorithm"]), (0, 0.0)
+            )
             # Error rows carry no metrics; the Jain spread covers the
             # completed runs only (a fully errored cell renders "-").
             rows.append(
@@ -593,8 +611,8 @@ class Finalizer:
                     "runs": cell["runs"],
                     "violations": cell["violations"],
                     "errors": cell["errors"],
-                    "steps": steps,
-                    "steps/s": round(steps / elapsed, 1) if elapsed > 0 else "-",
+                    "steps": cell["steps"],
+                    "steps/s": round(timed_steps / elapsed, 1) if elapsed > 0 else "-",
                     "jain min..max": (
                         f"{cell['jain_min']:.3f}..{cell['jain_max']:.3f}"
                         if cell["jain_min"] is not None
@@ -611,7 +629,9 @@ class Finalizer:
                 "errors": result.errors,
                 "steps": result.total_steps,
                 "steps/s": (
-                    round(result.steps_per_sec, 1) if result.elapsed_seconds > 0 else "-"
+                    round(result.steps_per_sec, 1)
+                    if result.executed_runs and result.elapsed_seconds > 0
+                    else "-"
                 ),
                 "jain min..max": f"wall {result.elapsed_seconds:.2f}s x{result.workers}",
             }
@@ -797,6 +817,8 @@ class CampaignDriver:
             results=merged,
             workers=workers,
             elapsed_seconds=time.perf_counter() - start,  # repro-lint: disable=RL102 -- --timing-only
+            executed_runs=collector.executed_runs,
+            executed_steps=collector.executed_steps,
         )
         return self.result
 

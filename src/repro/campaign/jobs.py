@@ -177,9 +177,9 @@ ROW_VERDICT_FIELDS = (
     "ok",
 )
 
-#: The exact key set of a completed run's row (``tools/check_repo.py``
-#: asserts :func:`execute_job` emits precisely these, and that the resume
-#: module round-trips them byte-identically).
+#: The exact key set of a completed run's row
+#: (``tests/test_campaign_persistence.py::TestErrorRows`` asserts that
+#: :func:`execute_job` emits precisely these, and error rows the next set).
 ROW_FIELDS = ROW_IDENTITY_FIELDS + ROW_RESULT_FIELDS + ROW_VERDICT_FIELDS
 
 #: The exact key set of an error row (worker exception captured per-job).
@@ -276,9 +276,9 @@ def execute_job(job: RunJob) -> JobResult:
     """Run one job sparsely with all streaming observers attached.
 
     This is the campaign's ``multiprocessing`` entry point; it must stay a
-    module-top-level function (``tools/check_repo.py`` enforces spawn-context
-    picklability).  The returned row is a pure function of the job — no
-    timestamps, no machine-dependent values.
+    module-top-level function (RL303 and ``tests/test_campaign.py`` pin
+    spawn-context picklability).  The returned row is a pure function of
+    the job — no timestamps, no machine-dependent values.
 
     A ``batched``-engine job routes through
     :func:`repro.campaign.batched.execute_job_group` (a one-lane batch here;

@@ -33,8 +33,8 @@ Byte-identity contract: rows are written by
 :func:`parse_rows`; re-dumping a parsed row reproduces its line exactly
 (Python float repr round-trips), which is why an interrupted campaign,
 resumed and finally rewritten in job order, matches an uninterrupted
-``--jobs 1`` run byte for byte.  ``tools/check_repo.py`` asserts this
-round-trip for every schema'd row shape in tier-1.
+``--jobs 1`` run byte for byte.  ``tests/test_campaign_persistence.py``
+(``TestKillAndResume``) pins this for plain and ``--timing`` rows.
 """
 
 from __future__ import annotations

@@ -59,8 +59,8 @@ from repro.campaign.sinks import ShardProtocolError, parse_address, row_line
 #: present (``hello``'s ``range`` is ``null`` for a pull shard rather than
 #: absent), so conformance is an equality check, not a subset dance;
 #: :func:`control_message` enforces it on build and :func:`validate_control`
-#: on receipt, and ``tools/check_repo.py`` asserts the registry itself stays
-#: consistent with what the collector and client actually exchange.
+#: on receipt, and ``tests/test_campaign_shard.py::TestControlProtocol``
+#: asserts the registry itself stays consistent with what is exchanged.
 CONTROL_SCHEMAS: Dict[str, Tuple[str, ...]] = {
     "hello": ("op", "shard", "jobs", "fingerprint", "range"),
     "welcome": ("op", "jobs", "pending"),

@@ -16,8 +16,8 @@ Sinks are deliberately dumb: ``write_row(row)`` then ``close()``.  All of
 them are module-top-level classes whose *unopened* instances pickle (so a
 sink configuration can travel to a coordinating process before any file
 handle or socket exists); an **active** sink refuses to pickle instead of
-silently dropping its handle.  ``tools/check_repo.py`` enforces both via
-:data:`SINK_TYPES`.
+silently dropping its handle.  ``tests/test_campaign_persistence.py`` and
+``tests/test_campaign_shard.py`` pin both.
 """
 
 from __future__ import annotations
@@ -362,9 +362,3 @@ class TeeSink(RowSink):
         if first is not None:
             raise first
 
-
-#: Every sink class, for ``tools/check_repo.py``: each must be a
-#: module-top-level class that pickles by reference, and a fresh (unopened)
-#: instance must pickle round-trip — so a sink configuration can always be
-#: shipped between processes before it goes live.
-SINK_TYPES = (AckingSocketSink, BufferedSink, JsonlSink, TeeSink)

@@ -31,10 +31,10 @@ failures, not run results); ``steps_per_sec`` is stripped before storage
 (timing is machine state, not run identity); a corrupt or
 identity-mismatched entry is treated as a miss, never as a result —
 :func:`~repro.campaign.resume.validate_row_matches_job` re-checks every
-hit against the job it is about to stand in for.  ``repro-lint``'s RC009
-pass asserts the key covers exactly the identity fields, so a new
-:class:`~repro.campaign.jobs.RunJob` axis cannot silently alias cache
-entries across different runs.
+hit against the job it is about to stand in for.
+``tests/test_campaign_store.py`` asserts the key covers exactly the identity
+fields, one field at a time, so a new :class:`~repro.campaign.jobs.RunJob`
+axis cannot silently alias cache entries across different runs.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ from repro.campaign.sinks import RowSink, row_line
 #: row key -> :class:`RunJob` attribute hashed into :func:`run_cache_key`.
 #: Everything in ``ROW_IDENTITY_ATTRS`` except ``"job"``: the index says
 #: *where* a run sits in one particular matrix, while the cache answers
-#: "has this run shape ever been executed" across matrices.  RC009
-#: (``tools/check_repo.py::check_run_cache_key``) pins this equality and
+#: "has this run shape ever been executed" across matrices.
+#: ``tests/test_campaign_store.py::TestRunCache`` pins this equality and
 #: probes per-field key sensitivity, so identity drift bites in tier-1.
 CACHE_KEY_ATTRS: Dict[str, str] = {
     key: attr for key, attr in ROW_IDENTITY_ATTRS.items() if key != "job"

@@ -83,6 +83,7 @@ from repro.campaign import (
     read_rows,
     validate_rows_match_jobs,
 )
+from repro.campaign.resume import completed_rows
 from repro.campaign.sinks import row_line, write_lines_atomic
 from repro.core.runner import CommitteeCoordinator
 from repro.metrics.throughput import measure_throughput
@@ -454,7 +455,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     Loads the JSONL into a :class:`~repro.campaign.store.ColumnStore` once
     and serves every aggregate (per-cell counts, step totals, Jain spread,
     status breakdown) from the typed columns — the query path the summary
-    table itself uses.
+    table itself uses.  Like ``--resume``, it keeps the latest row of each
+    job, in job order: a ``--retry-errors`` stream stopped before its final
+    rewrite holds both the error row and its retry.
     """
     try:
         rows = read_rows(args.rows)
@@ -464,7 +467,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if not rows:
         print(f"stats: no rows in {args.rows}", file=sys.stderr)
         return 2
-    store = ColumnStore.from_rows(rows)
+    store = ColumnStore.from_rows(row for _, row in sorted(completed_rows(rows).items()))
     table = []
     for cell in store.cell_stats():
         table.append(

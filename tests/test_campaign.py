@@ -280,8 +280,8 @@ class TestRunCampaign:
 
 class TestSpawnSafety:
     def test_entry_points_are_spawn_resolvable(self):
-        # Mirrors tools/check_repo.py: the worker entry point must be a
-        # module-top-level callable that pickle round-trips by reference.
+        # RL303 checks statically that each entry point names a top-level
+        # def; here the callable must pickle round-trip by reference.
         import importlib
 
         for dotted in SPAWN_ENTRY_POINTS:

@@ -44,6 +44,7 @@ from repro.campaign import (
     shard_slice,
     validate_control,
 )
+from repro.campaign.jobs import ERROR_ROW_FIELDS, ROW_FIELDS
 from repro.campaign.sinks import row_line
 
 
@@ -85,6 +86,7 @@ class TestControlProtocol:
             validate_control(message)  # round-trips
             # Rows are distinguishable from control traffic by construction.
             assert "op" in message
+        assert "op" not in ROW_FIELDS and "op" not in ERROR_ROW_FIELDS
 
     def test_malformed_messages_are_rejected(self):
         with pytest.raises(ShardProtocolError, match="unknown control op"):

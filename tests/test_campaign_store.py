@@ -20,20 +20,24 @@ with it:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
 import pytest
 
 from repro.campaign import (
+    CACHE_KEY_ATTRS,
     CampaignDriver,
     CampaignSpec,
     ColumnStore,
+    Finalizer,
     RunCache,
     expand_jobs,
     run_cache_key,
     run_cache_key_for_row,
 )
+from repro.campaign.jobs import ROW_IDENTITY_ATTRS, error_result
 from repro.campaign.sinks import row_line
 from repro.cli import main
 
@@ -43,6 +47,17 @@ SPEC = CampaignSpec(
     seeds=(1, 2),
     max_steps=120,
 )
+
+
+def _changed(value):
+    """A different value of the same shape, for the key-sensitivity sweep."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-changed"
+    return 0 if value is None else None
 
 
 @pytest.fixture(scope="module")
@@ -151,8 +166,6 @@ class TestRunCache:
         assert row_line(row) == row_line(baseline.rows[0])
         # Same run shape at a different matrix position still hits, with
         # the new index patched in.
-        import dataclasses
-
         moved = dataclasses.replace(jobs[0], index=99)
         hit = cache.lookup(moved)
         assert hit["job"] == 99
@@ -164,6 +177,23 @@ class TestRunCache:
         jobs = expand_jobs(SPEC)
         assert run_cache_key(jobs[0]) == run_cache_key_for_row(campaign_rows[0])
         assert run_cache_key(jobs[0]) != run_cache_key(jobs[1])
+
+    @pytest.mark.parametrize("key", [key for key in ROW_IDENTITY_ATTRS if key != "job"])
+    def test_key_covers_identity_field(self, key):
+        # The key must pin the whole run identity: a RunJob axis it ignored
+        # would let two different runs share one cache entry.
+        assert CACHE_KEY_ATTRS == {
+            k: attr for k, attr in ROW_IDENTITY_ATTRS.items() if k != "job"
+        }
+        job = expand_jobs(SPEC)[0]
+        attr = ROW_IDENTITY_ATTRS[key]
+        changed = dataclasses.replace(job, **{attr: _changed(getattr(job, attr))})
+        assert run_cache_key(changed) != run_cache_key(job)
+        identity = {k: getattr(changed, a) for k, a in ROW_IDENTITY_ATTRS.items()}
+        assert run_cache_key_for_row(identity) == run_cache_key(changed)
+        # The index is a matrix position, not identity: it never moves the key.
+        moved = dataclasses.replace(job, index=job.index + 1)
+        assert run_cache_key(moved) == run_cache_key(job)
 
     def test_corrupt_and_mismatched_entries_are_misses(self, tmp_path):
         jobs = expand_jobs(SPEC)[:2]
@@ -222,6 +252,36 @@ class TestRunCache:
         cached = CampaignDriver(jobs, cache=cache).execute()
         assert cached.jsonl_lines() == baseline.jsonl_lines()
         assert cache.hits == len(jobs)
+
+    def test_summary_throughput_counts_only_executed_runs(self, tmp_path):
+        # Cache hits took none of this invocation's time: they count in the
+        # ``steps`` columns but in neither half of a ``steps/s`` ratio.
+        jobs = expand_jobs(SPEC)
+        CampaignDriver(jobs[::3], cache=RunCache(str(tmp_path / "cache"))).execute()
+        partial = CampaignDriver(jobs, cache=RunCache(str(tmp_path / "cache"))).execute()
+        executed = [r for r in partial.results if r.elapsed_seconds > 0]
+        assert partial.executed_runs == len(executed) == len(jobs) - len(jobs[::3])
+        assert partial.executed_steps == sum(r.steps for r in executed)
+        assert partial.steps_per_sec == partial.executed_steps / partial.elapsed_seconds
+        rows = Finalizer.summary_rows(partial)
+        for row in rows[:-1]:
+            cell = [
+                r for r in executed
+                if (r.row["scenario"], r.row["algorithm"]) == (row["scenario"], row["algorithm"])
+            ]
+            expected = (
+                round(sum(r.steps for r in cell) / sum(r.elapsed_seconds for r in cell), 1)
+                if cell else "-"
+            )
+            assert row["steps/s"] == expected
+        assert rows[-1]["steps"] == partial.total_steps
+        assert rows[-1]["steps/s"] == round(partial.steps_per_sec, 1)
+        # A fully cached re-submission executed nothing: no throughput at all.
+        full = CampaignDriver(jobs, cache=RunCache(str(tmp_path / "cache"))).execute()
+        assert (full.executed_runs, full.executed_steps, full.steps_per_sec) == (0, 0, 0.0)
+        rows = Finalizer.summary_rows(full)
+        assert [row["steps/s"] for row in rows] == ["-"] * len(rows)
+        assert rows[-1]["steps"] == partial.total_steps
 
     def test_type_drifted_entry_is_a_miss_and_re_executes(self, tmp_path):
         # ``120.0 == 120`` in Python, but an entry saying ``"max_steps":
@@ -481,3 +541,16 @@ class TestStatsSubcommand:
         empty.write_text("")
         assert main(["stats", str(empty)]) == 2
         capsys.readouterr()
+
+    def test_stats_counts_each_job_once_by_its_latest_row(self, capsys, tmp_path, campaign_rows):
+        # A --resume --retry-errors stream stopped before its final rewrite
+        # holds job 0's error row, then the retried ok row.
+        error_row = error_result(expand_jobs(SPEC)[0], RuntimeError("boom")).row
+        path = tmp_path / "rows.jsonl"
+        path.write_text(row_line(error_row) + "\n" + row_line(campaign_rows[0]) + "\n")
+        assert main(["stats", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"Stats: 1 rows from {path}" in out
+        total = next(line for line in out.splitlines() if line.startswith("| TOTAL"))
+        runs, errors = (cell.strip() for cell in total.split("|")[3:6:2])
+        assert (runs, errors) == ("1", "0")

@@ -1,60 +1,43 @@
-"""Tier-1 wiring for ``tools/check_repo.py``.
+"""Drift tests for the RC0xx repo-hygiene passes (``tools/staticcheck/repo_checks.py``).
 
-Runs the repo hygiene checks as part of the ordinary test suite so that
-tracked ``.pyc`` files, broken ``docs/`` links/module references, and
-``docs/CLI.md`` flag drift against ``repro.cli`` fail CI, not a reader.
+Each pass must actually bite: a seeded defect in a scratch repo layout (or
+a scratch document) surfaces as a
+:class:`~tools.staticcheck.diagnostics.Diagnostic` at the file and line of
+the defect, with the pass's code.  That the live tree is clean under every
+pass is asserted once, through the registry, in
+``tests/test_staticcheck.py::test_full_registry_clean_including_repo_checks``.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tools.staticcheck import Diagnostic, Project
+from tools.staticcheck import repo_checks
+from tools.staticcheck.repo_checks import (
+    CliAdapterPass,
+    CliDocsPass,
+    DocLinksPass,
+    PerfRowsPass,
+)
 
 
-def _load_check_repo():
-    spec = importlib.util.spec_from_file_location(
-        "check_repo", REPO_ROOT / "tools" / "check_repo.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _located(diagnostics):
+    return [(d.path, d.line, d.code) for d in diagnostics]
 
 
-check_repo = _load_check_repo()
-
-
-def test_no_tracked_bytecode():
-    assert check_repo.check_no_tracked_bytecode() == []
-
-
-def test_docs_links_and_module_references_resolve():
-    assert check_repo.check_doc_links() == []
-
-
-def test_cli_docs_match_parser():
-    assert check_repo.check_cli_docs() == []
-
-
-def test_perf_rows_match_schemas():
-    assert check_repo.check_perf_rows() == []
-
-
-def test_spawn_entry_points_resolvable():
-    assert check_repo.check_spawn_entry_points() == []
-
-
-def test_cli_stays_a_thin_adapter():
-    assert check_repo.check_cli_thin_adapter() == []
-
-
-def test_cli_thin_adapter_checker_catches_drift(tmp_path, monkeypatch):
+def test_cli_thin_adapter_checker_catches_drift(tmp_path):
     # Every forbidden spelling must bite: plain imports, aliased imports,
     # submodule imports and both from-forms of the batched module — while
     # the driver import (the sanctioned path) stays clean.
-    bad = tmp_path / "cli.py"
-    bad.write_text(
+    cli = tmp_path / "src" / "repro" / "cli.py"
+    cli.parent.mkdir(parents=True)
+    cli.write_text(
         "import multiprocessing\n"
         "import multiprocessing.pool\n"
         "import socket as s\n"
@@ -63,18 +46,17 @@ def test_cli_thin_adapter_checker_catches_drift(tmp_path, monkeypatch):
         "from repro.campaign.driver import CampaignDriver\n"  # allowed
         "from repro.campaign import driver\n"                 # allowed
     )
-    monkeypatch.setattr(check_repo, "CLI_PATH", bad)
-    errors = check_repo.check_cli_thin_adapter()
-    assert len(errors) == 5
-    assert all("thin-adapter" in e for e in errors)
-    assert any(":4:" in e and "batched" in e for e in errors)
-    assert not any(":6:" in e or ":7:" in e for e in errors)
+    found = CliAdapterPass().run(Project.load(tmp_path))
+    assert _located(found) == [("src/repro/cli.py", line, "RC010") for line in range(1, 6)]
+    assert all("thin-adapter" in d.message for d in found)
+    assert "batched" in found[3].message
 
 
-def test_perf_row_checker_catches_drift(tmp_path, monkeypatch):
+def test_perf_row_checker_catches_drift(tmp_path):
     # The schema checker must actually bite: unknown bench names, missing
     # fields and malformed lines all surface as errors.
-    rows = tmp_path / "perf_rows.jsonl"
+    rows = tmp_path / "benchmarks" / "perf_rows.jsonl"
+    rows.parent.mkdir()
     rows.write_text(
         '{"bench": "engine_scaling", "engine": "dense", "n": 1, "steps": 2, '
         '"steps_per_sec": 3.0, "timestamp": 1.0}\n'          # ok
@@ -83,70 +65,119 @@ def test_perf_row_checker_catches_drift(tmp_path, monkeypatch):
         "not json at all\n"                                  # malformed
         '{"engine": "dense", "timestamp": 1.0}\n'            # no bench
     )
-    monkeypatch.setattr(check_repo, "PERF_ROWS_PATH", rows)
-    errors = check_repo.check_perf_rows()
-    assert len(errors) == 4
-    assert any("mystery_bench" in e for e in errors)
-    assert any("missing field" in e for e in errors)
-    assert any("not valid JSON" in e for e in errors)
-    assert any("missing string 'bench'" in e for e in errors)
+    found = PerfRowsPass().run(Project.load(tmp_path))
+    assert _located(found) == [
+        ("benchmarks/perf_rows.jsonl", line, "RC004") for line in (2, 3, 4, 5)
+    ]
+    assert "mystery_bench" in found[0].message
+    assert "missing field" in found[1].message
+    assert "not valid JSON" in found[2].message
+    assert "missing string 'bench'" in found[3].message
 
 
-def test_checks_catch_drift():
+def test_cli_docs_are_checked_per_subcommand_section(tmp_path):
     # The flag checker must actually bite: an undocumented-but-real flag set
     # and a documented-but-fake flag both surface as errors.
-    flags = check_repo._parser_flags()
+    flags = repo_checks._parser_flags()
     assert "--stop-on-violation" in flags["check"]
     assert "--engine" in flags["run"]
     # Flag completeness is per subcommand section: --engine appearing only
-    # in the check section must still flag the run section as incomplete.
-    sections = check_repo._subcommand_sections(
+    # in the check section must still flag the run section as incomplete,
+    # at the line of the run section's heading.
+    text = (
         "## `repro-cc run`\n\nsome text, no flags\n\n"
-        "## `repro-cc check`\n\n| `--engine` | ... |\n"
+        "## `repro-cc check`\n\n| `--engine` | ... |\n| `--no-such-flag` | ... |\n"
     )
-    assert "--engine" in sections["check"] and "--engine" not in sections["run"]
-    assert not check_repo._module_resolves("repro.does_not_exist")
-    assert check_repo._module_resolves("repro")  # bare package name
-    assert check_repo._module_resolves("repro.kernel.scheduler")
-    assert check_repo._module_resolves("repro.kernel.trace")
+    sections = repo_checks._subcommand_sections(text)
+    assert sections["run"][0] == 1 and sections["check"][0] == 5
+    assert "--engine" in sections["check"][1] and "--engine" not in sections["run"][1]
+    doc = tmp_path / "docs" / "CLI.md"
+    doc.parent.mkdir()
+    doc.write_text(text)
+    found = CliDocsPass().run(Project.load(tmp_path))
+    assert all(d.path == "docs/CLI.md" and d.code == "RC003" for d in found)
+    assert Diagnostic(
+        "docs/CLI.md", 1, "RC003", "section `repro-cc run` does not document its flag --engine"
+    ) in found
+    assert Diagnostic(
+        "docs/CLI.md", 8, "RC003", "names a flag the CLI does not define: --no-such-flag"
+    ) in found
+    assert not any("`repro-cc check` does not document its flag --engine" in d.message
+                   for d in found)
+
+
+def test_doc_references_report_their_real_line(tmp_path):
+    # A broken relative link, an unknown module reference and an unknown
+    # benchmark reference are each reported at the line that holds them;
+    # the good link and the importable module on the same lines are not.
+    doc = tmp_path / "docs" / "GUIDE.md"
+    doc.parent.mkdir()
+    doc.write_text(
+        "# Guide\n"
+        "\n"
+        "See [this guide](GUIDE.md) and [the missing one](nowhere.md#top).\n"
+        "The scheduler is `repro.kernel.scheduler`, not `repro.kernel.no_such`.\n"
+        "Reproduce it with `benchmarks/bench_no_such.py`.\n"
+    )
+    found = DocLinksPass().run(Project.load(tmp_path))
+    assert _located(found) == [
+        ("docs/GUIDE.md", 3, "RC002"),
+        ("docs/GUIDE.md", 4, "RC002"),
+        ("docs/GUIDE.md", 5, "RC002"),
+    ]
+    assert [d.message for d in found] == [
+        "broken relative link -> nowhere.md",
+        "unknown module reference `repro.kernel.no_such`",
+        "unknown benchmark reference benchmarks/bench_no_such.py",
+    ]
+
+
+def test_module_member_and_xref_resolution():
+    resolves = repo_checks._module_resolves
+    assert not resolves("repro.does_not_exist")
+    assert resolves("repro")  # bare package name
+    assert resolves("repro.kernel.scheduler")
+    assert resolves("repro.kernel.trace")
     # Class-qualified references resolve through the attribute fallback ...
-    assert check_repo._module_resolves("repro.kernel.trace.StepDelta")
-    assert check_repo._module_resolves("repro.kernel.StepDelta")
-    assert check_repo._module_resolves("repro.kernel.scheduler.Scheduler")
+    assert resolves("repro.kernel.trace.StepDelta")
+    assert resolves("repro.kernel.StepDelta")
+    assert resolves("repro.kernel.scheduler.Scheduler")
     # ... and typos in either half still fail.
-    assert not check_repo._module_resolves("repro.kernel.trace.StepDeltaX")
-    assert not check_repo._module_resolves("repro.kernel.tracee.StepDelta")
+    assert not resolves("repro.kernel.trace.StepDeltaX")
+    assert not resolves("repro.kernel.tracee.StepDelta")
     # The docs regex captures class-qualified names so they are validated.
-    assert "repro.kernel.trace.StepDelta" in check_repo._MODULE_RE.findall(
+    assert "repro.kernel.trace.StepDelta" in repo_checks._MODULE_RE.findall(
         "see `repro.kernel.trace.StepDelta` for details"
     )
     # Attribute chains resolve through methods and dataclass fields (a field
     # without a default is no class attribute), and typos still fail.
-    assert check_repo._module_resolves("repro.campaign.driver.CampaignDriver.execute")
-    assert check_repo._module_resolves("repro.campaign.jobs.JobResult.elapsed_seconds")
-    assert not check_repo._module_resolves("repro.campaign.jobs.JobResult.elapsed")
-    assert not check_repo._module_resolves("repro.campaign.jobs.JobResult.row.keys")
+    assert resolves("repro.campaign.driver.CampaignDriver.execute")
+    assert resolves("repro.campaign.jobs.JobResult.elapsed_seconds")
+    assert not resolves("repro.campaign.jobs.JobResult.elapsed")
+    assert not resolves("repro.campaign.jobs.JobResult.row.keys")
     # Code docstring cross-references are checked too, with their line.
-    errors = check_repo._xref_errors(
+    errors = repo_checks._xref_errors(
         "src/repro/example.py",
         '"""Doc.\n\nSee :func:`~repro.campaign.driver.run_everything` and\n'
         ':class:`repro.campaign.driver.CampaignDriver`, :meth:`Local.name`.\n"""\n',
     )
     assert errors == [
-        "src/repro/example.py:3: unknown cross-reference "
-        ":func:`repro.campaign.driver.run_everything`"
+        Diagnostic(
+            "src/repro/example.py", 3, "RC002",
+            "unknown cross-reference :func:`repro.campaign.driver.run_everything`",
+        )
     ]
     # Bare `Class.member` references in docs resolve against the public
     # classes defined under repro: a removed method (even when called with
     # arguments) fails, dataclass fields count, and names that are no repro
     # class are left alone.
-    errors = check_repo._member_ref_errors(
+    errors = repo_checks._member_ref_errors(
         "docs/EXAMPLE.md",
         "Use `Scheduler.set_configuration` and `JobResult.elapsed_seconds`.\n"
         "Call `Scheduler.run(max_rounds=5)`, not `Scheduler.rewind(5)`;\n"
         "`config.get` and `Local.name` are not repro classes.\n",
-        check_repo._public_classes(),
+        repo_checks._public_classes(Project.load(REPO_ROOT)),
     )
     assert errors == [
-        "docs/EXAMPLE.md:2: unknown member reference `Scheduler.rewind`"
+        Diagnostic("docs/EXAMPLE.md", 2, "RC002", "unknown member reference `Scheduler.rewind`")
     ]

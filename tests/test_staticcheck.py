@@ -7,9 +7,9 @@ Four layers of assurance:
   ``# expect: CODE`` marker (``# expect-suppressed: CODE`` for lines whose
   suppression must be honored).  The tests assert the AST passes emit
   *exactly* the marked diagnostics — each pass both fires and suppresses;
-* **live tree** — the full pass registry (AST + migrated RC0xx repo checks)
-  runs clean on the repository itself, which is the acceptance bar every
-  future PR inherits;
+* **live tree** — the full pass registry (AST + RC0xx repo checks) runs
+  clean on the repository itself, which is the acceptance bar every future
+  PR inherits;
 * **mutation** — seeding a known-bad mutation (an undeclared writer
   variable in ``CC1Algorithm``) into a copy of the tree is caught
   statically, proving the writer-set pass guards the real algorithms, not
@@ -39,8 +39,7 @@ from tools.staticcheck.diagnostics import (
     parse_suppressions,
     render_json,
 )
-from tools.staticcheck.registry import all_passes, known_pass_names
-from tools.staticcheck.repo_checks import REPO_CHECK_PASSES
+from tools.staticcheck.registry import REPO_PASSES, all_passes, known_pass_names
 from tools.staticcheck.writer_sets import WriterSetConformancePass
 
 FIXTURES = REPO_ROOT / "tests" / "fixtures" / "staticcheck"
@@ -138,12 +137,6 @@ def test_render_json_is_deterministic_and_sorted():
 # --------------------------------------------------------------------------- #
 # live tree: the acceptance bar
 # --------------------------------------------------------------------------- #
-def test_live_tree_is_clean_ast_passes():
-    project = Project.load(REPO_ROOT)
-    diagnostics = run_passes(project, ast_passes())
-    assert active(diagnostics) == []
-
-
 def test_live_tree_suppressions_are_justified():
     """Every suppression in the tree carries a ``--`` justification — the
     convention that keeps ``disable=`` from becoming a blanket mute."""
@@ -164,20 +157,8 @@ def test_full_registry_clean_including_repo_checks():
 
 def test_repo_check_passes_skip_fixture_projects():
     project = _corpus_project()
-    for factory in REPO_CHECK_PASSES:
+    for factory in REPO_PASSES:
         assert factory().run(project) == []
-
-
-def test_repo_check_error_location_parsing():
-    check = REPO_CHECK_PASSES[3]()  # repo-perf-rows, RC004
-    located = check._locate("benchmarks/perf_rows.jsonl:12: not valid JSON")
-    assert (located.path, located.line, located.code) == (
-        "benchmarks/perf_rows.jsonl", 12, "RC004",
-    )
-    prefixed = check._locate("docs/CLI.md: broken relative link -> nowhere.md")
-    assert (prefixed.path, prefixed.line) == ("docs/CLI.md", 1)
-    fallback = check._locate("spawn entry point x.y: not a module-level callable")
-    assert fallback.path == check.default_path
 
 
 # --------------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 """Repository tooling (not shipped inside the ``repro`` package).
 
-``tools.staticcheck`` is the ``repro-lint`` static-analysis suite;
-``tools/check_repo.py`` is the historical entry point, now a thin shim over
-the same pass registry.
+``tools.staticcheck`` is the ``repro-lint`` static-analysis suite: the AST
+passes and the repo-hygiene checks, one registry and one entry point
+(``python -m tools.staticcheck``).
 """

@@ -4,7 +4,7 @@ Two modes share one pass registry and one output format:
 
 * **repo mode** (no positional paths): analyze the repo layout —
   ``src/repro/**`` + ``benchmarks/**`` through the AST passes, plus the
-  migrated RC0xx repo-hygiene checks — exactly what tier-1 asserts is clean;
+  RC0xx repo-hygiene checks — exactly what tier-1 asserts is clean;
 * **file mode** (explicit paths): parse just those files and run the AST
   passes over all of them, scope-free.  This is what the fixture-corpus
   tests use, and what an editor integration would call on save.

@@ -1,8 +1,8 @@
 """Diagnostics: the one result type every pass emits, plus suppressions.
 
 A :class:`Diagnostic` is ``file:line: CODE message`` — the same shape for an
-AST finding (``src/repro/core/cc1.py:217: RL201 ...``) and for a migrated
-repo-hygiene check (``docs/CLI.md:1: RC003 ...``), so one CLI, one JSON
+AST finding (``src/repro/core/cc1.py:217: RL201 ...``) and for a
+repo-hygiene check (``docs/CLI.md:12: RC003 ...``), so one CLI, one JSON
 format and one test harness cover the whole suite.
 
 Suppression is per *line*, never per pass or per file::

@@ -7,15 +7,15 @@ A *pass* is any object with
 * ``run(project) -> List[Diagnostic]`` — suppressions already applied
   (suppressed findings are returned marked, not dropped).
 
-Two families live here:
+Two families live here, registered the same way:
 
 * **AST passes** (:data:`AST_PASSES`) analyze the parsed
   :class:`~tools.staticcheck.project.Project` without executing anything —
   they work on the repo layout *and* on fixture corpora;
-* **repo-check passes** (:func:`repo_check_passes`) are the migrated
-  ``tools/check_repo.py`` hygiene checks — they import ``repro`` and touch
-  git/docs, so they only make sense against the real repo and are skipped
-  automatically for fixture projects.
+* **repo passes** (:data:`REPO_PASSES`, RC0xx) check the git index, the
+  docs and the perf rows against the code — RC002/RC003 import ``repro``
+  when they run, so they only make sense against the real repo and return
+  nothing for fixture projects.
 
 The driver (:func:`run_passes`) is what both the CLI and tier-1 call; it
 returns every diagnostic sorted, suppressed ones included, and leaves the
@@ -30,6 +30,13 @@ from tools.staticcheck.determinism import DeterminismPass
 from tools.staticcheck.diagnostics import Diagnostic
 from tools.staticcheck.listeners import ListenerProtocolPass
 from tools.staticcheck.project import Project
+from tools.staticcheck.repo_checks import (
+    CliAdapterPass,
+    CliDocsPass,
+    DocLinksPass,
+    PerfRowsPass,
+    TrackedBytecodePass,
+)
 from tools.staticcheck.spawn_safety import SpawnSafetyPass
 from tools.staticcheck.writer_sets import WriterSetConformancePass
 
@@ -41,45 +48,35 @@ AST_PASSES = (
     ListenerProtocolPass,
 )
 
+#: The repo-hygiene passes, in code order.
+REPO_PASSES = (
+    TrackedBytecodePass,
+    DocLinksPass,
+    CliDocsPass,
+    PerfRowsPass,
+    CliAdapterPass,
+)
+
 
 def ast_passes(names: Optional[Iterable[str]] = None) -> List[object]:
     """Instances of the AST passes (optionally restricted to ``names``)."""
-    selected = _select(AST_PASSES, names)
-    return [factory() for factory in selected]
-
-
-def repo_check_passes(names: Optional[Iterable[str]] = None) -> List[object]:
-    """Instances of the migrated repo-hygiene passes.
-
-    Imported lazily: the repo checks import ``repro`` (and run git), which a
-    fixture-corpus analysis must not require.
-    """
-    from tools.staticcheck.repo_checks import REPO_CHECK_PASSES
-
-    return [factory() for factory in _select(REPO_CHECK_PASSES, names)]
+    return [factory() for factory in _select(AST_PASSES, names)]
 
 
 def all_passes(names: Optional[Iterable[str]] = None) -> List[object]:
-    """AST passes followed by the repo-check passes."""
-    return ast_passes(names) + repo_check_passes(names)
+    """AST passes followed by the repo passes."""
+    return [factory() for factory in _select(AST_PASSES + REPO_PASSES, names)]
 
 
 def _select(factories: Sequence[type], names: Optional[Iterable[str]]) -> List[type]:
     if names is None:
         return list(factories)
     wanted = set(names)
-    chosen = [f for f in factories if f.name in wanted]
-    unknown = wanted - {f.name for f in factories}
-    # Unknown names are *not* an error here: ``all_passes`` feeds the same
-    # name set to both families, so each family ignores the other's names.
-    del unknown
-    return chosen
+    return [f for f in factories if f.name in wanted]
 
 
 def known_pass_names() -> List[str]:
-    from tools.staticcheck.repo_checks import REPO_CHECK_PASSES
-
-    return [f.name for f in AST_PASSES] + [f.name for f in REPO_CHECK_PASSES]
+    return [f.name for f in AST_PASSES + REPO_PASSES]
 
 
 def run_passes(project: Project, passes: Sequence[object]) -> List[Diagnostic]:
@@ -94,18 +91,9 @@ def run_passes(project: Project, passes: Sequence[object]) -> List[Diagnostic]:
     return sorted(diagnostics)
 
 
-def _collect_codes() -> Dict[str, str]:
-    codes: Dict[str, str] = {}
-    for factory in AST_PASSES:
-        codes.update(factory.codes)
-    try:
-        from tools.staticcheck.repo_checks import REPO_CHECK_PASSES
-    except Exception:  # pragma: no cover - repo checks need the repo layout
-        return codes
-    for factory in REPO_CHECK_PASSES:
-        codes.update(factory.codes)
-    return codes
-
-
 #: ``code -> one-line description`` across every registered pass.
-ALL_CODES: Dict[str, str] = _collect_codes()
+ALL_CODES: Dict[str, str] = {
+    code: description
+    for factory in AST_PASSES + REPO_PASSES
+    for code, description in factory.codes.items()
+}
