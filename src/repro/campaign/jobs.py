@@ -15,6 +15,7 @@ counts.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -61,9 +62,7 @@ class RunJob:
     grace_steps: Optional[int] = None
 
     def build_hypergraph(self) -> Hypergraph:
-        if self.random_seed is not None:
-            return random_scenario(self.random_seed).build_hypergraph()
-        return scenario_by_name(self.scenario).hypergraph
+        return _scenario_hypergraph(self.scenario, self.random_seed)
 
     def build_environment(self) -> Environment:
         # Seeded by the *job* seed: two engines replay the same request
@@ -74,6 +73,19 @@ class RunJob:
 
     def build_daemon(self) -> Daemon:
         return daemon_from_name(self.daemon, seed=self.seed)
+
+
+@functools.lru_cache(maxsize=4)
+def _scenario_hypergraph(scenario: str, random_seed: Optional[int]) -> Hypergraph:
+    """The hypergraph of one scenario identity, built once per process.
+
+    A hypergraph is immutable, so the jobs of one scenario (one per
+    algorithm, engine and seed) can share it.  ``expand_jobs`` keeps them
+    adjacent, so a few entries suffice, and no more are kept alive.
+    """
+    if random_seed is not None:
+        return random_scenario(random_seed).build_hypergraph()
+    return scenario_by_name(scenario).hypergraph
 
 
 @dataclass(frozen=True)

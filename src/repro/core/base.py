@@ -4,6 +4,8 @@
 
 * their variable layout (status ``S``, edge pointer ``P``, token flag ``T``,
   plus the bound token module's variables),
+* their action-table key: the status ``S``, at which every action declares
+  when its guard can hold,
 * the predicates ``Ready``, ``Meeting`` and ``LeaveMeeting`` (syntactically
   identical in Algorithms 1 and 2 up to the statuses that exist); these and
   the algorithms' other guard macros are
@@ -39,6 +41,12 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
 
     #: Statuses a process of this algorithm may take (overridden per algorithm).
     statuses: Tuple[str, ...] = (IDLE, LOOKING, WAITING, DONE)
+
+    #: Every guard of Algorithms 1 and 2 fixes the acting process's own
+    #: status, so each action declares the statuses at which its guard can
+    #: hold (:attr:`~repro.kernel.algorithm.Action.when`) and a walk tries
+    #: only the actions its status admits.
+    action_key = STATUS
 
     def __init__(self, hypergraph: Hypergraph, token: TokenBinding) -> None:
         if not hypergraph.hyperedges:

@@ -151,9 +151,13 @@ class CC1Algorithm(CommitteeAlgorithmBase):
             return True
         return status == LOOKING and not self.free_edges(ctx, pid)
 
-    @shared
     def correct(self, ctx: ActionContext, pid: ProcessId) -> bool:
-        """The ``Correct(p)`` predicate of Algorithm 1."""
+        """The ``Correct(p)`` predicate of Algorithm 1.
+
+        Only ``Stab1`` (at ``idle``) and ``Stab2`` (at ``waiting``/``done``)
+        test it, and no status admits both, so a walk evaluates it at most
+        once and it needs no memo.
+        """
         status = ctx.read(pid, STATUS)
         pointer = ctx.read(pid, POINTER)
         if status == IDLE and pointer is not None:
@@ -251,17 +255,22 @@ class CC1Algorithm(CommitteeAlgorithmBase):
             ctx.write(STATUS, LOOKING)
             ctx.write(POINTER, None)
 
+        # ``when``: the statuses at which each guard can hold, read off the
+        # guard.  ``FreeEdges_p ≠ ∅`` needs ``S_p = looking`` (p is in every
+        # edge of ``E_p``), ``LeaveMeeting(p)`` needs ``S_p = done`` (p
+        # points at its own edge), and ``¬Correct(p)`` needs ``S_p`` in
+        # {idle, waiting, done}.
         actions: List[Action] = [
-            Action("Step1", step1_guard, step1_stmt),
-            Action("Step21", step21_guard, step21_stmt),
-            Action("Step22", step22_guard, step22_stmt),
+            Action("Step1", step1_guard, step1_stmt, when=frozenset({IDLE})),
+            Action("Step21", step21_guard, step21_stmt, when=frozenset({LOOKING})),
+            Action("Step22", step22_guard, step22_stmt, when=frozenset({LOOKING})),
             Action("Token1", token1_guard, token1_stmt),
-            Action("Token2", token2_guard, token2_stmt),
-            Action("Step31", step31_guard, step31_stmt),
-            Action("Step32", step32_guard, step32_stmt),
-            Action("Step4", step4_guard, step4_stmt),
-            Action("Stab1", stab1_guard, stab1_stmt),
-            Action("Stab2", stab2_guard, stab2_stmt),
+            Action("Token2", token2_guard, token2_stmt, when=frozenset({IDLE, LOOKING})),
+            Action("Step31", step31_guard, step31_stmt, when=frozenset({LOOKING})),
+            Action("Step32", step32_guard, step32_stmt, when=frozenset({WAITING})),
+            Action("Step4", step4_guard, step4_stmt, when=frozenset({DONE})),
+            Action("Stab1", stab1_guard, stab1_stmt, when=frozenset({IDLE})),
+            Action("Stab2", stab2_guard, stab2_stmt, when=frozenset({WAITING, DONE})),
         ]
         # Fair composition with the token module's maintenance actions (if
         # any).  They are appended *before* the CC actions' stabilization

@@ -197,9 +197,12 @@ class CC2Algorithm(CommitteeAlgorithmBase):
             and ctx.read(pid, POINTER) not in self.t_pointing_edges(ctx, pid)
         )
 
-    @shared
     def correct(self, ctx: ActionContext, pid: ProcessId) -> bool:
-        """The ``Correct(p)`` predicate of Algorithm 2."""
+        """The ``Correct(p)`` predicate of Algorithm 2.
+
+        Only ``Stab`` tests it, so a walk evaluates it at most once and it
+        needs no memo.
+        """
         status = ctx.read(pid, STATUS)
         if status == WAITING and not (self.ready(ctx, pid) or self.meeting(ctx, pid)):
             return False
@@ -326,17 +329,21 @@ class CC2Algorithm(CommitteeAlgorithmBase):
             ctx.write(STATUS, LOOKING)
             ctx.write(POINTER, None)
 
+        # ``when``: the statuses at which each guard can hold, read off the
+        # guard.  ``FreeEdges_p ≠ ∅`` needs ``S_p = looking`` (p is in every
+        # edge of ``E_p``), ``LeaveMeeting(p)`` states ``S_p = done``, and
+        # ``¬Correct(p)`` needs ``S_p`` in {waiting, done}.
         actions: List[Action] = [
             Action("Lock", lock_guard, lock_stmt),
-            Action("Step11", step11_guard, step11_stmt),
-            Action("Step12", step12_guard, step12_stmt),
-            Action("Step13", step13_guard, step13_stmt),
-            Action("Step14", step14_guard, step14_stmt),
+            Action("Step11", step11_guard, step11_stmt, when=frozenset({LOOKING})),
+            Action("Step12", step12_guard, step12_stmt, when=frozenset({LOOKING})),
+            Action("Step13", step13_guard, step13_stmt, when=frozenset({LOOKING})),
+            Action("Step14", step14_guard, step14_stmt, when=frozenset({LOOKING})),
             Action("Token", token_guard, token_stmt),
-            Action("Step2", step2_guard, step2_stmt),
-            Action("Step3", step3_guard, step3_stmt),
-            Action("Step4", step4_guard, step4_stmt),
-            Action("Stab", stab_guard, stab_stmt),
+            Action("Step2", step2_guard, step2_stmt, when=frozenset({LOOKING})),
+            Action("Step3", step3_guard, step3_stmt, when=frozenset({WAITING})),
+            Action("Step4", step4_guard, step4_stmt, when=frozenset({DONE})),
+            Action("Stab", stab_guard, stab_stmt, when=frozenset({WAITING, DONE})),
         ]
         return tuple(self.token.maintenance_actions(pid) + actions)
 

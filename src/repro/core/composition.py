@@ -10,9 +10,10 @@ in ``CC1``, ``Step4`` in ``CC2``).
 :class:`~repro.tokenring.interfaces.TokenModule` for that purpose: it stores
 the module's variables under a prefix inside the composed per-process state,
 exposes ``Token(p)`` / ``ReleaseToken_p`` against an
-:class:`~repro.kernel.algorithm.ActionContext`, and namespaces the module's
-maintenance actions so they can be appended to the CC layer's action list
-(fair composition).
+:class:`~repro.kernel.algorithm.ActionContext` (the module reads the
+context's rows and writes its variables under the prefix), and namespaces
+the module's maintenance actions so they can be appended to the CC layer's
+action list (fair composition).
 """
 
 from __future__ import annotations
@@ -26,26 +27,6 @@ from repro.tokenring.interfaces import TokenModule
 
 #: Default prefix under which token-module variables live in the composed state.
 TOKEN_PREFIX = "tc_"
-
-
-class _PrefixWriter:
-    """Minimal context shim: reads/writes the prefixed token variables."""
-
-    __slots__ = ("_ctx", "_prefix", "pid")
-
-    def __init__(self, ctx: ActionContext, prefix: str) -> None:
-        self._ctx = ctx
-        self._prefix = prefix
-        self.pid = ctx.pid
-
-    def write(self, variable: str, value: Any) -> None:
-        self._ctx.write(self._prefix + variable, value)
-
-    def read(self, pid: ProcessId, variable: str, default: Any = None) -> Any:
-        return self._ctx.read(pid, self._prefix + variable, default)
-
-    def own(self, variable: str, default: Any = None) -> Any:
-        return self._ctx.read(self._ctx.pid, self._prefix + variable, default)
 
 
 class TokenBinding:
@@ -76,23 +57,18 @@ class TokenBinding:
     @shared
     def token(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``Token(p)`` evaluated against the pre-step snapshot in ``ctx``."""
-        read = lambda q, var: ctx.read(q, self.prefix + var)
-        return self.module.holds_token(read, pid)
+        return self.module.holds_token(ctx.states, self.prefix, pid)
 
     def token_in(self, configuration: Configuration, pid: ProcessId) -> bool:
         """``Token(p)`` evaluated against a full configuration (spec checkers)."""
-        read = lambda q, var: configuration.get(q, self.prefix + var)
-        return self.module.holds_token(read, pid)
+        return self.module.holds_token(configuration.states_view(), self.prefix, pid)
 
     def token_holders(self, configuration: Configuration) -> Sequence[ProcessId]:
-        read = lambda q, var: configuration.get(q, self.prefix + var)
-        return self.module.token_holders(read)
+        return self.module.token_holders(configuration.states_view(), self.prefix)
 
     def release(self, ctx: ActionContext) -> None:
-        """``ReleaseToken_p``: delegate to the module, writing prefixed variables."""
-        shim = _PrefixWriter(ctx, self.prefix)
-        read = lambda q, var: ctx.read(q, self.prefix + var)
-        self.module.release_token(shim, read)  # type: ignore[arg-type]
+        """``ReleaseToken_p``: the module writes its prefixed variables."""
+        self.module.release_token(ctx, self.prefix)
 
     # ------------------------------------------------------------------ #
     # dirty-set protocol (incremental scheduler engine)

@@ -112,6 +112,12 @@ def path_of_committees(num_committees: int, committee_size: int = 2) -> Hypergra
     2-committees is ``ceil(k / 3)`` which makes this family handy for
     exercising the Theorem 5 bound.
     """
+    edges = _path_edges(num_committees, committee_size)
+    return Hypergraph(range(1, edges[-1][-1] + 1), edges)
+
+
+def _path_edges(num_committees: int, committee_size: int) -> List[List[int]]:
+    """The committees of :func:`path_of_committees`, over ids ``1..n``."""
     if num_committees < 1:
         raise ValueError("need at least one committee")
     if committee_size < 2:
@@ -128,19 +134,17 @@ def path_of_committees(num_committees: int, committee_size: int = 2) -> Hypergra
             next_vertex += 1
         prev_last = members[-1]
         edges.append(members)
-    vertices = range(1, next_vertex)
-    return Hypergraph(vertices, edges)
+    return edges
 
 
 def cycle_of_committees(num_committees: int, committee_size: int = 2) -> Hypergraph:
     """A cycle of committees: like :func:`path_of_committees` but wrapped around."""
     if num_committees < 3:
         raise ValueError("a cycle needs at least three committees")
-    path = path_of_committees(num_committees - 1, committee_size)
-    edges = [list(e.members) for e in path.hyperedges]
-    first_vertex = min(path.vertices)
-    last_vertex = max(path.vertices)
-    vertices = list(path.vertices)
+    edges = _path_edges(num_committees - 1, committee_size)
+    first_vertex = 1
+    last_vertex = edges[-1][-1]
+    vertices = list(range(1, last_vertex + 1))
     closing = [last_vertex, first_vertex]
     while len(closing) < committee_size:
         new_vertex = max(vertices) + 1
@@ -253,14 +257,35 @@ def random_k_uniform_hypergraph(
             attempts += 1
         return chosen
 
+    def connects_everyone(committees: set) -> bool:
+        """``G_H`` of ``committees`` is connected: union-find over the members."""
+        parent = {v: v for v in vertices}
+
+        def root(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        components = len(vertices)
+        for committee in committees:
+            first = root(committee[0])
+            for member in committee[1:]:
+                other = root(member)
+                if other != first:
+                    parent[other] = first
+                    components -= 1
+        return components == 1
+
+    # Only the accepted candidate becomes a Hypergraph; a rejected one costs
+    # one union-find pass.
     chosen: set = set()
     for _ in range(max_attempts):
         chosen = build_candidate()
         if len(chosen) != num_committees:
             continue
-        hypergraph = Hypergraph(vertices, [list(c) for c in chosen])
-        if not ensure_connected or hypergraph.is_connected():
-            return hypergraph
+        if not ensure_connected or connects_everyone(chosen):
+            return Hypergraph(vertices, [list(c) for c in chosen])
 
     # Fallback: bridge the connected components with extra committees so the
     # underlying communication network becomes connected.

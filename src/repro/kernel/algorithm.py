@@ -18,8 +18,13 @@ answers, so only the highest-priority enabled action matters:
 :meth:`DistributedAlgorithm.enabled_action` walks the process's *action
 table* (:meth:`DistributedAlgorithm.action_table`, the list reversed, built
 once per run by the scheduler) and returns the first action whose guard
-holds.  The guards of one walk share one :class:`ActionContext`, so a macro
-several of them test (a :func:`shared` predicate) is derived only once.
+holds.  An action may declare the values of one own variable (the
+algorithm's :attr:`DistributedAlgorithm.action_key`, the status ``S`` for
+the committee coordination algorithms) at which its guard can hold; the
+table is keyed by that value, so a walk tries only the actions the
+walker's own value admits.  The guards of one walk share one
+:class:`ActionContext`, so a macro several of them test (a :func:`shared`
+predicate) is derived only once.
 
 Algorithms also receive *inputs* from the environment: the committee
 coordination algorithms read the predicates ``RequestIn(p)`` and
@@ -35,7 +40,7 @@ from __future__ import annotations
 import abc
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.kernel.configuration import Configuration, ProcessId
 
@@ -231,17 +236,57 @@ def merge_read_dependency_variables(
 
 @dataclass(frozen=True)
 class Action:
-    """One guarded action ``label :: guard |-> statement`` of a local algorithm."""
+    """One guarded action ``label :: guard |-> statement`` of a local algorithm.
+
+    ``when`` optionally declares the values of the acting process's
+    :attr:`DistributedAlgorithm.action_key` variable at which ``guard`` can
+    hold (``None``: any value).  A declaration only prunes which guards a
+    walk tries, so it must cover every value at which the guard holds; the
+    guard keeps its full conjunction, and a sound declaration can never
+    change which action wins.
+    """
 
     label: str
     guard: Guard
     statement: Statement
+    when: Optional[FrozenSet[Any]] = None
 
     def enabled(self, ctx: ActionContext) -> bool:
         return bool(self.guard(ctx))
 
     def execute(self, ctx: ActionContext) -> None:
         self.statement(ctx)
+
+
+class ActionTable(dict):
+    """One process's actions, highest priority first, keyed by its key value.
+
+    ``table[value]`` holds the actions whose guard can hold while the
+    process's :attr:`variable` equals ``value``: those whose ``when`` names
+    ``value`` or declares nothing.  :attr:`every` holds all of them, and a
+    value that no declaration names maps to it.  A table whose
+    :attr:`variable` is ``None`` (the algorithm declares no key) has the
+    single entry ``table[None]``.
+    """
+
+    __slots__ = ("variable", "every")
+
+    def __init__(self, variable: Optional[str], every: Tuple[Action, ...]) -> None:
+        super().__init__()
+        self.variable = variable
+        self.every = every
+        if variable is None:
+            self[None] = every
+            return
+        for action in every:
+            for value in action.when or ():
+                if value not in self:
+                    self[value] = tuple(
+                        a for a in every if a.when is None or value in a.when
+                    )
+
+    def __missing__(self, value: Any) -> Tuple[Action, ...]:
+        return self.every
 
 
 class DistributedAlgorithm(abc.ABC):
@@ -257,6 +302,11 @@ class DistributedAlgorithm(abc.ABC):
     * the ordered list of guarded actions of each process
       (:meth:`actions`); the list order encodes priority, **later = higher**.
     """
+
+    #: The own variable whose value keys :meth:`action_table` (see
+    #: :attr:`Action.when`); ``None`` keys nothing, so every walk tries
+    #: every action.
+    action_key: Optional[str] = None
 
     @abc.abstractmethod
     def process_ids(self) -> Tuple[ProcessId, ...]:
@@ -285,37 +335,45 @@ class DistributedAlgorithm(abc.ABC):
         """A configuration with every variable drawn arbitrarily (transient faults)."""
         return Configuration({pid: self.arbitrary_state(pid, rng) for pid in self.process_ids()})
 
-    def action_table(self, pid: ProcessId) -> Tuple[Action, ...]:
-        """``pid``'s actions, highest priority first: :meth:`actions` reversed.
+    def action_table(self, pid: ProcessId) -> ActionTable:
+        """``pid``'s actions, highest priority first, keyed by :attr:`action_key`.
 
-        The scheduler builds one table per process once per run and passes it
-        to every guard evaluation of that run; it belongs to the run, never
-        to the algorithm (a table cached here would close a reference cycle
+        Every entry is :meth:`actions` reversed, less the actions whose
+        :attr:`Action.when` excludes the entry's value.  The scheduler
+        builds one table per process once per run and passes it to every
+        guard evaluation of that run; it belongs to the run, never to the
+        algorithm (a table cached here would close a reference cycle
         algorithm -> table -> closures -> algorithm).
         """
-        return tuple(reversed(self.actions(pid)))
+        return ActionTable(self.action_key, tuple(reversed(self.actions(pid))))
 
     def enabled_action(
         self,
         pid: ProcessId,
         configuration: Configuration,
         environment: Environment,
-        table: Optional[Sequence[Action]] = None,
+        table: Optional[ActionTable] = None,
     ) -> Optional[Action]:
         """The highest-priority enabled action of ``pid`` in ``configuration``.
 
         Returns ``None`` when ``pid`` is disabled.  Priority follows the
         paper's convention: the action appearing *last* in :meth:`actions`
         wins.  ``table`` is ``pid``'s :meth:`action_table` (built here when
-        omitted); guards are pure, so the first action in it whose guard
-        holds is the answer and the guards after it are never evaluated.
-        This is the only per-process guard entry point; subclasses do not
-        override it.
+        omitted).  The walk reads ``pid``'s row once for its key value and
+        tries only that entry; guards are pure, so the first action in it
+        whose guard holds is the answer and the guards after it are never
+        evaluated.  This is the only per-process guard entry point;
+        subclasses do not override it.
         """
         if table is None:
             table = self.action_table(pid)
         ctx = ActionContext(pid, configuration, environment)
-        for action in table:
+        variable = table.variable
+        try:
+            actions = table[None if variable is None else ctx.states[pid].get(variable)]
+        except TypeError:  # an unhashable value, which no declaration names
+            actions = table.every
+        for action in actions:
             if action.guard(ctx):
                 return action
         return None
@@ -324,7 +382,7 @@ class DistributedAlgorithm(abc.ABC):
         self,
         configuration: Configuration,
         environment: Environment,
-        tables: Optional[Mapping[ProcessId, Sequence[Action]]] = None,
+        tables: Optional[Mapping[ProcessId, ActionTable]] = None,
     ) -> Dict[ProcessId, Action]:
         """``Enabled(γ)`` with, for each enabled process, its priority action.
 

@@ -217,7 +217,11 @@ class WeaklyFairDaemon(Daemon):
         self._base = base
         self._patience = patience
         self._starvation: Dict[ProcessId, int] = {}
-        self._pre_selection: Optional[Dict[ProcessId, int]] = None
+        # The counters before ``select``'s provisional bookkeeping, with the
+        # ``(enabled, chosen)`` it booked; cleared by ``notify_enabled``.
+        self._provisional: Optional[
+            Tuple[Dict[ProcessId, int], Sequence[ProcessId], FrozenSet[ProcessId]]
+        ] = None
 
     @property
     def base(self) -> Daemon:
@@ -226,20 +230,16 @@ class WeaklyFairDaemon(Daemon):
     def reset(self) -> None:
         self._base.reset()
         self._starvation.clear()
-        self._pre_selection = None
+        self._provisional = None
 
     def _bookkeep(self, enabled: Sequence[ProcessId], chosen: FrozenSet[ProcessId]) -> None:
         # Update starvation counters: processes enabled but not chosen age by
-        # one; chosen or disabled processes reset.
-        enabled_set = set(enabled)
-        for pid in list(self._starvation):
-            if pid not in enabled_set:
-                self._starvation.pop(pid)
-        for pid in enabled_set:
-            if pid in chosen:
-                self._starvation[pid] = 0
-            else:
-                self._starvation[pid] = self._starvation.get(pid, 0) + 1
+        # one; chosen or disabled processes reset.  The counters are a fresh
+        # dict each time, so the previous one stays as it was.
+        starvation = self._starvation
+        self._starvation = {
+            pid: 0 if pid in chosen else starvation.get(pid, 0) + 1 for pid in enabled
+        }
 
     def select(
         self,
@@ -255,18 +255,23 @@ class WeaklyFairDaemon(Daemon):
         }
         chosen = frozenset(base_choice | forced)
         # Bookkeeping is applied provisionally so the daemon stays weakly fair
-        # when driven standalone; a snapshot is kept so that notify_enabled can
-        # redo it against the selection the scheduler actually executed (which
-        # differs when the scheduler's empty-selection fallback kicks in).
-        self._pre_selection = dict(self._starvation)
+        # when driven standalone; the counters before it are kept so that
+        # notify_enabled can redo it when the selection the scheduler actually
+        # executed differs (its empty-selection fallback).  Otherwise the step
+        # is booked once.
+        self._provisional = (self._starvation, enabled, chosen)
         self._bookkeep(enabled, chosen)
         return chosen
 
     def notify_enabled(self, enabled: Sequence[ProcessId], selected: FrozenSet[ProcessId]) -> None:
-        if self._pre_selection is not None:
-            self._starvation = self._pre_selection
-            self._pre_selection = None
-        self._bookkeep(enabled, selected)
+        provisional, self._provisional = self._provisional, None
+        if provisional is None:
+            self._bookkeep(enabled, selected)
+        else:
+            before, booked_enabled, booked = provisional
+            if selected != booked or enabled != booked_enabled:
+                self._starvation = before
+                self._bookkeep(enabled, selected)
         self._base.notify_enabled(enabled, selected)
 
 

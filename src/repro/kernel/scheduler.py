@@ -38,9 +38,12 @@ Two execution engines are available (``engine=`` parameter):
 Both engines evaluate guards through per-run *action tables*: at
 construction the scheduler builds each process's
 :meth:`~repro.kernel.algorithm.DistributedAlgorithm.action_table` (its
-actions, highest priority first) once, and every
+actions, highest priority first, keyed by the value of the algorithm's
+:attr:`~repro.kernel.algorithm.DistributedAlgorithm.action_key` variable)
+once, and every
 :meth:`~repro.kernel.algorithm.DistributedAlgorithm.enabled_action` call of
-the run returns the first action in it whose guard holds.  This relies on
+the run returns the first action in the walker's entry whose guard holds.
+This relies on
 the guard purity contract of :class:`~repro.kernel.algorithm.Environment`:
 request predicates are pure reads, so which and how many guards run cannot
 change the run.  The tables belong to the scheduler, not to the algorithm,
@@ -205,8 +208,9 @@ class Scheduler:
             self._step_listeners = [step_listener]
         else:
             self._step_listeners = list(step_listener)
-        # Each process's actions, highest priority first, built once for this
-        # run (see ``DistributedAlgorithm.action_table``).
+        # Each process's actions, highest priority first and keyed by its
+        # key value, built once for this run (see
+        # ``DistributedAlgorithm.action_table``).
         self._tables = {pid: algorithm.action_table(pid) for pid in algorithm.process_ids()}
         # Incremental engine state: the cached enabled map (valid for the
         # current configuration, modulo the environment flips collected

@@ -41,6 +41,7 @@ from repro.kernel.algorithm import (
     merge_read_dependency_variables,
 )
 from repro.kernel.configuration import Configuration
+from repro.tokenring.interfaces import Rows
 from repro.tokenring.leader_election import DISTANCE, LEADER, SelfStabilizingLeaderElection
 
 COUNTER = "c"
@@ -76,34 +77,30 @@ class ComposedTokenCirculation(DistributedAlgorithm):
         state[COUNTER] = rng.randrange(self._k)
         return state
 
-    # -- token predicate ------------------------------------------------ #
-    def _acts_as_root(self, read, pid: ProcessId) -> bool:
-        return read(pid, LEADER) == pid
-
-    def holds_token(self, read, pid: ProcessId) -> bool:
-        own = read(pid, COUNTER) or 0
-        pred = read(self._pred[pid], COUNTER) or 0
-        if self._acts_as_root(read, pid):
+    # -- token predicate (over the snapshot's rows) ---------------------- #
+    def holds_token(self, states: Rows, pid: ProcessId) -> bool:
+        own = states[pid].get(COUNTER) or 0
+        pred = states[self._pred[pid]].get(COUNTER) or 0
+        if states[pid].get(LEADER) == pid:  # acts as the root
             return own == pred
         return own != pred
 
     def token_holders(self, configuration: Configuration) -> Tuple[ProcessId, ...]:
-        read = lambda q, var: configuration.get(q, var)
-        return tuple(p for p in self._pids if self.holds_token(read, p))
+        states = configuration.states_view()
+        return tuple(p for p in self._pids if self.holds_token(states, p))
 
     def actions(self, pid: ProcessId) -> Sequence[Action]:
         election_actions = list(self.election.actions(pid))
 
         def token_guard(ctx: ActionContext) -> bool:
-            return self.holds_token(lambda q, var: ctx.read(q, var), ctx.pid)
+            return self.holds_token(ctx.states, ctx.pid)
 
         def token_statement(ctx: ActionContext) -> None:
-            read = lambda q, var: ctx.read(q, var)
-            own = read(ctx.pid, COUNTER) or 0
-            if self._acts_as_root(read, ctx.pid):
-                ctx.write(COUNTER, (own + 1) % self._k)
+            states, pid = ctx.states, ctx.pid
+            if states[pid].get(LEADER) == pid:
+                ctx.write(COUNTER, ((states[pid].get(COUNTER) or 0) + 1) % self._k)
             else:
-                ctx.write(COUNTER, read(self._pred[ctx.pid], COUNTER) or 0)
+                ctx.write(COUNTER, states[self._pred[pid]].get(COUNTER) or 0)
 
         token_action = Action(label="T", guard=token_guard, statement=token_statement)
         # Election actions appear last: higher priority, so election

@@ -40,7 +40,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.kernel.algorithm import Action, ActionContext, DistributedAlgorithm
 from repro.kernel.configuration import ProcessId
-from repro.tokenring.interfaces import Reader, TokenModule
+from repro.tokenring.interfaces import Rows, TokenModule
 
 COUNTER = "c"
 
@@ -120,24 +120,27 @@ class DijkstraRingToken(TokenModule):
     def arbitrary_variables(self, pid: ProcessId, rng: Any) -> Dict[str, Any]:
         return {COUNTER: rng.randrange(self._k)}
 
-    def holds_token(self, read: Reader, pid: ProcessId) -> bool:
-        own = read(pid, COUNTER)
-        pred = read(self._pred[pid], COUNTER)
-        own = 0 if own is None else own
-        pred = 0 if pred is None else pred
+    def holds_token(self, states: Rows, prefix: str, pid: ProcessId) -> bool:
+        # A missing (or ``None``) counter reads as 0.
+        own = states[pid].get(prefix + COUNTER)
+        pred = states[self._pred[pid]].get(prefix + COUNTER)
+        if own is None:
+            own = 0
+        if pred is None:
+            pred = 0
         if pid == self._root:
             return own == pred
         return own != pred
 
-    def release_token(self, ctx: ActionContext, read: Reader) -> None:
+    def release_token(self, ctx: ActionContext, prefix: str) -> None:
         pid = ctx.pid
-        own = read(pid, COUNTER)
-        own = 0 if own is None else own
+        states = ctx.states
         if pid == self._root:
-            ctx.write(COUNTER, (own + 1) % self._k)
+            own = states[pid].get(prefix + COUNTER)
+            ctx.write(prefix + COUNTER, ((0 if own is None else own) + 1) % self._k)
         else:
-            pred_value = read(self._pred[pid], COUNTER)
-            ctx.write(COUNTER, 0 if pred_value is None else pred_value)
+            pred = states[self._pred[pid]].get(prefix + COUNTER)
+            ctx.write(prefix + COUNTER, 0 if pred is None else pred)
 
     def read_dependency_variables(
         self, pid: ProcessId
@@ -176,10 +179,10 @@ class DijkstraRingAlgorithm(DistributedAlgorithm):
         module = self.module
 
         def guard(ctx: ActionContext) -> bool:
-            return module.holds_token(lambda q, var: ctx.read(q, var), ctx.pid)
+            return module.holds_token(ctx.states, "", ctx.pid)
 
         def statement(ctx: ActionContext) -> None:
-            module.release_token(ctx, lambda q, var: ctx.read(q, var))
+            module.release_token(ctx, "")
 
         return (Action(label="T", guard=guard, statement=statement),)
 
@@ -191,4 +194,4 @@ class DijkstraRingAlgorithm(DistributedAlgorithm):
 
     # Convenience used by tests.
     def token_holders_in(self, configuration) -> Tuple[ProcessId, ...]:
-        return self.module.token_holders(lambda q, var: configuration.get(q, var))
+        return self.module.token_holders(configuration.states_view(), "")

@@ -12,20 +12,26 @@ A token module contributes
   action ``T``" part of Property 1 (empty for the ring modules, whose
   stabilization happens through token passing itself -- a documented
   substitution, see DESIGN.md §3).
+
+``Token(p)`` and ``ReleaseToken_p`` work over the snapshot's rows
+(``pid -> {variable: value}``, as in
+:attr:`~repro.kernel.algorithm.ActionContext.states`), where the module's
+variables are named with the composition's prefix (``c`` lives under
+``tc_c``); a standalone module passes the prefix ``""``.  The module reads
+the rows directly, with no accessor call per variable, and a variable
+missing from a row reads as its default.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.kernel.algorithm import Action, ActionContext
 from repro.kernel.configuration import ProcessId
 
-#: ``read(pid, variable)`` accessor over the token module's (un-prefixed)
-#: variable names; the composition supplies one that maps to the prefixed
-#: names of the composed state.
-Reader = Callable[[ProcessId, str], Any]
+#: The snapshot's rows, ``pid -> {variable: value}``.
+Rows = Mapping[ProcessId, Mapping[str, Any]]
 
 
 class TokenModule(abc.ABC):
@@ -44,16 +50,18 @@ class TokenModule(abc.ABC):
         """Arbitrary values for ``pid`` (transient-fault starting points)."""
 
     @abc.abstractmethod
-    def holds_token(self, read: Reader, pid: ProcessId) -> bool:
-        """The ``Token(p)`` predicate evaluated against a snapshot reader."""
+    def holds_token(self, states: Rows, prefix: str, pid: ProcessId) -> bool:
+        """The ``Token(p)`` predicate over the rows ``states``.
+
+        The module's variables are named ``prefix + name`` in the rows.
+        """
 
     @abc.abstractmethod
-    def release_token(self, ctx: ActionContext, read: Reader) -> None:
-        """The ``ReleaseToken_p`` statement.
+    def release_token(self, ctx: ActionContext, prefix: str) -> None:
+        """The ``ReleaseToken_p`` statement of ``ctx.pid``.
 
-        ``ctx.write`` must only touch ``pid``'s own (un-prefixed) variable
-        names; the composition wraps the context so writes land in the
-        namespaced state.
+        Reads the rows ``ctx.states`` and writes only ``ctx.pid``'s own
+        variables, each named ``prefix + name``.
         """
 
     def maintenance_actions(self, pid: ProcessId) -> Sequence[Action]:
@@ -77,10 +85,10 @@ class TokenModule(abc.ABC):
     # ------------------------------------------------------------------ #
     # diagnostics shared by implementations
     # ------------------------------------------------------------------ #
-    def token_holders(self, read: Reader) -> Tuple[ProcessId, ...]:
-        """All processes currently satisfying ``Token(p)`` (≥1 for ring modules)."""
-        return tuple(p for p in self.process_ids() if self.holds_token(read, p))
+    def token_holders(self, states: Rows, prefix: str) -> Tuple[ProcessId, ...]:
+        """All processes satisfying ``Token(p)`` in ``states`` (≥1 for ring modules)."""
+        return tuple(p for p in self.process_ids() if self.holds_token(states, prefix, p))
 
-    def is_stabilized(self, read: Reader) -> bool:
-        """``True`` iff exactly one process holds a token."""
-        return len(self.token_holders(read)) == 1
+    def is_stabilized(self, states: Rows, prefix: str) -> bool:
+        """``True`` iff exactly one process holds a token in ``states``."""
+        return len(self.token_holders(states, prefix)) == 1

@@ -9,8 +9,9 @@ concurrency comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+import functools
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 from repro.hypergraph.generators import (
     complete_hypergraph,
@@ -46,30 +47,92 @@ class Scenario:
         return self.hypergraph.m
 
 
+#: A scenario's recipe: its hypergraph factory and its description.
+_Builder = Tuple[Callable[[], Hypergraph], str]
+
+
+def _paper_builders() -> Dict[str, _Builder]:
+    return {
+        "figure1": (
+            figure1_hypergraph,
+            "Figure 1: 6 professors, 5 committees (running example)",
+        ),
+        "figure2-impossibility": (
+            figure2_hypergraph,
+            "Figure 2: 5 professors, the Theorem 1 impossibility witness",
+        ),
+        "figure3-cc1-example": (
+            figure3_hypergraph,
+            "Figure 3: 10 professors, the CC1 worked example",
+        ),
+        "figure4-cc2-locks": (
+            figure4_hypergraph,
+            "Figure 4: 9 professors, the CC2 lock example",
+        ),
+    }
+
+
+def _scaling_builders(sizes: Tuple[int, ...] = (4, 6, 8), seed: int = 7) -> Dict[str, _Builder]:
+    builders: Dict[str, _Builder] = {}
+    for k in sizes:
+        builders[f"path-{k}"] = (
+            functools.partial(path_of_committees, k),
+            f"path of {k} two-member committees",
+        )
+    for k in sizes:
+        if k >= 3:
+            builders[f"cycle-{k}"] = (
+                functools.partial(cycle_of_committees, k),
+                f"cycle of {k} two-member committees",
+            )
+    builders["star-5"] = (
+        functools.partial(star_hypergraph, 5, 2),
+        "star: 5 committees sharing one professor (max 1 meeting at a time)",
+    )
+    builders["disjoint-4"] = (
+        functools.partial(disjoint_committees, 4, 3),
+        "4 disjoint 3-member committees (no conflicts)",
+    )
+    builders["grid-3x3"] = (
+        functools.partial(grid_of_committees, 3, 3),
+        "3x3 grid, committees are dominoes",
+    )
+    builders["complete-5-pairs"] = (
+        functools.partial(complete_hypergraph, 5, 2),
+        "all pairs over 5 professors",
+    )
+    builders["random-10-8"] = (
+        functools.partial(random_k_uniform_hypergraph, 10, 8, committee_size=3, seed=seed),
+        "random 3-uniform hypergraph, 10 professors, 8 committees",
+    )
+    return builders
+
+
+def _stress_builders() -> Dict[str, _Builder]:
+    return {
+        "cycle-100": (
+            functools.partial(cycle_of_committees, 100),
+            "cycle of 100 two-member committees (n=100, streaming-spec stress)",
+        ),
+        "path-64": (
+            functools.partial(path_of_committees, 64),
+            "path of 64 two-member committees (n=65)",
+        ),
+        "grid-6x6": (
+            functools.partial(grid_of_committees, 6, 6),
+            "6x6 grid, committees are dominoes (n=36)",
+        ),
+    }
+
+
+def _built(name: str, builder: _Builder) -> Scenario:
+    build, description = builder
+    return Scenario(name=name, hypergraph=build(), description=description)
+
+
 def paper_scenarios() -> List[Scenario]:
     """The four topologies drawn in the paper."""
-    return [
-        Scenario(
-            name="figure1",
-            hypergraph=figure1_hypergraph(),
-            description="Figure 1: 6 professors, 5 committees (running example)",
-        ),
-        Scenario(
-            name="figure2-impossibility",
-            hypergraph=figure2_hypergraph(),
-            description="Figure 2: 5 professors, the Theorem 1 impossibility witness",
-        ),
-        Scenario(
-            name="figure3-cc1-example",
-            hypergraph=figure3_hypergraph(),
-            description="Figure 3: 10 professors, the CC1 worked example",
-        ),
-        Scenario(
-            name="figure4-cc2-locks",
-            hypergraph=figure4_hypergraph(),
-            description="Figure 4: 9 professors, the CC2 lock example",
-        ),
-    ]
+    return [_built(name, builder) for name, builder in _paper_builders().items()]
 
 
 def scaling_scenarios(
@@ -77,60 +140,7 @@ def scaling_scenarios(
     seed: int = 7,
 ) -> List[Scenario]:
     """Parametric families used by the scaling and comparison benchmarks."""
-    scenarios: List[Scenario] = []
-    for k in sizes:
-        scenarios.append(
-            Scenario(
-                name=f"path-{k}",
-                hypergraph=path_of_committees(k),
-                description=f"path of {k} two-member committees",
-            )
-        )
-    for k in sizes:
-        if k >= 3:
-            scenarios.append(
-                Scenario(
-                    name=f"cycle-{k}",
-                    hypergraph=cycle_of_committees(k),
-                    description=f"cycle of {k} two-member committees",
-                )
-            )
-    scenarios.append(
-        Scenario(
-            name="star-5",
-            hypergraph=star_hypergraph(5, 2),
-            description="star: 5 committees sharing one professor (max 1 meeting at a time)",
-        )
-    )
-    scenarios.append(
-        Scenario(
-            name="disjoint-4",
-            hypergraph=disjoint_committees(4, 3),
-            description="4 disjoint 3-member committees (no conflicts)",
-        )
-    )
-    scenarios.append(
-        Scenario(
-            name="grid-3x3",
-            hypergraph=grid_of_committees(3, 3),
-            description="3x3 grid, committees are dominoes",
-        )
-    )
-    scenarios.append(
-        Scenario(
-            name="complete-5-pairs",
-            hypergraph=complete_hypergraph(5, 2),
-            description="all pairs over 5 professors",
-        )
-    )
-    scenarios.append(
-        Scenario(
-            name="random-10-8",
-            hypergraph=random_k_uniform_hypergraph(10, 8, committee_size=3, seed=seed),
-            description="random 3-uniform hypergraph, 10 professors, 8 committees",
-        )
-    )
-    return scenarios
+    return [_built(name, builder) for name, builder in _scaling_builders(sizes, seed).items()]
 
 
 def stress_scenarios() -> List[Scenario]:
@@ -141,23 +151,7 @@ def stress_scenarios() -> List[Scenario]:
     recording every configuration is off the table, structured enough that
     the spec verdicts are interpretable.
     """
-    return [
-        Scenario(
-            name="cycle-100",
-            hypergraph=cycle_of_committees(100),
-            description="cycle of 100 two-member committees (n=100, streaming-spec stress)",
-        ),
-        Scenario(
-            name="path-64",
-            hypergraph=path_of_committees(64),
-            description="path of 64 two-member committees (n=65)",
-        ),
-        Scenario(
-            name="grid-6x6",
-            hypergraph=grid_of_committees(6, 6),
-            description="6x6 grid, committees are dominoes (n=36)",
-        ),
-    ]
+    return [_built(name, builder) for name, builder in _stress_builders().items()]
 
 
 def all_scenarios() -> List[Scenario]:
@@ -166,8 +160,8 @@ def all_scenarios() -> List[Scenario]:
 
 
 def scenario_by_name(name: str) -> Scenario:
-    """Look up a scenario by name among all named scenarios."""
-    for scenario in all_scenarios():
-        if scenario.name == name:
-            return scenario
+    """Build the named scenario, and only it, from the scenario recipes."""
+    for builders in (_paper_builders(), _scaling_builders(), _stress_builders()):
+        if name in builders:
+            return _built(name, builders[name])
     raise KeyError(f"unknown scenario {name!r}")

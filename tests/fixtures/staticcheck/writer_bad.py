@@ -58,6 +58,33 @@ class UndeclaredReader(DistributedAlgorithm):
         return states[pid][STATUS] == "idle" and ctx.states[ctx.pid][POINTER] is None  # ok: own reads
 
 
+class TokenModule:
+    """Stand-in for repro.tokenring.interfaces.TokenModule."""
+
+
+COUNTER = "c"
+
+
+class UndeclaredTokenReader(TokenModule):
+    """A row-based ``Token(p)`` reading a predecessor variable it does not declare."""
+
+    def initial_variables(self, pid):
+        return {COUNTER: 0, POINTER: None}
+
+    def read_dependency_variables(self, pid):
+        return {pid: (COUNTER,), self._pred[pid]: (COUNTER,)}
+
+    def holds_token(self, states, prefix, pid):
+        own = states[pid].get(prefix + COUNTER)  # ok: own row
+        pred_row = states[self._pred[pid]]
+        pred = pred_row.get(prefix + COUNTER)  # ok: declared
+        marked = states[self._pred[pid]].get(prefix + POINTER)  # expect: RL202
+        return own != pred and marked is None
+
+    def release_token(self, ctx, prefix):
+        ctx.write(prefix + COUNTER, ctx.states[self._pred[ctx.pid]].get(prefix + COUNTER))  # ok: declared
+
+
 class DynamicWriter(DistributedAlgorithm):
     """Write target that static analysis cannot resolve."""
 

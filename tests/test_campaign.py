@@ -24,6 +24,7 @@ from repro.campaign import (
     execute_job,
     expand_jobs,
 )
+from repro.campaign.jobs import _scenario_hypergraph
 from repro.workloads.random_scenarios import (
     RandomScenarioSpec,
     random_scenario,
@@ -74,6 +75,26 @@ class TestRandomScenarios:
     def test_specs_pickle_roundtrip(self):
         spec = random_scenario(11)
         assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_jobs_of_one_scenario_build_its_hypergraph_once(self, monkeypatch):
+        # Every algorithm's and seed's job of one scenario shares one build.
+        built = []
+        original = RandomScenarioSpec.build_hypergraph
+
+        def counting(spec):
+            built.append(spec.seed)
+            return original(spec)
+
+        monkeypatch.setattr(RandomScenarioSpec, "build_hypergraph", counting)
+        _scenario_hypergraph.cache_clear()
+        jobs = expand_jobs(_small_spec(scenarios=("figure1",), algorithms=("cc1", "cc2", "cc3")))
+        graphs = {job.index: job.build_hypergraph() for job in jobs}
+        random_jobs = [job for job in jobs if job.random_seed is not None]
+        assert len(random_jobs) == 2 * 3 * 2
+        assert sorted(built) == [0, 1]
+        for job in random_jobs:
+            assert graphs[job.index] == random_scenario(job.random_seed).build_hypergraph()
+        _scenario_hypergraph.cache_clear()
 
 
 class TestFaultSchedule:

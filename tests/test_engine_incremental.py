@@ -182,14 +182,25 @@ class TestGuardPurity:
 SHARED_PREDICATES = {
     "cc1": (
         "ready", "meeting", "free_edges", "free_nodes", "candidates",
-        "local_max", "leave_meeting", "correct",
+        "local_max", "leave_meeting",
     ),
     "cc2": (
         "ready", "meeting", "free_edges", "free_nodes", "t_pointing_edges",
-        "t_pointing_nodes", "locked", "local_max", "leave_meeting", "correct",
+        "t_pointing_nodes", "locked", "local_max", "leave_meeting",
     ),
 }
 SHARED_PREDICATES["cc3"] = SHARED_PREDICATES["cc2"]
+#: Every predicate checked against its formula: the shared ones, ``token``,
+#: and ``correct``, which a walk evaluates at most once and so runs unwrapped.
+CHECKED_PREDICATES = {
+    name: shared_names + ("token", "correct")
+    for name, shared_names in SHARED_PREDICATES.items()
+}
+
+
+def _full_walk(algo, pid):
+    """``pid``'s actions, highest priority first, ignoring every ``when``."""
+    return tuple(reversed(algo.actions(pid)))
 
 
 class _Raising(Environment):
@@ -341,11 +352,12 @@ class TestSharedPredicates:
             )
         return formulas
 
-    def _reference(self, monkeypatch, algorithm, algo, configuration, environment, tables):
+    def _reference(self, monkeypatch, algorithm, algo, configuration, environment):
         """Every predicate's value and the winning action of every process,
-        with each shared predicate replaced by its formula (no memo at all)
-        and a fresh context per guard."""
-        names = SHARED_PREDICATES[algorithm] + ("token",)
+        with each shared predicate replaced by its formula (no memo at all),
+        a fresh context per guard, and a walk over the full action list that
+        ignores every status declaration."""
+        names = CHECKED_PREDICATES[algorithm]
         formulas = self._formulas(algorithm, algo, configuration)
         assert set(formulas) == set(names)
         values, winners = {}, {}
@@ -357,7 +369,7 @@ class TestSharedPredicates:
                 winners[pid] = next(
                     (
                         action.label
-                        for action in tables[pid]
+                        for action in _full_walk(algo, pid)
                         if action.guard(ActionContext(pid, configuration, environment))
                     ),
                     None,
@@ -376,10 +388,11 @@ class TestSharedPredicates:
         winners_seen = set()
         for configuration in self._configurations(algo, environment):
             values, winners = self._reference(
-                monkeypatch, algorithm, algo, configuration, environment, tables
+                monkeypatch, algorithm, algo, configuration, environment
             )
             for pid in algo.process_ids():
-                for walk in (tables[pid], tables[pid][::-1]):
+                full = _full_walk(algo, pid)
+                for walk in (full, full[::-1]):
                     walked = ActionContext(pid, configuration, environment)
                     for action in walk:
                         action.guard(walked)
@@ -397,12 +410,11 @@ class TestSharedPredicates:
     def test_other_pids_bypass_the_memo(self, monkeypatch, algorithm, token):
         algo = self._algorithm(algorithm, token)
         environment = AlwaysRequestingEnvironment(1)
-        tables = {pid: algo.action_table(pid) for pid in algo.process_ids()}
         pids = algo.process_ids()
         differing = 0
         for configuration in self._configurations(algo, environment, steps=8):
             values, _ = self._reference(
-                monkeypatch, algorithm, algo, configuration, environment, tables
+                monkeypatch, algorithm, algo, configuration, environment
             )
             for pid in pids:
                 for other in pids:
@@ -425,7 +437,7 @@ class TestSharedPredicates:
     def test_predicates_never_consult_the_environment(self, algorithm, token):
         algo = self._algorithm(algorithm, token)
         raising = _Raising()
-        names = SHARED_PREDICATES[algorithm] + ("token",)
+        names = CHECKED_PREDICATES[algorithm]
         for configuration in self._configurations(algo, AlwaysRequestingEnvironment(1)):
             for pid in algo.process_ids():
                 for name in names:
@@ -458,7 +470,10 @@ class TestSharedPredicates:
         configuration = composed.arbitrary_configuration(random.Random(seed))
         for pid in composed.process_ids():
             table = composed.action_table(pid)
-            for walk in (table, table[::-1]):
+            # A composition declares no key: its table is one full entry.
+            assert list(table) == [None]
+            assert [a.label for a in table[None]] == [a.label for a in _full_walk(composed, pid)]
+            for walk in (table[None], table[None][::-1]):
                 walked = ActionContext(pid, configuration, environment)
                 for action in walk:
                     fresh = ActionContext(pid, configuration, environment)

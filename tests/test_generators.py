@@ -145,6 +145,37 @@ class TestRandomHypergraphs:
         with pytest.raises(ValueError):
             random_k_uniform_hypergraph(4, 2, 1, seed=1)
 
+    #: ``(n, m, k, seed) -> committees`` of ``random_k_uniform_hypergraph``,
+    #: captured while every rejected candidate was still built as a full
+    #: ``Hypergraph`` for its connectivity test.  Accepted candidates and the
+    #: bridging fallback (more than ``m`` committees) both appear.
+    PINNED = {
+        (6, 4, 2, 0): ((1, 2), (1, 3), (1, 6), (3, 5), (4, 6)),
+        (6, 4, 2, 1): ((1, 2), (1, 6), (2, 4), (3, 5), (4, 5)),
+        (9, 5, 2, 1): ((1, 2), (1, 3), (1, 6), (1, 8), (2, 5), (3, 4), (3, 7), (8, 9)),
+        (10, 8, 3, 7): (
+            (1, 3, 4), (1, 5, 8), (1, 7, 10), (2, 4, 9), (2, 5, 9), (3, 5, 7), (3, 6, 9),
+            (3, 7, 10),
+        ),
+        (12, 4, 3, 3): (
+            (1, 2, 12), (1, 3, 6), (1, 4, 7), (1, 5, 12), (2, 6, 7), (3, 10, 11), (4, 8, 9),
+        ),
+        (12, 12, 3, 5): (
+            (1, 4, 12), (1, 5, 6), (1, 7, 9), (2, 4, 8), (3, 4, 7), (3, 4, 11), (3, 8, 11),
+            (3, 10, 11), (3, 11, 12), (4, 5, 6), (4, 9, 11), (5, 6, 10),
+        ),
+        (7, 7, 2, 11): ((1, 2), (1, 6), (2, 4), (3, 6), (4, 5), (5, 6), (5, 7)),
+        (11, 6, 2, 42): (
+            (1, 2), (1, 3), (1, 5), (1, 7), (1, 8), (2, 10), (3, 4), (4, 6), (5, 9), (8, 11),
+        ),
+    }
+
+    @pytest.mark.parametrize("n,m,k,seed", sorted(PINNED))
+    def test_random_output_is_pinned(self, n, m, k, seed):
+        h = random_k_uniform_hypergraph(n, m, committee_size=k, seed=seed)
+        assert tuple(tuple(e) for e in h.hyperedges) == self.PINNED[n, m, k, seed]
+        assert h.is_connected()
+
 
 @settings(max_examples=25, deadline=None)
 @given(

@@ -148,3 +148,68 @@ class TestWeaklyFairDaemon:
     def test_default_daemon_is_weakly_fair(self):
         daemon = default_daemon(seed=1)
         assert isinstance(daemon, WeaklyFairDaemon)
+
+
+class TestWeaklyFairBookkeeping:
+    """``select`` + ``notify_enabled`` book each step once, and leave the
+    counters the old always-redo path left: the pre-``select`` counters
+    booked with the executed selection."""
+
+    @staticmethod
+    def _always_redo(before, enabled, executed):
+        return {pid: 0 if pid in executed else before.get(pid, 0) + 1 for pid in enabled}
+
+    class _PicksDisabled:
+        """A broken base daemon whose choice is never enabled."""
+
+        def reset(self):
+            pass
+
+        def select(self, enabled, cfg, step):
+            return frozenset({999})
+
+        def notify_enabled(self, enabled, selected):
+            pass
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        original = WeaklyFairDaemon._bookkeep
+
+        def bookkeep(self, enabled, chosen):
+            calls.append(chosen)
+            original(self, enabled, chosen)
+
+        monkeypatch.setattr(WeaklyFairDaemon, "_bookkeep", bookkeep)
+        return calls
+
+    def test_own_selection_is_booked_once(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        daemon = default_daemon(seed=3, patience=3)
+        enabled_sets = [ENABLED, (1, 2, 3), ENABLED, (2, 5), ENABLED] * 6
+        for step, enabled in enumerate(enabled_sets):
+            before = dict(daemon._starvation)
+            chosen = daemon.select(enabled, CFG, step)
+            daemon.notify_enabled(enabled, frozenset(chosen))
+            assert daemon._starvation == self._always_redo(before, enabled, chosen)
+        assert len(calls) == len(enabled_sets)
+
+    def test_fallback_selection_is_rebooked(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        for patience in (100, 2):  # nothing forced / some processes forced
+            daemon = WeaklyFairDaemon(self._PicksDisabled(), patience=patience)
+            for step in range(8):
+                before = dict(daemon._starvation)
+                chosen = daemon.select(ENABLED, CFG, step)
+                # What a scheduler executes: the choice cut to the enabled
+                # set, or the lowest enabled id when nothing is left.
+                executed = frozenset(p for p in chosen if p in ENABLED) or frozenset({1})
+                assert executed != chosen
+                daemon.notify_enabled(ENABLED, executed)
+                assert daemon._starvation == self._always_redo(before, ENABLED, executed)
+        assert len(calls) == 2 * 2 * 8
+
+    def test_notify_without_select_books_the_selection(self):
+        daemon = WeaklyFairDaemon(SynchronousDaemon(), patience=3)
+        daemon.notify_enabled((1, 2), frozenset({1}))
+        assert daemon._starvation == {1: 0, 2: 1}

@@ -118,16 +118,20 @@ def test_doc_references_report_their_real_line(tmp_path):
         "See [this guide](GUIDE.md) and [the missing one](nowhere.md#top).\n"
         "The scheduler is `repro.kernel.scheduler`, not `repro.kernel.no_such`.\n"
         "Reproduce it with `benchmarks/bench_no_such.py`.\n"
+        "Run `repro.campaign.driver.CampaignDriver.execute`, not\n"
+        "`repro.campaign.driver.CampaignDriver.no_such`.\n"
     )
     found = DocLinksPass().run(Project.load(tmp_path))
     assert _located(found) == [
         ("docs/GUIDE.md", 3, "RC002"),
         ("docs/GUIDE.md", 4, "RC002"),
+        ("docs/GUIDE.md", 7, "RC002"),
         ("docs/GUIDE.md", 5, "RC002"),
     ]
     assert [d.message for d in found] == [
         "broken relative link -> nowhere.md",
         "unknown module reference `repro.kernel.no_such`",
+        "unknown module reference `repro.campaign.driver.CampaignDriver.no_such`",
         "unknown benchmark reference benchmarks/bench_no_such.py",
     ]
 
@@ -145,10 +149,14 @@ def test_module_member_and_xref_resolution():
     # ... and typos in either half still fail.
     assert not resolves("repro.kernel.trace.StepDeltaX")
     assert not resolves("repro.kernel.tracee.StepDelta")
-    # The docs regex captures class-qualified names so they are validated.
+    # The docs regex captures class- and member-qualified names so they are
+    # validated.
     assert "repro.kernel.trace.StepDelta" in repo_checks._MODULE_RE.findall(
         "see `repro.kernel.trace.StepDelta` for details"
     )
+    assert repo_checks._MODULE_RE.findall(
+        "`repro.campaign.driver.CampaignDriver.no_such` and `repro.kernel.StopRun.reason`"
+    ) == ["repro.campaign.driver.CampaignDriver.no_such", "repro.kernel.StopRun.reason"]
     # Attribute chains resolve through methods and dataclass fields (a field
     # without a default is no class attribute), and typos still fail.
     assert resolves("repro.campaign.driver.CampaignDriver.execute")

@@ -7,6 +7,7 @@ import pytest
 from repro.core.runner import CommitteeCoordinator
 from repro.core.states import DONE, IDLE, LOOKING, STATUS
 from repro.hypergraph.generators import figure1_hypergraph, path_of_committees
+from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernel.configuration import Configuration
 from repro.kernel.daemon import SynchronousDaemon
 from repro.workloads.request_models import (
@@ -17,7 +18,13 @@ from repro.workloads.request_models import (
     ScriptedEnvironment,
     SelectiveInfiniteMeetingEnvironment,
 )
-from repro.workloads.scenarios import Scenario, paper_scenarios, scaling_scenarios, scenario_by_name
+from repro.workloads.scenarios import (
+    Scenario,
+    all_scenarios,
+    paper_scenarios,
+    scaling_scenarios,
+    scenario_by_name,
+)
 
 
 class TestCommitteeCoordinator:
@@ -183,6 +190,22 @@ class TestScenarios:
     def test_scenario_by_name(self):
         scenario = scenario_by_name("figure1")
         assert scenario.n == 6
+
+    def test_lookup_builds_only_the_requested_scenario(self, monkeypatch):
+        expected = {scenario.name: scenario for scenario in all_scenarios()}
+        assert len(expected) == 18
+        built = []
+        original = Hypergraph.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Hypergraph, "__init__", counting)
+        for name, scenario in expected.items():
+            built.clear()
+            assert scenario_by_name(name) == scenario
+            assert len(built) == 1, name
 
     def test_scenario_by_name_unknown(self):
         with pytest.raises(KeyError):

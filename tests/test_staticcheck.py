@@ -213,6 +213,25 @@ def test_undeclared_neighbour_read_mutation_is_caught(tmp_path):
     ), findings
 
 
+def test_unparsable_file_is_reported_not_skipped(tmp_path, capsys):
+    # A bench file that does not parse used to be dropped by the loader, so
+    # every pass skipped it and the run came out clean.
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "ok.py").write_text("X = 1\n", encoding="utf-8")
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "bench_broken.py").write_text(
+        '"""A broken bench."""\n\n\ndef broken(:\n    return 1\n', encoding="utf-8"
+    )
+    project = Project.load(tmp_path)
+    assert [source.rel for source in project.files] == ["src/repro/ok.py"]
+    found = active(run_passes(project, ast_passes()))
+    assert [(d.path, d.line, d.code) for d in found] == [
+        ("benchmarks/bench_broken.py", 4, "RL001")
+    ]
+    assert lint_main(["--root", str(tmp_path), "--skip-repo-checks"]) == 1
+    assert "benchmarks/bench_broken.py:4: RL001 syntax error" in capsys.readouterr().out
+
+
 # --------------------------------------------------------------------------- #
 # CLI
 # --------------------------------------------------------------------------- #

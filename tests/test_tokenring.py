@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hypergraph.generators import figure1_hypergraph, path_of_committees
+from repro.kernel.algorithm import ActionContext, Environment
+from repro.kernel.configuration import Configuration
 from repro.kernel.daemon import CentralDaemon, SynchronousDaemon, default_daemon
 from repro.kernel.scheduler import Scheduler
 from repro.tokenring.composed import ComposedTokenCirculation
@@ -17,8 +20,10 @@ from repro.tokenring.oracle import OracleTokenModule
 from repro.tokenring.tree_circulation import TreeTokenCirculation, dfs_preorder_of_spanning_tree
 
 
-def read_of(configuration):
-    return lambda pid, var: configuration.get(pid, var)
+def read_of(states, prefix):
+    """The reader callable ``Token(p)`` used to receive: ``ActionContext.read``
+    of the prefixed name, so a missing variable reads as ``None``."""
+    return lambda pid, var: states[pid].get(prefix + var)
 
 
 class TestDijkstraRingStructure:
@@ -227,8 +232,83 @@ class TestTokenModuleDiagnostics:
         module = DijkstraRingToken([1, 2, 3])
         algo = DijkstraRingAlgorithm(module)
         cfg = algo.initial_configuration()
-        assert module.token_holders(read_of(cfg)) == (module.root,)
-        assert module.is_stabilized(read_of(cfg))
+        assert module.token_holders(cfg.states_view(), "") == (module.root,)
+        assert module.is_stabilized(cfg.states_view(), "")
+
+
+#: A row without the counter at all.
+_MISSING = object()
+
+
+def _rows(pids, values, prefix, extra=None):
+    """One row per process: ``prefix + c`` set to its value (absent for
+    ``_MISSING``), plus one unrelated variable."""
+    rows = {}
+    for pid, value in zip(pids, values):
+        row = {"S": "looking"} if extra is None else dict(extra(pid))
+        if value is not _MISSING:
+            row[prefix + COUNTER] = value
+        rows[pid] = row
+    return rows
+
+
+class TestTokenRows:
+    """``Token(p)`` and ``ReleaseToken_p`` over rows give what the reader
+    callables gave, a missing or ``None`` counter reading as 0."""
+
+    MODULES = {
+        "ring": lambda: DijkstraRingToken([1, 2, 3, 4]),
+        "oracle": lambda: OracleTokenModule([1, 2, 3, 4]),
+        "tree": lambda: TreeTokenCirculation(path_of_committees(3)),
+    }
+
+    @staticmethod
+    def _reader_token(module, read, pid):
+        own, pred = read(pid, COUNTER), read(module.predecessor(pid), COUNTER)
+        own = 0 if own is None else own
+        pred = 0 if pred is None else pred
+        return own == pred if pid == module.root else own != pred
+
+    @staticmethod
+    def _reader_release(module, read, pid):
+        if pid == module.root:
+            own = read(pid, COUNTER)
+            return ((0 if own is None else own) + 1) % module.k
+        pred = read(module.predecessor(pid), COUNTER)
+        return 0 if pred is None else pred
+
+    @pytest.mark.parametrize("prefix", ("", "tc_"))
+    @pytest.mark.parametrize("name", sorted(MODULES))
+    def test_rows_agree_with_reader_semantics(self, name, prefix):
+        module = self.MODULES[name]()
+        pids = module.process_ids()
+        held = set()
+        for values in itertools.product((_MISSING, None, 0, 1, 3), repeat=len(pids)):
+            states = _rows(pids, values, prefix)
+            read = read_of(states, prefix)
+            expected = tuple(p for p in pids if self._reader_token(module, read, p))
+            assert module.token_holders(states, prefix) == expected
+            assert module.is_stabilized(states, prefix) == (len(expected) == 1)
+            for pid in pids:
+                assert module.holds_token(states, prefix, pid) == (pid in expected)
+                ctx = ActionContext(pid, Configuration(states), Environment())
+                module.release_token(ctx, prefix)
+                assert ctx.writes == {prefix + COUNTER: self._reader_release(module, read, pid)}
+            held.add(len(expected))
+        assert {1, 2, 3} <= held  # a K-state ring never has 0 tokens
+
+    def test_composed_circulation_agrees_with_reader_semantics(self):
+        algo = ComposedTokenCirculation(path_of_committees(2))
+        pids = algo.process_ids()
+        for leaders in itertools.product((1, 3), repeat=len(pids)):
+            for values in itertools.product((_MISSING, None, 0, 2), repeat=len(pids)):
+                states = _rows(pids, values, "", extra=lambda pid: {"lid": leaders[pid - 1]})
+                read = read_of(states, "")
+                for pid in pids:
+                    own = read(pid, COUNTER) or 0
+                    pred = read(algo._pred[pid], COUNTER) or 0
+                    expected = own == pred if read(pid, "lid") == pid else own != pred
+                    assert algo.holds_token(states, pid) == expected
 
 
 @settings(max_examples=20, deadline=None)

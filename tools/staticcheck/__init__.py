@@ -15,6 +15,8 @@ Layout
                   suppression handling
 ``project``       the parsed-project model (every file parsed once, static
                   constant/class/import resolution — nothing is executed)
+``parse``         RL001 — a file that does not parse is reported, not
+                  skipped by every other pass
 ``determinism``   RL1xx — seed/byte reproducibility (unseeded RNG, wall
                   clock, ambient datetime, entropy, hash ordering, unordered
                   set iteration)

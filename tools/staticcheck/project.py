@@ -71,13 +71,28 @@ class SourceFile:
                 self.classes[node.name] = node
 
 
-class Project:
-    """Every analyzed file, parsed once, with static symbol resolution."""
+#: A file no pass can analyze: ``(repo-relative path, line, reason)``.
+Unparsed = Tuple[str, int, str]
 
-    def __init__(self, root: Path, files: Sequence[SourceFile], enforce_scopes: bool = True) -> None:
+
+class Project:
+    """Every analyzed file, parsed once, with static symbol resolution.
+
+    A file that cannot be read or parsed is not in :attr:`files`; it is
+    listed in :attr:`unparsed` instead, which the ``parse`` pass reports.
+    """
+
+    def __init__(
+        self,
+        root: Path,
+        files: Sequence[SourceFile],
+        enforce_scopes: bool = True,
+        unparsed: Sequence[Unparsed] = (),
+    ) -> None:
         self.root = root
         self.files = list(files)
         self.enforce_scopes = enforce_scopes
+        self.unparsed: List[Unparsed] = list(unparsed)
         self.modules: Dict[str, SourceFile] = {
             f.module: f for f in self.files if f.module is not None
         }
@@ -86,11 +101,22 @@ class Project:
     # construction
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _load_file(path: Path, root: Path, src_root: Optional[Path]) -> Optional[SourceFile]:
+    def _load_file(
+        path: Path, root: Path, src_root: Optional[Path], unparsed: List[Unparsed]
+    ) -> Optional[SourceFile]:
+        """``path`` parsed, or ``None`` after appending why not to ``unparsed``."""
+        try:
+            rel = path.relative_to(root).as_posix()
+        except ValueError:
+            rel = path.as_posix()
         try:
             text = path.read_text(encoding="utf-8")
             tree = ast.parse(text, filename=str(path))
-        except (OSError, SyntaxError):
+        except SyntaxError as exc:
+            unparsed.append((rel, exc.lineno or 1, f"syntax error: {exc.msg}"))
+            return None
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, NUL bytes
+            unparsed.append((rel, 1, f"cannot parse: {exc}"))
             return None
         module: Optional[str] = None
         if src_root is not None:
@@ -101,10 +127,6 @@ class Project:
                 module = ".".join(parts) if parts else None
             except ValueError:
                 module = None
-        try:
-            rel = path.relative_to(root).as_posix()
-        except ValueError:
-            rel = path.as_posix()
         source = SourceFile(
             path=path,
             rel=rel,
@@ -122,15 +144,21 @@ class Project:
         root = root.resolve()
         src_root = root / "src"
         files: List[SourceFile] = []
+        unparsed: List[Unparsed] = []
         for rel_root in roots:
             base = root / rel_root
             if not base.exists():
                 continue
             for path in sorted(base.rglob("*.py")):
-                loaded = cls._load_file(path, root, src_root if src_root in path.parents or src_root == path.parent else None)
+                loaded = cls._load_file(
+                    path,
+                    root,
+                    src_root if src_root in path.parents or src_root == path.parent else None,
+                    unparsed,
+                )
                 if loaded is not None:
                     files.append(loaded)
-        return cls(root, files, enforce_scopes=True)
+        return cls(root, files, enforce_scopes=True, unparsed=unparsed)
 
     @classmethod
     def from_files(
@@ -140,15 +168,15 @@ class Project:
         paths = [Path(p).resolve() for p in paths]
         base = (root or paths[0].parent).resolve()
         files = []
+        unparsed: List[Unparsed] = []
         for path in paths:
-            loaded = cls._load_file(path, base, src_root)
+            loaded = cls._load_file(path, base, src_root, unparsed)
             if loaded is None:
-                raise ValueError(f"cannot parse fixture file {path}")
+                continue
             if loaded.module is None:
                 loaded.module = path.stem
             files.append(loaded)
-        project = cls(base, files, enforce_scopes=False)
-        return project
+        return cls(base, files, enforce_scopes=False, unparsed=unparsed)
 
     # ------------------------------------------------------------------ #
     # scope

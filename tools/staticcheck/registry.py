@@ -29,6 +29,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from tools.staticcheck.determinism import DeterminismPass
 from tools.staticcheck.diagnostics import Diagnostic
 from tools.staticcheck.listeners import ListenerProtocolPass
+from tools.staticcheck.parse import ParsePass
 from tools.staticcheck.project import Project
 from tools.staticcheck.repo_checks import (
     CliAdapterPass,
@@ -42,6 +43,7 @@ from tools.staticcheck.writer_sets import WriterSetConformancePass
 
 #: The AST analysis passes, in execution (and documentation) order.
 AST_PASSES = (
+    ParsePass,
     DeterminismPass,
     WriterSetConformancePass,
     SpawnSafetyPass,

@@ -48,10 +48,11 @@ from tools.staticcheck.diagnostics import Diagnostic
 from tools.staticcheck.project import Project
 
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)]+)\)")
-#: Dotted package paths, optionally class/function-qualified:
-#: `repro.kernel.trace`, `repro.kernel.trace.StepDelta`, `repro.kernel.StopRun`.
+#: Dotted package paths, optionally class/function-qualified and then
+#: member-qualified: `repro.kernel.trace`, `repro.kernel.trace.StepDelta`,
+#: `repro.kernel.StopRun`, `repro.campaign.driver.CampaignDriver.execute`.
 _MODULE_RE = re.compile(
-    r"`(repro(?:\.[a-z_][a-z_0-9]*)*(?:\.[A-Za-z_][A-Za-z0-9_]*)?)`"
+    r"`(repro(?:\.[a-z_][a-z_0-9]*)*(?:\.[A-Za-z_][A-Za-z0-9_]*){0,2})`"
 )
 #: Bare class-qualified references, optionally called:
 #: `Scheduler.set_configuration`, `DistributedAlgorithm.enabled_action(pid)`.

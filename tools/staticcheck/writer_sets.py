@@ -227,10 +227,12 @@ class WriterSetConformancePass:
     def _row_reads(method: ast.FunctionDef) -> List[Tuple[int, ast.expr, ast.expr]]:
         """``(line, pid, variable)`` of every read of a snapshot row.
 
-        The two forms are ``<states>[<pid>][<VAR>]`` and ``<row>[<VAR>]``
-        where ``<row> = <states>[<pid>]`` is bound in the method; ``<states>``
-        is ``ctx.states`` or a local bound to it.  A row name bound more
-        than once reads through every process it was bound to.
+        A row is ``<states>[<pid>]``, or a name ``<row>`` bound to one in
+        the method; ``<states>`` is ``ctx.states``, a local bound to it, or
+        a parameter named ``states`` (a token module's ``Token(p)`` takes
+        the rows).  A read is a subscript ``<row>[<VAR>]`` or a call
+        ``<row>.get(<VAR>)``.  A row name bound more than once reads
+        through every process it was bound to.
         """
         assigns = [
             node
@@ -244,6 +246,7 @@ class WriterSetConformancePass:
             for node in assigns
             if isinstance(node.value, ast.Attribute) and node.value.attr == "states"
         }
+        states_names.update(arg.arg for arg in method.args.args if arg.arg == "states")
 
         def row_pid(expr: ast.expr) -> Optional[ast.expr]:
             """The pid of ``<states>[<pid>]``, else ``None``."""
@@ -264,31 +267,43 @@ class WriterSetConformancePass:
 
         reads: List[Tuple[int, ast.expr, ast.expr]] = []
         for node in ast.walk(method):
-            if not (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                row, variable = node.value, node.slice
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and node.args
+            ):
+                row, variable = node.func.value, node.args[0]
+            else:
                 continue
-            pid = row_pid(node.value)
+            pid = row_pid(row)
             if pid is not None:
-                reads.append((node.lineno, pid, node.slice))
-            elif isinstance(node.value, ast.Name) and node.value.id in row_names:
-                reads.extend(
-                    (node.lineno, bound, node.slice) for bound in row_names[node.value.id]
-                )
+                reads.append((node.lineno, pid, variable))
+            elif isinstance(row, ast.Name) and row.id in row_names:
+                reads.extend((node.lineno, bound, variable) for bound in row_names[row.id])
         return reads
 
     @staticmethod
     def _call_kind(node: ast.Call) -> Optional[str]:
-        """Classify ``*.write(var, value)`` and 2-arg reads."""
+        """Classify ``*.write(var, value)`` and ``*.read``/``*.own`` reads."""
         func = node.func
         if isinstance(func, ast.Attribute):
             if func.attr == "write" and len(node.args) >= 2:
                 return "write"
             if func.attr in {"read", "own"} and node.args:
                 return "read"
-        elif isinstance(func, ast.Name):
-            # Token modules receive a bare ``read(pid, var)`` accessor.
-            if func.id == "read" and len(node.args) == 2:
-                return "read"
         return None
+
+    @staticmethod
+    def _variable(project: Project, source: SourceFile, node: ast.expr) -> Optional[str]:
+        """The variable a read or write names: a resolvable constant, or
+        ``<prefix> + CONST`` (a token module's names under the composition's
+        prefix), which names ``CONST``."""
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return project.resolve_str(source, node.right)
+        return project.resolve_str(source, node)
 
     @staticmethod
     def _own_pid_names(method: ast.FunctionDef) -> Set[str]:
@@ -305,7 +320,7 @@ class WriterSetConformancePass:
         model: _ClassModel,
         node: ast.Call,
     ) -> List[Diagnostic]:
-        variable = project.resolve_str(source, node.args[0])
+        variable = self._variable(project, source, node.args[0])
         if variable is None:
             return [
                 Diagnostic(
@@ -364,9 +379,9 @@ class WriterSetConformancePass:
             return []
         if not model.declaration_closed:
             return []  # declaration is "any variable" / unresolvable: nothing to check
-        variable = project.resolve_str(source, variable_node)
+        variable = self._variable(project, source, variable_node)
         if variable is None:
-            return []  # dynamic reader shims (lambda q, var: ...) — not checkable
+            return []  # a dynamic variable name — not checkable
         if variable not in model.declared_read_vars:
             return [
                 Diagnostic(
