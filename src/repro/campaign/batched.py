@@ -176,8 +176,7 @@ def _run_group(jobs: Sequence[RunJob]) -> List[JobResult]:
         suite = StreamingSpecSuite(
             hypergraph,
             grace_steps=job.grace_steps,
-            stream=collector.stream,
-            fairness=collector.fairness_monitor,
+            collector=collector,
             check_discussion=True,
         )
         collectors.append(collector)

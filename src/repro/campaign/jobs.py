@@ -5,12 +5,12 @@ process needs to reproduce one seeded run, whether it was expanded from a
 named scenario or from a :class:`~repro.workloads.random_scenarios.RandomScenarioSpec`.
 :func:`execute_job` is the ``multiprocessing`` entry point: module-top-level
 (so a spawn context can resolve it by dotted name) and side-effect free on
-import.  It wires the streaming metrics collector and the full streaming
-spec suite (2-phase discussion included) onto a sparse scheduler run,
-injects the job's fault schedule mid-run, and returns a :class:`JobResult`
-whose ``row`` contains only deterministic fields — wall-clock time travels
-separately so aggregate JSONL output stays byte-identical across worker
-counts.
+import.  It runs the job sparsely through
+:meth:`~repro.core.runner.CommitteeCoordinator.run`, with the full spec
+suite (2-phase discussion included) and the job's fault schedule, and
+returns a :class:`JobResult` whose ``row`` contains only deterministic
+fields — wall-clock time travels separately so aggregate JSONL output stays
+byte-identical across worker counts.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from repro.core.runner import CommitteeCoordinator
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernel.algorithm import Environment
 from repro.kernel.daemon import Daemon, daemon_from_name
-from repro.kernel.faults import FaultInjector, arbitrary_configuration
-from repro.kernel.scheduler import Scheduler, StopRun
-from repro.metrics.collector import StreamingMetricsCollector
-from repro.spec.streaming import SpecVerdicts, StreamingSpecSuite
+from repro.kernel.faults import FaultInjector
+from repro.spec.streaming import SpecVerdicts
 from repro.workloads.random_scenarios import random_scenario
 from repro.workloads.request_models import environment_from_spec
 from repro.workloads.scenarios import scenario_by_name
@@ -317,72 +315,43 @@ def execute_job(job: RunJob) -> JobResult:
 
 
 def _run_job(job: RunJob, runtime_engine: Optional[str] = None) -> JobResult:
-    """One solo run.  ``runtime_engine`` overrides the engine actually
-    executed (the batched fallback runs ``incremental``) while the row's
-    identity block keeps ``job.engine`` — the row describes the matrix cell,
-    not the implementation detail that computed it.
+    """One solo run through :meth:`CommitteeCoordinator.run`.
+
+    ``runtime_engine`` overrides the engine actually executed (the batched
+    fallback runs ``incremental``) while the row's identity block keeps
+    ``job.engine`` — the row describes the matrix cell, not the
+    implementation detail that computed it.
     """
-    engine = runtime_engine or job.engine
-    hypergraph = job.build_hypergraph()
+    start = time.perf_counter()  # repro-lint: disable=RL102 -- elapsed_seconds is --timing-only, stripped from rows
     coordinator = CommitteeCoordinator(
-        hypergraph,
+        job.build_hypergraph(),
         algorithm=job.algorithm,
         token=job.token,
-        seed=job.seed,
-        engine=engine,
-    )
-    algorithm = coordinator.algorithm
-    collector = StreamingMetricsCollector(hypergraph)
-    suite = StreamingSpecSuite(
-        hypergraph,
-        grace_steps=job.grace_steps,
-        stream=collector.stream,
-        fairness=collector.fairness_monitor,
-        check_discussion=True,
-    )
-    scheduler = Scheduler(
-        algorithm,
-        environment=job.build_environment(),
         daemon=job.build_daemon(),
-        initial_configuration=(
-            arbitrary_configuration(algorithm, seed=job.seed)
-            if job.arbitrary_start
+        seed=job.seed,
+        engine=runtime_engine or job.engine,
+    )
+    outcome = coordinator.run(
+        max_steps=job.max_steps,
+        environment=job.build_environment(),
+        from_arbitrary=job.arbitrary_start,
+        record_configurations=False,
+        grace_steps=job.grace_steps,
+        check_discussion=True,
+        injector=(
+            FaultInjector(coordinator.algorithm, fraction=job.fault_fraction, seed=job.seed + 1)
+            if job.fault_every
             else None
         ),
-        record_configurations=False,
-        engine=engine,
-        step_listener=[collector.observe_step, suite.observe_step],
+        fault_every=job.fault_every,
     )
-    injector = (
-        FaultInjector(algorithm, fraction=job.fault_fraction, seed=job.seed + 1)
-        if job.fault_every
-        else None
-    )
-    start = time.perf_counter()  # repro-lint: disable=RL102 -- elapsed_seconds is --timing-only, stripped from rows
-    stop_reason = "max_steps"
-    while scheduler.step_index < job.max_steps:
-        if (
-            injector is not None
-            and scheduler.step_index
-            and scheduler.step_index % job.fault_every == 0
-        ):
-            injector.corrupt_scheduler(scheduler)
-        try:
-            if scheduler.step() is None:
-                stop_reason = "terminal"
-                break
-        except StopRun as stop:  # pragma: no cover - suite never early-stops here
-            stop_reason = stop.reason
-            break
     elapsed = time.perf_counter() - start  # repro-lint: disable=RL102 -- --timing-only
-
-    metrics = collector.metrics(scheduler.trace)
-    verdicts = suite.verdicts()
-    row = completed_row(job, scheduler.step_index, stop_reason, metrics, verdicts)
+    verdicts = outcome.spec
+    row = completed_row(job, outcome.steps, outcome.result.stop_reason, outcome.metrics, verdicts)
     return JobResult(
         index=job.index,
         row=row,
-        steps=scheduler.step_index,
+        steps=outcome.steps,
         elapsed_seconds=elapsed,
         ok=verdicts.all_hold,
     )

@@ -34,6 +34,9 @@ common operations:
   from an array-backed column store instead of reparsing JSONL per query,
 * ``scenarios``-- list the available scenarios.
 
+``run``, ``check``, ``bounds`` and ``compare`` exit 2 on an unknown
+``--scenario``.
+
 Examples::
 
     repro-cc scenarios
@@ -99,8 +102,20 @@ def _cmd_scenarios(_: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = scenario_by_name(args.scenario)
+class _UnknownScenario(Exception):
+    """An unknown ``--scenario``: :func:`main` prints it and exits 2."""
+
+
+def _scenario(args: argparse.Namespace):
+    try:
+        return scenario_by_name(args.scenario)
+    except KeyError as exc:
+        raise _UnknownScenario(exc.args[0]) from None
+
+
+def _coordinate(args: argparse.Namespace, **run_options):
+    """``(scenario, outcome)``: the one coordinator ``run`` and ``check`` build."""
+    scenario = _scenario(args)
     coordinator = CommitteeCoordinator(
         scenario.hypergraph,
         algorithm=args.algorithm,
@@ -112,7 +127,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         max_steps=args.steps,
         discussion_steps=args.discussion,
         from_arbitrary=args.arbitrary,
+        **run_options,
     )
+    return scenario, outcome
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    scenario, outcome = _coordinate(args)
     row = {"scenario": scenario.name, "algorithm": args.algorithm}
     row.update(outcome.metrics.as_row())
     print(format_table([row], title=f"{args.algorithm.upper()} on {scenario.name}"))
@@ -123,18 +144,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    scenario = scenario_by_name(args.scenario)
-    coordinator = CommitteeCoordinator(
-        scenario.hypergraph,
-        algorithm=args.algorithm,
-        token=args.token,
-        seed=args.seed,
-        engine=args.engine,
-    )
-    outcome = coordinator.run(
-        max_steps=args.steps,
-        discussion_steps=args.discussion,
-        from_arbitrary=args.arbitrary,
+    scenario, outcome = _coordinate(
+        args,
         record_configurations=not args.sparse,
         check=True,
         stop_on_violation=args.stop_on_violation,
@@ -177,7 +188,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    scenario = scenario_by_name(args.scenario)
+    scenario = _scenario(args)
     bounds = bounds_for(scenario.hypergraph)
     row = {"scenario": scenario.name, "n": scenario.n, "m": scenario.m}
     row.update(bounds.as_row())
@@ -186,7 +197,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario = scenario_by_name(args.scenario)
+    scenario = _scenario(args)
     hypergraph = scenario.hypergraph
     rows = []
     for name in ("cc1", "cc2", "cc3"):
@@ -553,7 +564,8 @@ def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
         action="append",
         choices=["dense", "incremental", "batched"],
         help="engine axis (repeatable; default incremental; 'batched' runs a "
-        "cell's seed sweep in numpy lockstep — rows stay byte-identical to "
+        "cell's seed sweep in numpy lockstep at --jobs 1, but under a pool "
+        "each seed runs as a one-lane batch — rows stay byte-identical to "
         "solo runs, requires the repro-cc[batched] extra)",
     )
     parser.add_argument(
@@ -596,6 +608,30 @@ def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """The one-run flags, shared verbatim by ``run`` and ``check``."""
+    parser.add_argument("--scenario", default="figure1")
+    parser.add_argument("--algorithm", default="cc2", choices=["cc1", "cc2", "cc3"])
+    parser.add_argument("--token", default="tree", choices=["tree", "ring", "oracle"])
+    parser.add_argument(
+        "--engine",
+        default="incremental",
+        choices=["dense", "incremental"],
+        help="execution engine (default: incremental — copy-on-write + "
+        "delta-driven enabled-set reuse; traces and verdicts are identical "
+        "to the reference double-sweep dense engine for any seed)",
+    )
+    parser.add_argument(
+        "--steps",
+        type=_positive_int,
+        default=2000,
+        help="step budget, >= 1 (a zero-step check would vacuously 'hold')",
+    )
+    parser.add_argument("--discussion", type=_positive_int, default=1)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--arbitrary", action="store_true", help="start from an arbitrary configuration")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro-cc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -603,21 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("scenarios", help="list available scenarios").set_defaults(func=_cmd_scenarios)
 
     run = sub.add_parser("run", help="run one algorithm on a scenario")
-    run.add_argument("--scenario", default="figure1")
-    run.add_argument("--algorithm", default="cc2", choices=["cc1", "cc2", "cc3"])
-    run.add_argument("--token", default="tree", choices=["tree", "ring", "oracle"])
-    run.add_argument(
-        "--engine",
-        default="incremental",
-        choices=["dense", "incremental"],
-        help="execution engine (default: incremental — copy-on-write + "
-        "delta-driven enabled-set reuse, trace-identical to the reference "
-        "double-sweep dense engine for any seed)",
-    )
-    run.add_argument("--steps", type=_positive_int, default=2000, help="step budget, >= 1")
-    run.add_argument("--discussion", type=_positive_int, default=1)
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--arbitrary", action="store_true", help="start from an arbitrary configuration")
+    _add_run_arguments(run)
     run.add_argument("--verbose", action="store_true", help="print meeting events")
     run.set_defaults(func=_cmd_run)
 
@@ -625,31 +647,13 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="run with streaming spec monitors and print property verdicts",
     )
-    check.add_argument("--scenario", default="figure1")
-    check.add_argument("--algorithm", default="cc2", choices=["cc1", "cc2", "cc3"])
-    check.add_argument("--token", default="tree", choices=["tree", "ring", "oracle"])
-    check.add_argument(
-        "--engine",
-        default="incremental",
-        choices=["dense", "incremental"],
-        help="execution engine (default: incremental — spec checking is the "
-        "sparse-run workhorse; verdicts are identical on both engines)",
-    )
-    check.add_argument(
-        "--steps",
-        type=_positive_int,
-        default=2000,
-        help="step budget, >= 1 (a zero-step run would vacuously 'hold')",
-    )
-    check.add_argument("--discussion", type=_positive_int, default=1)
-    check.add_argument("--seed", type=int, default=1)
+    _add_run_arguments(check)
     check.add_argument(
         "--sparse",
         action="store_true",
         help="record_configurations=False: verdicts are computed online, in "
         "memory constant in the run length (O(n + m))",
     )
-    check.add_argument("--arbitrary", action="store_true", help="start from an arbitrary configuration")
     check.add_argument(
         "--stop-on-violation",
         action="store_true",
@@ -811,7 +815,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UnknownScenario as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

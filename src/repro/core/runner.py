@@ -28,7 +28,7 @@ from repro.hypergraph.hypergraph import Hyperedge, Hypergraph
 from repro.kernel.algorithm import Environment
 from repro.kernel.configuration import Configuration
 from repro.kernel.daemon import DAEMON_NAMES, Daemon, daemon_from_name
-from repro.kernel.faults import arbitrary_configuration
+from repro.kernel.faults import FaultInjector, arbitrary_configuration
 from repro.kernel.scheduler import ENGINES, Scheduler, SchedulerResult
 from repro.kernel.trace import Trace
 from repro.metrics.collector import StreamingMetricsCollector, TraceMetrics, collect_metrics
@@ -173,8 +173,14 @@ class CommitteeCoordinator:
         stop_on_violation: bool = False,
         grace_steps: Optional[int] = None,
         check_discussion: bool = False,
+        injector: Optional[FaultInjector] = None,
+        fault_every: int = 0,
     ) -> SimulationOutcome:
         """Run one computation and collect metrics.
+
+        This is the one place that wires a run's environment, daemon, start
+        and observers; campaign jobs, ``repro-cc run`` and ``repro-cc
+        check`` all run through it.
 
         ``environment`` defaults to an always-requesting workload with
         ``discussion_steps`` of voluntary discussion.  With
@@ -199,6 +205,10 @@ class CommitteeCoordinator:
         (implies ``check``) additionally streams the 2-phase discussion
         checkers; their reports land in ``spec.essential`` /
         ``spec.voluntary`` and participate in ``spec.all_hold``.
+
+        ``injector`` and ``fault_every`` are the fault schedule, forwarded to
+        :meth:`~repro.kernel.scheduler.Scheduler.run`: a burst before every
+        ``fault_every``-th step.
         """
         env = environment if environment is not None else AlwaysRequestingEnvironment(discussion_steps)
         daemon = self._build_daemon()
@@ -216,8 +226,7 @@ class CommitteeCoordinator:
                 self.hypergraph,
                 grace_steps=grace_steps,
                 stop_on_violation=stop_on_violation,
-                stream=collector.stream if collector is not None else None,
-                fairness=collector.fairness_monitor if collector is not None else None,
+                collector=collector,
                 check_discussion=check_discussion,
             )
         listeners = [
@@ -232,7 +241,7 @@ class CommitteeCoordinator:
             engine=self.engine,
             step_listener=listeners or None,
         )
-        result = scheduler.run(max_steps=max_steps)
+        result = scheduler.run(max_steps=max_steps, injector=injector, fault_every=fault_every)
         trace = result.trace
         if collector is None:
             metrics = collect_metrics(trace, self.hypergraph)

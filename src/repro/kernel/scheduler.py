@@ -12,7 +12,9 @@ The scheduler repeatedly
    enabled at the beginning of the round has been activated or neutralized.
 
 A computation is maximal: the run stops when no process is enabled (terminal
-configuration) or when a step/round/predicate bound is hit.
+configuration) or when the step bound or a stop predicate is hit.
+:meth:`Scheduler.run` is the one loop that steps a run, and it also injects
+the run's transient fault bursts between steps.
 
 Two execution engines are available (``engine=`` parameter):
 
@@ -71,12 +73,15 @@ own enabled-map cache is invalidated through the same
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.kernel.algorithm import ActionContext, DistributedAlgorithm, Environment
 from repro.kernel.configuration import Configuration, ProcessId
 from repro.kernel.daemon import Daemon, default_daemon
 from repro.kernel.trace import StepDelta, StepRecord, Trace
+
+if TYPE_CHECKING:  # pragma: no cover - faults imports this module
+    from repro.kernel.faults import FaultInjector
 
 #: Concrete execution engines (the ``engine`` parameter also accepts ``None``,
 #: which means ``incremental``).
@@ -225,16 +230,6 @@ class Scheduler:
         self.environment.observe(self.configuration, -1)
         for listener in self._step_listeners:
             listener(self.configuration, None)
-
-    def add_step_listener(self, listener: StepListener) -> None:
-        """Attach another observer mid-construction (before the run starts).
-
-        The listener is immediately fed the current configuration with
-        ``record=None`` (mirroring the construction-time call), so observers
-        attached after ``__init__`` see the same stream as those passed in.
-        """
-        self._step_listeners.append(listener)
-        listener(self.configuration, None)
 
     def _reader_map(self) -> Dict[Tuple[ProcessId, str], FrozenSet[ProcessId]]:
         """``(writer, variable) -> readers``, inverted from the declarations.
@@ -451,16 +446,17 @@ class Scheduler:
         return record
 
     # ------------------------------------------------------------------ #
-    # run loops
+    # the run loop
     # ------------------------------------------------------------------ #
     def run(
         self,
         max_steps: int = 10_000,
-        max_rounds: Optional[int] = None,
         stop_predicate: Optional[Callable[[Configuration, int], bool]] = None,
         allow_idle_steps: bool = False,
+        injector: Optional["FaultInjector"] = None,
+        fault_every: int = 0,
     ) -> SchedulerResult:
-        """Run until termination, a bound, or ``stop_predicate`` becomes true.
+        """Run until termination, the step bound, or ``stop_predicate`` holds.
 
         ``stop_predicate(configuration, step_index)`` is evaluated after every
         step — including idle ticks, so a predicate that becomes true while
@@ -477,13 +473,18 @@ class Scheduler:
         true and re-enable the system.  This models the asynchronous
         environment of the paper, where professors act at unpredictable real
         times even while the algorithm itself is quiescent.
+
+        ``injector`` and ``fault_every`` are the run's fault schedule: the
+        injector corrupts the configuration (via
+        :meth:`~repro.kernel.faults.FaultInjector.corrupt_scheduler`) before
+        step ``k`` whenever ``k > 0`` and ``k % fault_every == 0`` — never
+        before the first step and never after the last one.
         """
         stop_reason = "max_steps"
         terminated = False
         while self.step_index < max_steps:
-            if max_rounds is not None and self.round_index >= max_rounds:
-                stop_reason = "max_rounds"
-                break
+            if injector is not None and self.step_index and self.step_index % fault_every == 0:
+                injector.corrupt_scheduler(self)
             try:
                 record = self.step()
             except StopRun as stop:
@@ -502,8 +503,6 @@ class Scheduler:
             if stop_predicate is not None and stop_predicate(self.configuration, self.step_index):
                 stop_reason = "predicate"
                 break
-        else:
-            stop_reason = "max_steps"
         return SchedulerResult(
             trace=self.trace,
             steps=self.step_index,

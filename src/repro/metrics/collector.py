@@ -85,9 +85,9 @@ class StreamingMetricsCollector:
     def stream(self) -> MeetingEventStream:
         """The meeting-event stream this collector drives.
 
-        Pass it (together with :attr:`fairness_monitor`) to a
-        :class:`~repro.spec.streaming.StreamingSpecSuite` registered *after*
-        this collector in the scheduler's listener sequence, so metrics and
+        A :class:`~repro.spec.streaming.StreamingSpecSuite` built with
+        ``collector=`` this collector (and registered *after* it in the
+        scheduler's listener sequence) reads this stream, so metrics and
         spec checking share one per-step meeting sweep and can never
         disagree on convene events.
         """

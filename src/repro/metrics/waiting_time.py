@@ -22,6 +22,7 @@ from repro.core.base import CommitteeAlgorithmBase
 from repro.core.states import DONE, STATUS, WAITING, POINTER
 from repro.hypergraph.hypergraph import Hypergraph, ProcessId
 from repro.kernel.daemon import Daemon, default_daemon
+from repro.kernel.faults import arbitrary_configuration
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.trace import Trace
 from repro.spec.events import committee_meets
@@ -144,11 +145,7 @@ def measure_waiting_time(
     """
     environment = AlwaysRequestingEnvironment(discussion_steps=max_disc)
     daemon = daemon if daemon is not None else default_daemon(seed=seed)
-    initial = None
-    if from_arbitrary:
-        import random as _random
-
-        initial = algorithm.arbitrary_configuration(_random.Random(seed))
+    initial = arbitrary_configuration(algorithm, seed=seed) if from_arbitrary else None
     scheduler = Scheduler(
         algorithm, environment=environment, daemon=daemon, initial_configuration=initial
     )

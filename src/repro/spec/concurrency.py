@@ -25,6 +25,7 @@ from repro.core.states import LOOKING, STATUS, WAITING
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
 from repro.kernel.configuration import Configuration
 from repro.kernel.daemon import Daemon, default_daemon
+from repro.kernel.faults import arbitrary_configuration
 from repro.kernel.scheduler import Scheduler
 from repro.spec.events import meetings_in
 from repro.spec.properties import PropertyReport
@@ -83,47 +84,38 @@ def measure_fair_concurrency(
     instead of the legitimate one (the degree of fair concurrency is a
     worst-case notion, so the benchmarks sweep both).
     """
-    environment = InfiniteMeetingEnvironment(hypergraph=algorithm.hypergraph)
-    daemon = daemon if daemon is not None else default_daemon(seed=seed)
-    initial = None
-    if from_arbitrary:
-        import random as _random
-
-        initial = algorithm.arbitrary_configuration(_random.Random(seed))
+    hypergraph = algorithm.hypergraph
     scheduler = Scheduler(
         algorithm,
-        environment=environment,
-        daemon=daemon,
-        initial_configuration=initial,
+        environment=InfiniteMeetingEnvironment(hypergraph=hypergraph),
+        daemon=daemon if daemon is not None else default_daemon(seed=seed),
+        initial_configuration=(
+            arbitrary_configuration(algorithm, seed=seed) if from_arbitrary else None
+        ),
         record_configurations=False,
     )
-
+    last_held: Tuple[Hyperedge, ...] = meetings_in(scheduler.configuration, hypergraph)
     stable_for = 0
-    last_held: Tuple[Hyperedge, ...] = meetings_in(scheduler.configuration, algorithm.hypergraph)
-    terminated = False
-    while scheduler.step_index < max_steps:
-        record = scheduler.step()
-        if record is None:
-            terminated = True
-            break
-        held = meetings_in(scheduler.configuration, algorithm.hypergraph)
+
+    def settled(configuration: Configuration, _step_index: int) -> bool:
+        nonlocal last_held, stable_for
+        held = meetings_in(configuration, hypergraph)
         if held == last_held:
             stable_for += 1
         else:
-            stable_for = 0
-            last_held = held
-        if stable_for >= settle_steps:
-            break
+            stable_for, last_held = 0, held
+        return stable_for >= settle_steps
 
+    result = scheduler.run(max_steps=max_steps, stop_predicate=settled)
     final = scheduler.configuration
-    held = meetings_in(final, algorithm.hypergraph)
-    blocked = _fully_waiting_committees(final, algorithm.hypergraph, held)
+    held = meetings_in(final, hypergraph)
+    blocked = _fully_waiting_committees(final, hypergraph, held)
     return ConcurrencyMeasurement(
         meetings_held=held,
         held_is_maximal_matching=not blocked,
         blocked_free_committees=blocked,
-        steps=scheduler.step_index,
-        terminated=terminated,
+        steps=result.steps,
+        terminated=result.terminated,
     )
 
 

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.states import LOOKING, POINTER, STATUS, WAITING
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
@@ -96,6 +96,9 @@ from repro.spec.properties import (
     report_from_details,
     synchronization_violations_at,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the collector imports this module
+    from repro.metrics.collector import StreamingMetricsCollector
 
 
 @dataclass(frozen=True)
@@ -511,16 +514,13 @@ class StreamingSpecSuite:
     window_size:
         Number of trailing ``(index, configuration)`` frames retained for the
         counterexample window.
-    stream, fairness:
-        Optional *shared* :class:`MeetingEventStream` /
-        :class:`StreamingFairnessMonitor` already driven by an upstream
-        observer in the same listener list (the
-        :class:`~repro.metrics.collector.StreamingMetricsCollector` exposes
-        both).  When given, the suite reads the stream's last scan instead of
-        re-scanning every committee, so metrics + spec checking together pay
-        the per-step meeting sweep once.  The driving observer must be
-        registered *before* this suite in the scheduler's ``step_listener``
-        sequence.
+    collector:
+        Optional :class:`~repro.metrics.collector.StreamingMetricsCollector`
+        this suite rides.  When given, the suite reads the collector's
+        meeting-event stream and convene counter instead of driving its
+        own, so metrics + spec checking together pay the per-step meeting
+        sweep once.  The collector must be registered *before* this suite
+        in the scheduler's ``step_listener`` sequence.
 
     Attach via the scheduler's ``step_listener``; the suite consumes each
     configuration exactly once and keeps O(n + m + window_size) state.
@@ -544,15 +544,13 @@ class StreamingSpecSuite:
         grace_steps: Optional[int] = None,
         stop_on_violation: bool = False,
         window_size: int = 8,
-        stream: Optional[MeetingEventStream] = None,
-        fairness: Optional[StreamingFairnessMonitor] = None,
+        collector: Optional["StreamingMetricsCollector"] = None,
         check_discussion: bool = False,
     ) -> None:
         self.hypergraph = hypergraph
         self.stop_on_violation = stop_on_violation
-        self._drives_stream = stream is None
-        self._stream = stream if stream is not None else MeetingEventStream(hypergraph)
-        self._counts_fairness = fairness is None
+        self._drives_stream = collector is None
+        self._stream = MeetingEventStream(hypergraph) if collector is None else collector.stream
         self.exclusion = StreamingExclusionMonitor()
         self.synchronization = StreamingSynchronizationMonitor()
         self.progress = StreamingProgressMonitor(
@@ -565,7 +563,9 @@ class StreamingSpecSuite:
         # events), not per-configuration safety checks.
         self.essential = StreamingEssentialDiscussionMonitor() if check_discussion else None
         self.voluntary = StreamingVoluntaryDiscussionMonitor() if check_discussion else None
-        self.fairness = fairness if fairness is not None else StreamingFairnessMonitor(hypergraph)
+        self.fairness = (
+            StreamingFairnessMonitor(hypergraph) if collector is None else collector.fairness_monitor
+        )
         self._safety_monitors = (self.exclusion, self.synchronization)
         self._frames: Deque[Tuple[int, Configuration]] = deque(maxlen=window_size)
         self._index = 0
@@ -590,11 +590,12 @@ class StreamingSpecSuite:
         delta = record.delta if record is not None else None
         if self._drives_stream:
             events = self._stream.observe(configuration, delta)
+            self.fairness.consume(events)
         else:
-            # The stream was already driven this step by the upstream
-            # observer (e.g. the metrics collector); reuse its scan.  Guard
-            # the ordering invariant — reading a stale scan would silently
-            # shift every verdict by one configuration.
+            # The collector already drove the stream (and counted its
+            # convenes) this step; reuse its scan.  Guard the ordering
+            # invariant — reading a stale scan would silently shift every
+            # verdict by one configuration.
             if self._stream.observations != self._index:
                 # A listener-ordering bug in the harness wiring must crash
                 # loudly — a StopRun here would masquerade as a clean early
@@ -602,9 +603,9 @@ class StreamingSpecSuite:
                 raise RuntimeError(  # repro-lint: disable=RL401 -- misconfiguration guard, not a run outcome
                     "shared MeetingEventStream is out of sync (stream saw "
                     f"{self._stream.observations} configurations, suite saw "
-                    f"{self._index}); the observer driving the stream must be "
-                    "registered before this suite in the scheduler's "
-                    "step_listener sequence"
+                    f"{self._index}); the collector must be registered "
+                    "before this suite in the scheduler's step_listener "
+                    "sequence"
                 )
             events = self._stream.last_events
         # The stream decided full-vs-delta (it owns the epoch bookkeeping);
@@ -616,8 +617,6 @@ class StreamingSpecSuite:
             else delta.writes
         )
         self._frames.append((index, configuration))
-        if self._counts_fairness:
-            self.fairness.consume(events)
         self.progress.observe(index, configuration, events, writers)
         if self.essential is not None:
             self.essential.observe(index, configuration, events, writers)

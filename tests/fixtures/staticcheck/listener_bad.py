@@ -27,3 +27,10 @@ class SuppressedGuardListener:
     def observe_step(self, configuration, record):
         if configuration is None:
             raise RuntimeError("misconfigured harness")  # repro-lint: disable=RL401 -- corpus: wiring bug must crash  # expect-suppressed: RL401
+
+
+def run_by_hand(scheduler, max_steps):
+    """A hand-written run loop outside the scheduler module."""
+    while scheduler.step_index < max_steps:
+        if scheduler.step() is None:  # expect: RL403
+            break

@@ -35,3 +35,8 @@ class DelegatingListener:
     def observe_step(self, configuration, record):
         delta = record.delta if record is not None else None
         self._stream.observe(configuration, delta)
+
+
+def run_through_the_loop(scheduler, injector, max_steps):
+    """Steps only through Scheduler.run, which owns the fault schedule."""
+    return scheduler.run(max_steps=max_steps, injector=injector, fault_every=10)

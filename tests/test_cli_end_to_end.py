@@ -8,6 +8,7 @@ violation/clean runs — exactly the way a shell invocation would.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -37,9 +38,16 @@ class TestRunEndToEnd:
         incremental_out = capsys.readouterr().out
         assert dense_out == incremental_out
 
-    def test_run_unknown_scenario_raises_key_error(self):
-        with pytest.raises(KeyError):
-            main(["run", "--scenario", "no-such-scenario"])
+
+
+@pytest.mark.parametrize("command", ["run", "check", "bounds", "compare"])
+def test_unknown_scenario_is_a_usage_error(command, capsys):
+    # One stderr line and exit 2, as `campaign` does: for `check`, exit 1
+    # would claim a violated property.
+    assert main([command, "--scenario", "nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{command}: unknown scenario 'nope'\n"
+    assert captured.out == ""
 
 
 class TestCheckEndToEnd:
@@ -62,6 +70,98 @@ class TestCheckEndToEnd:
         out = capsys.readouterr().out
         assert "EssentialDiscussion" in out
         assert "VoluntaryDiscussion" in out
+
+
+#: ``check`` table property -> campaign row verdict field.
+_VERDICT_FIELDS = {
+    "Exclusion": "exclusion",
+    "Synchronization": "synchronization",
+    "Progress": "progress",
+    "EssentialDiscussion": "essential_discussion",
+    "VoluntaryDiscussion": "voluntary_discussion",
+}
+
+
+def _check_table(out: str):
+    """``{property: (holds, violations)}`` from a ``check`` verdict table."""
+    table = {}
+    for line in out.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if cells[0] in _VERDICT_FIELDS:
+            table[cells[0]] = (cells[1] == "True", int(cells[2]))
+    return table
+
+
+class TestCheckReproducesCampaignRows:
+    """``check --sparse --discussion-spec`` with a named-scenario row's flags
+    is the run the row describes: same five verdicts, same violation count,
+    and exit 1 exactly when the row's status is ``violation``."""
+
+    MATRICES = (
+        ["--scenario", "cycle-100", "--algorithm", "cc2"],
+        ["--scenario", "figure1", "--scenario", "grid-3x3",
+         "--algorithm", "cc1", "--algorithm", "cc2", "--algorithm", "cc3"],
+    )
+
+    @pytest.mark.parametrize("arbitrary", [False, True])
+    def test_rows_reproduce(self, arbitrary, tmp_path, capsys):
+        extra = ["--arbitrary"] if arbitrary else []
+        rows = []
+        for index, matrix in enumerate(self.MATRICES):
+            out = tmp_path / f"rows{index}.jsonl"
+            main(["campaign", *matrix, "--steps", "200", "--seed", "8000",
+                  "--out", str(out), *extra])
+            rows += [json.loads(line) for line in out.read_text().splitlines()]
+        capsys.readouterr()
+        assert len(rows) == 7
+        statuses = set()
+        for row in rows:
+            assert (row["daemon"], row["environment"], row["fault_every"]) == (
+                "weakly_fair", "always", 0,
+            )
+            argv = [
+                "check", "--sparse", "--discussion-spec",
+                "--scenario", row["scenario"], "--algorithm", row["algorithm"],
+                "--token", row["token"], "--engine", row["engine"],
+                "--steps", str(row["max_steps"]),
+                "--discussion", str(row["discussion_steps"]),
+                "--seed", str(row["seed"]),
+            ] + (["--arbitrary"] if row["arbitrary"] else [])
+            code = main(argv)
+            table = _check_table(capsys.readouterr().out)
+            assert {name: holds for name, (holds, _) in table.items()} == {
+                name: row[field] for name, field in _VERDICT_FIELDS.items()
+            }, row
+            assert sum(count for _, count in table.values()) == row["violations"], row
+            assert code == (1 if row["status"] == "violation" else 0), row
+            statuses.add(row["status"])
+        if not arbitrary:
+            # The clean starts cover both exit codes (cycle-100 cc2 starves
+            # professors within 200 steps).
+            assert statuses == {"ok", "violation"}
+
+
+#: sha256 of the ``--out`` file of the campaign in
+#: ``test_random_campaign_rows_are_pinned``.  Its rows cover fault bursts,
+#: arbitrary starts, probabilistic and bursty requests and the synchronous
+#: daemon; any change to where a fault burst falls moves these bytes.
+PINNED_RANDOM_ROWS_SHA256 = "ad51c406a0ae9ed8a4e888616e68ac4ea0598cc38f39b0ae5bb175b0e4685061"
+
+
+def test_random_campaign_rows_are_pinned(tmp_path, capsys):
+    out = tmp_path / "rows.jsonl"
+    main(["campaign", "--random", "6", "--random-seed", "0",
+          "--algorithm", "cc1", "--algorithm", "cc2", "--algorithm", "cc3",
+          "--steps", "40", "--out", str(out)])
+    capsys.readouterr()
+    data = out.read_bytes()
+    rows = [json.loads(line) for line in data.decode().splitlines()]
+    assert any(r["fault_every"] and r["steps"] > 2 * r["fault_every"] for r in rows)
+    assert any(r["arbitrary"] for r in rows)
+    assert any(r["environment"].startswith("probabilistic") for r in rows)
+    assert any(r["environment"].startswith("bursty") for r in rows)
+    assert any(r["daemon"] == "synchronous" for r in rows)
+    assert hashlib.sha256(data).hexdigest() == PINNED_RANDOM_ROWS_SHA256
 
 
 class TestCompareEndToEnd:

@@ -117,8 +117,10 @@ def generate_scenario(seed: int, max_steps: int = 260) -> ScenarioSpec:
     )
 
 
-def _drive(spec: ScenarioSpec, engine: str, record: bool,
-           suite: Optional[StreamingSpecSuite] = None) -> Scheduler:
+def _build(spec: ScenarioSpec, engine: str, record: bool,
+           suite: Optional[StreamingSpecSuite] = None
+           ) -> Tuple[Scheduler, Optional[FaultInjector]]:
+    """The scenario's fresh scheduler and fault injector (not yet run)."""
     hypergraph = spec.hypergraph()
     coordinator = CommitteeCoordinator(
         hypergraph, algorithm=spec.algorithm, token=spec.token,
@@ -144,6 +146,14 @@ def _drive(spec: ScenarioSpec, engine: str, record: bool,
         FaultInjector(algorithm, fraction=spec.burst_fraction, seed=spec.seed + 1)
         if spec.burst_every else None
     )
+    return scheduler, injector
+
+
+def _drive(spec: ScenarioSpec, engine: str, record: bool,
+           suite: Optional[StreamingSpecSuite] = None) -> Scheduler:
+    """Run the scenario with a hand-written loop: the independent reference
+    for ``Scheduler.run``'s fault hook (``TestFaultHook``)."""
+    scheduler, injector = _build(spec, engine, record, suite)
     while scheduler.step_index < spec.max_steps:
         if (
             injector is not None
@@ -230,15 +240,14 @@ class TestDifferentialHarness:
         pytest.fail("no fault-injection scenario produced a safety violation")
 
 
-def _drive_random(
+def _build_random(
     spec: RandomScenarioSpec,
     algorithm_name: str,
     engine: str,
     record: bool,
-    max_steps: int,
     suite: Optional[StreamingSpecSuite] = None,
-) -> Scheduler:
-    """Drive one randomized scenario exactly as the campaign worker does.
+) -> Tuple[Scheduler, Optional[FaultInjector]]:
+    """A randomized scenario's fresh scheduler and fault injector.
 
     A fresh environment/daemon is built per call (they are stateful); the
     run seed is the scenario seed, so the same spec replays identically on
@@ -266,6 +275,20 @@ def _drive_random(
         FaultInjector(algorithm, fraction=spec.fault_fraction, seed=spec.seed + 1)
         if spec.fault_every else None
     )
+    return scheduler, injector
+
+
+def _drive_random(
+    spec: RandomScenarioSpec,
+    algorithm_name: str,
+    engine: str,
+    record: bool,
+    max_steps: int,
+    suite: Optional[StreamingSpecSuite] = None,
+) -> Scheduler:
+    """Drive one randomized scenario with a hand-written loop, bursts
+    placed exactly as the campaign worker places them."""
+    scheduler, injector = _build_random(spec, algorithm_name, engine, record, suite)
     while scheduler.step_index < max_steps:
         if (
             injector is not None
@@ -344,6 +367,66 @@ class TestRandomScenarioFuzz:
     def test_fuzzed_scenario_parity_wide(self, seed):
         """The wide sweep: 120 more scenarios at a longer step budget."""
         self._check_one(seed, max_steps=500)
+
+
+class TestFaultHook:
+    """``Scheduler.run(injector=, fault_every=)`` == the hand loops above.
+
+    Same step records (their deltas carry the configuration epoch), same
+    number of bursts and same configurations, on both solo engines: the
+    burst lands before step ``k`` for every ``k > 0`` with
+    ``k % fault_every == 0``, and never after the last step.
+    """
+
+    @staticmethod
+    def _assert_same_run(reference: Scheduler, scheduler: Scheduler, result) -> None:
+        assert tuple(scheduler.trace.steps) == tuple(reference.trace.steps)
+        assert [r.delta.epoch for r in scheduler.trace.steps] == [
+            r.delta.epoch for r in reference.trace.steps
+        ]
+        assert scheduler.epoch == reference.epoch
+        assert tuple(scheduler.trace.configurations) == tuple(reference.trace.configurations)
+        assert result.final == reference.configuration
+        assert result.steps == reference.step_index
+
+    @pytest.mark.parametrize("engine", ("dense", "incremental"))
+    @pytest.mark.parametrize("seed", (0, 1, 4, 11))
+    def test_generated_scenarios(self, seed, engine):
+        spec = generate_scenario(seed)
+        assert spec.burst_every
+        reference = _drive(spec, engine=engine, record=True)
+        scheduler, injector = _build(spec, engine, record=True)
+        result = scheduler.run(
+            max_steps=spec.max_steps, injector=injector, fault_every=spec.burst_every
+        )
+        self._assert_same_run(reference, scheduler, result)
+        assert result.stop_reason == "max_steps"
+
+    @pytest.mark.parametrize("engine", ("dense", "incremental"))
+    def test_max_steps_a_multiple_of_the_period(self, engine):
+        # Bursts before steps 13, 26 and 39; none after the 52nd, last step.
+        spec = generate_scenario(12, max_steps=52)
+        assert spec.burst_every == 13
+        reference = _drive(spec, engine=engine, record=True)
+        scheduler, injector = _build(spec, engine, record=True)
+        result = scheduler.run(max_steps=52, injector=injector, fault_every=13)
+        self._assert_same_run(reference, scheduler, result)
+        assert result.steps == 52
+        assert scheduler.epoch == 3
+
+    @pytest.mark.parametrize("engine", ("dense", "incremental"))
+    def test_terminal_between_bursts(self, engine):
+        # Bursty requests: after bursts before steps 17, 34, 51 and 68 the
+        # run goes terminal at step 78, before the next burst is due.
+        spec = random_scenario(22)
+        assert spec.fault_every == 17
+        reference = _drive_random(spec, "cc2", engine, True, 120)
+        scheduler, injector = _build_random(spec, "cc2", engine, True)
+        result = scheduler.run(max_steps=120, injector=injector, fault_every=17)
+        self._assert_same_run(reference, scheduler, result)
+        assert result.stop_reason == "terminal" and result.terminated
+        assert result.steps == 78
+        assert scheduler.epoch == 4
 
 
 requires_numpy = pytest.mark.skipif(

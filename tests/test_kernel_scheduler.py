@@ -134,12 +134,6 @@ class TestRounds:
         assert result.steps > result.trace.rounds
         assert result.trace.rounds >= 4
 
-    def test_run_rounds_bound(self):
-        scheduler = Scheduler(CountUpAlgorithm(3, 1000), daemon=SynchronousDaemon())
-        result = scheduler.run(max_rounds=5)
-        assert result.stop_reason == "max_rounds"
-        assert result.trace.rounds >= 5
-
 
 class TestTraceRecording:
     def test_dense_trace_records_every_configuration(self):

@@ -368,18 +368,6 @@ class TestStopRunProtocol:
         assert suite.configurations_observed == result.steps + 1
         assert collector.metrics(result.trace).steps == result.steps
 
-    def test_add_step_listener_replays_initial_configuration(self):
-        coordinator = CommitteeCoordinator(figure1_hypergraph(), algorithm="cc1", seed=1)
-        scheduler = Scheduler(
-            coordinator.algorithm,
-            environment=AlwaysRequestingEnvironment(1),
-            daemon=default_daemon(seed=1),
-        )
-        suite = StreamingSpecSuite(figure1_hypergraph())
-        scheduler.add_step_listener(suite.observe_step)
-        result = scheduler.run(max_steps=15)
-        assert suite.configurations_observed == result.steps + 1
-
 
 # --------------------------------------------------------------------------- #
 # satellite: mid-run corruption is observed by the incremental engine
@@ -505,12 +493,11 @@ class TestRunnerCheckMode:
         # same verdicts as a standalone suite over the same run.
         hypergraph = figure1_hypergraph()
         collector = StreamingMetricsCollector(hypergraph)
-        shared = StreamingSpecSuite(
-            hypergraph, stream=collector.stream, fairness=collector.fairness_monitor
+        shared = StreamingSpecSuite(hypergraph, collector=collector)
+        _, _, sched = _build(
+            "cc3", "ring", seed=6, engine="incremental", record=False,
+            suite=shared, collector=collector,
         )
-        _, _, sched = _build("cc3", "ring", seed=6, engine="incremental", record=False)
-        sched.add_step_listener(collector.observe_step)
-        sched.add_step_listener(shared.observe_step)
         sched.run(max_steps=200)
 
         standalone = StreamingSpecSuite(hypergraph)
@@ -526,12 +513,10 @@ class TestRunnerCheckMode:
         # every verdict by one configuration.
         hypergraph = figure1_hypergraph()
         collector = StreamingMetricsCollector(hypergraph)
-        suite = StreamingSpecSuite(
-            hypergraph, stream=collector.stream, fairness=collector.fairness_monitor
-        )
-        _, _, sched = _build("cc2", "oracle", seed=1, engine="incremental", record=False)
+        suite = StreamingSpecSuite(hypergraph, collector=collector)
         with pytest.raises(RuntimeError, match="out of sync"):
-            sched.add_step_listener(suite.observe_step)  # collector never ran
+            # collector never ran
+            _build("cc2", "oracle", seed=1, engine="incremental", record=False, suite=suite)
 
     def test_check_cli_rejects_non_positive_steps(self):
         with pytest.raises(SystemExit):
@@ -589,11 +574,10 @@ class TestStreamingDiscussion:
             check_voluntary_discussion,
         )
 
+        suite = StreamingSpecSuite(figure1_hypergraph(), check_discussion=True)
         hypergraph, algorithm, scheduler = _build(
-            "cc2", "tree", seed=3, engine="dense", record=True
+            "cc2", "tree", seed=3, engine="dense", record=True, suite=suite
         )
-        suite = StreamingSpecSuite(hypergraph, check_discussion=True)
-        scheduler.add_step_listener(suite.observe_step)
         injector = FaultInjector(algorithm, fraction=0.7, seed=9)
         while scheduler.step_index < 300:
             if scheduler.step_index and scheduler.step_index % 11 == 0:

@@ -1,9 +1,10 @@
 """RL4xx — scheduler listener / observer protocol conformance.
 
 Scheduler step listeners (``observe_step(configuration, record)`` methods
-attached via ``step_listener=``) run *inside* the scheduler loop.  The
-contract (docs/ARCHITECTURE.md, "observer protocol") has two load-bearing
-clauses this pass checks statically:
+attached via ``step_listener=``) run *inside* the scheduler loop, and
+``Scheduler.run`` is the one loop that steps a run.  The contract
+(docs/ARCHITECTURE.md, "observer protocol" and "one run loop") has three
+load-bearing clauses this pass checks statically:
 
 ========  ==================================================================
 RL401     ``observe_step`` may raise only :class:`repro.kernel.StopRun` (or
@@ -15,6 +16,9 @@ RL402     an epoch-sensitive listener: ``observe_step`` consumes the
           epochs itself (no ``epoch`` bookkeeping anywhere in the class)
           nor delegates the delta to a stream that does — after
           ``set_configuration`` its incremental state silently desyncs
+RL403     a ``.step()`` call outside ``repro/kernel/scheduler.py``: a
+          hand-written run loop, which skips ``Scheduler.run``'s fault
+          schedule, stop predicate, idle ticks and ``StopRun`` handling
 ========  ==================================================================
 
 RL401 resolves raised names through the project class index, so a local
@@ -22,7 +26,9 @@ RL401 resolves raised names through the project class index, so a local
 anything; a bare ``raise`` (re-raise inside ``except``) is always fine.
 RL402 accepts either ``epoch`` bookkeeping in the class body or passing the
 delta onward as a call argument (delegation to ``MeetingEventStream``-style
-helpers, which own the epoch resync).
+helpers, which own the epoch resync).  RL403 matches any argument-free
+``.step()`` call by name; tests and benchmarks are out of scope and may keep
+their own reference loops.
 """
 
 from __future__ import annotations
@@ -42,9 +48,13 @@ ALWAYS_ALLOWED = {"StopIteration", "KeyboardInterrupt", "NotImplementedError"}
 CODES: Dict[str, str] = {
     "RL401": "observe_step raises a non-StopRun exception inside the scheduler loop",
     "RL402": "delta-consuming listener has no epoch handling and does not delegate",
+    "RL403": "a .step() call outside repro/kernel/scheduler.py (a hand-written run loop)",
 }
 
 LISTENER_METHOD = "observe_step"
+
+#: The one module whose loop may call ``Scheduler.step()``.
+RUN_LOOP_FILE = "repro/kernel/scheduler.py"
 
 
 class ListenerProtocolPass:
@@ -62,6 +72,8 @@ class ListenerProtocolPass:
                     continue
                 file_diags.extend(self._check_raises(project, source, cls, method))
                 file_diags.extend(self._check_epoch_handling(source, cls, method))
+            if not source.rel.endswith(RUN_LOOP_FILE):
+                file_diags.extend(self._check_step_calls(source))
             diagnostics.extend(apply_suppressions(file_diags, source.suppressions))
         return diagnostics
 
@@ -185,3 +197,26 @@ class ListenerProtocolPass:
                 if isinstance(arg, ast.Attribute) and arg.attr == "delta":
                     return True
         return False
+
+    # ------------------------------------------------------------------ #
+    # RL403
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def _check_step_calls(source: SourceFile) -> List[Diagnostic]:
+        return [
+            Diagnostic(
+                source.rel,
+                node.lineno,
+                "RL403",
+                "a .step() call outside repro/kernel/scheduler.py is a "
+                "hand-written run loop; call Scheduler.run (its injector=/"
+                "fault_every= schedule and stop_predicate cover what the loop "
+                "adds)",
+            )
+            for node in ast.walk(source.tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "step"
+            and not node.args
+            and not node.keywords
+        ]
