@@ -2,9 +2,7 @@
 
 The campaign engine (:mod:`repro.campaign`) fans seeded runs out across
 ``multiprocessing`` workers; this bench quantifies the scaling on a fixed
-seeded matrix (≥24 jobs) and records one JSON perf row per worker count so
-`perf_rows.jsonl` accumulates the campaign-throughput trajectory alongside
-the engine and monitor rows.
+seeded matrix (≥24 jobs).
 
 Two invariants are asserted:
 
@@ -20,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 
 from repro.campaign import (
@@ -51,22 +48,12 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def run_scaling(perf_emit):
+def run_scaling():
     rows = []
     results = {}
     for jobs in (1, PARALLEL_JOBS):
         result = CampaignDriver(MATRIX, jobs=jobs).execute()
         results[jobs] = result
-        perf_emit(
-            {
-                "bench": "campaign_scaling",
-                "jobs": jobs,
-                "runs": len(result.results),
-                "total_steps": result.total_steps,
-                "seconds": round(result.elapsed_seconds, 3),
-                "runs_per_sec": round(len(result.results) / result.elapsed_seconds, 2),
-            }
-        )
         rows.append(
             {
                 "workers": jobs,
@@ -79,8 +66,8 @@ def run_scaling(perf_emit):
     return rows, results
 
 
-def test_campaign_scaling(report, perf_row):
-    rows, results = run_scaling(perf_row)
+def test_campaign_scaling(report):
+    rows, results = run_scaling()
     report("Campaign scaling: 24-job seeded matrix, 1 vs 4 workers", rows)
     serial, parallel = results[1], results[PARALLEL_JOBS]
     # Determinism is asserted unconditionally — byte-identical JSONL.
@@ -116,7 +103,7 @@ MAX_SINK_OVERHEAD = 0.15
 SINK_SAMPLE_REPS = 3
 
 
-def run_sink_overhead(perf_emit, out_path):
+def run_sink_overhead(out_path):
     best = {}
     last = {}
     for _ in range(SINK_SAMPLE_REPS):
@@ -129,17 +116,6 @@ def run_sink_overhead(perf_emit, out_path):
     overhead = round(best["jsonl"] / best["none"] - 1.0, 4)
     rows = []
     for label in ("none", "jsonl"):
-        perf_emit(
-            {
-                "bench": "campaign_sink_overhead",
-                "sink": label,
-                "runs": len(last[label].results),
-                "total_steps": last[label].total_steps,
-                "seconds": round(best[label], 3),
-                "runs_per_sec": round(len(last[label].results) / best[label], 2),
-                "overhead": 0.0 if label == "none" else overhead,
-            }
-        )
         rows.append(
             {
                 "sink": label,
@@ -151,9 +127,9 @@ def run_sink_overhead(perf_emit, out_path):
     return rows, best, last
 
 
-def test_campaign_sink_overhead(report, perf_row, tmp_path):
+def test_campaign_sink_overhead(report, tmp_path):
     out_path = str(tmp_path / "rows.jsonl")
-    rows, best, last = run_sink_overhead(perf_row, out_path)
+    rows, best, last = run_sink_overhead(out_path)
     report("Campaign sink overhead: streaming JSONL vs no sink (best of 3)", rows)
     # The streamed file must hold exactly the campaign's rows, in completion
     # order (== job order for jobs=1): crash-safety costs bytes, not truth.
@@ -184,7 +160,7 @@ MAX_DRIVER_OVERHEAD = 0.02
 DRIVER_SAMPLE_REPS = 5
 
 
-def run_driver_overhead(perf_emit):
+def run_driver_overhead():
     jobs = expand_jobs(DRIVER_MATRIX)
     best = {}
     last = {}
@@ -199,19 +175,8 @@ def run_driver_overhead(perf_emit):
         best["inline"] = min(best.get("inline", inline_seconds), inline_seconds)
         best["driver"] = min(best.get("driver", result.elapsed_seconds), result.elapsed_seconds)
     overhead = round(best["driver"] / best["inline"] - 1.0, 4)
-    total_steps = sum(r.steps for r in last["inline"])
     rows = []
     for variant in ("inline", "driver"):
-        perf_emit(
-            {
-                "bench": "campaign_driver_overhead",
-                "variant": variant,
-                "runs": len(jobs),
-                "total_steps": total_steps,
-                "seconds": round(best[variant], 3),
-                "overhead": 0.0 if variant == "inline" else overhead,
-            }
-        )
         rows.append(
             {
                 "variant": variant,
@@ -223,8 +188,8 @@ def run_driver_overhead(perf_emit):
     return rows, best, last
 
 
-def test_campaign_driver_overhead(report, perf_row):
-    rows, best, last = run_driver_overhead(perf_row)
+def test_campaign_driver_overhead(report):
+    rows, best, last = run_driver_overhead()
     report(
         "Campaign driver overhead: pipeline vs bare execute_job loop (best of 3)",
         rows,
@@ -240,15 +205,3 @@ def test_campaign_driver_overhead(report, perf_row):
         f"campaign driver pipeline cost {overhead:.2%} of wall-clock over a "
         f"bare execute_job loop; ceiling is {MAX_DRIVER_OVERHEAD:.0%}"
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual perf runs
-    from conftest import emit, emit_json_row
-
-    table, _ = run_scaling(emit_json_row)
-    emit("Campaign scaling", table)
-    with tempfile.TemporaryDirectory() as tmp:
-        sink_table, _, _ = run_sink_overhead(emit_json_row, os.path.join(tmp, "rows.jsonl"))
-    emit("Campaign sink overhead", sink_table)
-    driver_table, _, _ = run_driver_overhead(emit_json_row)
-    emit("Campaign driver overhead", driver_table)

@@ -14,10 +14,6 @@ single core.  ``test_batched_engine_scaling`` measures raw-mode batches at
 runs ∈ {16, 64, 256} against the same seeds run as a solo ``incremental``
 loop and enforces the ≥5x aggregate-throughput floor at 256 lanes.
 
-Each measurement is also emitted as a JSON row (via the ``perf_row``
-fixture → ``benchmarks/perf_rows.jsonl``) so successive commits accumulate
-a machine-readable perf trajectory for the hot path.
-
 A short equivalence check (identical step records and final configuration
 under the shared seed) guards against the fast engines drifting from the
 reference semantics while we chase speed.
@@ -71,13 +67,13 @@ def _build_scheduler(n: int, engine: str) -> Scheduler:
     )
 
 
-def _measure(n: int, engine: str) -> Tuple[float, int]:
+def _measure(n: int, engine: str) -> float:
     scheduler = _build_scheduler(n, engine)
     steps = STEPS[n]
     start = time.perf_counter()  # repro-lint: disable=RL102 -- perf bench measures wall clock by design
     result = scheduler.run(max_steps=steps)
     elapsed = time.perf_counter() - start  # repro-lint: disable=RL102 -- perf bench measures wall clock by design
-    return (result.steps / elapsed if elapsed > 0 else float("inf")), result.steps
+    return result.steps / elapsed if elapsed > 0 else float("inf")
 
 
 def _assert_equivalent(n: int, steps: int = 120) -> None:
@@ -89,23 +85,11 @@ def _assert_equivalent(n: int, steps: int = 120) -> None:
     assert dense_result.final == incremental_result.final
 
 
-def run_scaling(perf_emit) -> Tuple[list, Dict[int, float]]:
+def run_scaling() -> Tuple[list, Dict[int, float]]:
     rows = []
     speedups: Dict[int, float] = {}
     for n in SIZES:
-        rates = {}
-        for engine in ("dense", "incremental"):
-            rate, steps = _measure(n, engine)
-            rates[engine] = rate
-            perf_emit(
-                {
-                    "bench": "engine_scaling",
-                    "engine": engine,
-                    "n": n,
-                    "steps": steps,
-                    "steps_per_sec": round(rate, 1),
-                }
-            )
+        rates = {engine: _measure(n, engine) for engine in ("dense", "incremental")}
         speedups[n] = rates["incremental"] / rates["dense"]
         rows.append(
             {
@@ -118,10 +102,10 @@ def run_scaling(perf_emit) -> Tuple[list, Dict[int, float]]:
     return rows, speedups
 
 
-def test_engine_scaling(report, perf_row):
+def test_engine_scaling(report):
     for n in SIZES:
         _assert_equivalent(n)
-    rows, speedups = run_scaling(perf_row)
+    rows, speedups = run_scaling()
     report("Engine scaling: dense vs incremental (CC2 ∘ oracle, path topology)", rows)
     for n, speedup in speedups.items():
         if n < 50:
@@ -130,8 +114,8 @@ def test_engine_scaling(report, perf_row):
             # Wall-clock ratios from one short sample are jitter-prone on a
             # loaded machine; re-measure once before declaring a regression
             # (the real margin is ~3.4x at n=50 and ~15x at n=200).
-            dense_rate, _ = _measure(n, "dense")
-            incremental_rate, _ = _measure(n, "incremental")
+            dense_rate = _measure(n, "dense")
+            incremental_rate = _measure(n, "incremental")
             speedup = max(speedup, incremental_rate / dense_rate)
         assert speedup >= MIN_SPEEDUP_AT_SCALE, (
             f"incremental engine only {speedup:.2f}x dense at n={n} "
@@ -183,7 +167,7 @@ def _measure_incremental_loop(algorithm, runs: int) -> Tuple[float, int]:
     return (total / elapsed if elapsed > 0 else float("inf")), total
 
 
-def run_batched_scaling(perf_emit) -> Tuple[list, Dict[int, float]]:
+def run_batched_scaling() -> Tuple[list, Dict[int, float]]:
     algorithm = _batched_scenario()
     rows = []
     speedups: Dict[int, float] = {}
@@ -192,20 +176,6 @@ def run_batched_scaling(perf_emit) -> Tuple[list, Dict[int, float]]:
         loop_rate, loop_steps = _measure_incremental_loop(algorithm, runs)
         assert batched_steps == loop_steps  # same seeds, same work
         speedups[runs] = batched_rate / loop_rate
-        for engine, rate, steps in (
-            ("batched", batched_rate, batched_steps),
-            ("incremental-loop", loop_rate, loop_steps),
-        ):
-            perf_emit(
-                {
-                    "bench": "engine_scaling_batched",
-                    "engine": engine,
-                    "runs": runs,
-                    "n": BATCH_N,
-                    "steps": steps,
-                    "steps_per_sec": round(rate, 1),
-                }
-            )
         rows.append(
             {
                 "runs": runs,
@@ -217,10 +187,10 @@ def run_batched_scaling(perf_emit) -> Tuple[list, Dict[int, float]]:
     return rows, speedups
 
 
-def test_batched_engine_scaling(report, perf_row):
+def test_batched_engine_scaling(report):
     if not numpy_available():
         pytest.skip("batched engine needs the repro-cc[batched] extra")
-    rows, speedups = run_batched_scaling(perf_row)
+    rows, speedups = run_batched_scaling()
     report(
         "Batched engine scaling: lockstep lanes vs solo incremental loop "
         f"(CC2 ∘ oracle, path n={BATCH_N}, {BATCH_STEPS} steps/lane)",
@@ -238,13 +208,3 @@ def test_batched_engine_scaling(report, perf_row):
         f"batched engine only {speedup:.2f}x the incremental loop at "
         f"runs={max(BATCH_RUNS)} (two samples); expected >= {MIN_BATCHED_SPEEDUP}x"
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual perf runs
-    from conftest import emit, emit_json_row
-
-    table, _ = run_scaling(emit_json_row)
-    emit("Engine scaling", table)
-    if numpy_available():
-        batched_table, _ = run_batched_scaling(emit_json_row)
-        emit("Batched engine scaling", batched_table)

@@ -14,9 +14,7 @@ committees every step, before the kernel's writer-set delta protocol
 (:class:`~repro.kernel.trace.StepDelta`) let them update in
 ``O(|writers|)`` per step.  Each measurement takes the best of
 ``MEASUREMENTS`` interleaved plain/monitored samples (wall-clock ratios of
-single short runs are jitter-dominated) and is emitted as a JSON perf row
-(``benchmarks/perf_rows.jsonl``) so successive commits track both the plain
-and the monitored steps/sec.
+single short runs are jitter-dominated).
 
 A correctness guard re-runs a short monitored prefix against the dense
 post-hoc checkers before timing anything.
@@ -87,7 +85,7 @@ def _assert_monitored_verdicts_correct(steps: int = 150) -> None:
     assert verdicts.progress == check_progress(trace, hypergraph)
 
 
-def run_overhead(perf_emit):
+def run_overhead():
     # Interleave the two kinds and keep the best rate of each: the best-case
     # sample is the least polluted by scheduler noise on a shared machine,
     # and the *ratio* of bests is what the acceptance bound is about.
@@ -96,19 +94,6 @@ def run_overhead(perf_emit):
         rates["plain"] = max(rates["plain"], _measure(False))
         rates["monitored"] = max(rates["monitored"], _measure(True))
     overhead = 1.0 - rates["monitored"] / rates["plain"]
-    for kind, rate in rates.items():
-        perf_emit(
-            {
-                "bench": "streaming_spec_overhead",
-                "scenario": SCENARIO,
-                "kind": kind,
-                "engine": "incremental",
-                "n": 100,
-                "steps": STEPS,
-                "steps_per_sec": round(rate, 1),
-                "overhead": round(overhead, 4),
-            }
-        )
     rows = [
         {
             "scenario": SCENARIO,
@@ -120,9 +105,9 @@ def run_overhead(perf_emit):
     return rows, overhead
 
 
-def test_streaming_spec_overhead(report, perf_row):
+def test_streaming_spec_overhead(report):
     _assert_monitored_verdicts_correct()
-    rows, overhead = run_overhead(perf_row)
+    rows, overhead = run_overhead()
     report("Streaming spec monitors: overhead on the incremental engine", rows)
     if overhead > MAX_OVERHEAD:
         # One short wall-clock sample is jitter-prone; re-measure once before
@@ -134,11 +119,3 @@ def test_streaming_spec_overhead(report, perf_row):
         f"streaming spec monitors cost {overhead * 100:.1f}% of sparse "
         f"incremental throughput at n=100; ceiling is {MAX_OVERHEAD * 100:.0f}%"
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual perf runs
-    from conftest import emit, emit_json_row
-
-    _assert_monitored_verdicts_correct()
-    table, _ = run_overhead(emit_json_row)
-    emit("Streaming spec monitor overhead", table)

@@ -1,4 +1,4 @@
-"""Plain-text table formatting for benchmarks and ``EXPERIMENTS.md``.
+"""Plain-text table formatting for the benchmarks and the CLI.
 
 Everything prints through these helpers so that the benchmark output and the
 documented results share one format (a GitHub-flavoured Markdown table).

@@ -16,8 +16,9 @@ Exclusion and Synchronization hold by construction (step 2 only offers
 eligible, mutually non-conflicting committees); Progress and fairness depend
 on the policy, which is exactly the paper's point of comparison.
 
-This simplification is recorded as a substitution in DESIGN.md §3: the
-baselines are *policy-faithful* rather than *protocol-faithful*.
+This simplification is recorded under "Substitutions" in
+docs/ARCHITECTURE.md: the baselines are *policy-faithful* rather than
+*protocol-faithful*.
 """
 
 from __future__ import annotations

@@ -31,13 +31,13 @@ NDJSON socket protocol, collects acked rows from many shard processes
 the resume machinery, and merges everything into one campaign file that is
 byte-identical to a local ``--jobs 1`` run.
 
-And rows are **cacheable and queryable at scale**: :mod:`repro.campaign.store`
-adds a content-addressed run cache (rows are pure functions of their jobs,
-so a sha256 over the identity block addresses the row a run *would*
-produce — ``repro-cc campaign --cache DIR`` short-circuits re-submitted
-jobs with byte-identical stored rows) and an array-backed columnar row
-store whose aggregate queries (``repro-cc stats``) replace per-query JSONL
-reparsing.
+And rows are **cacheable**: :mod:`repro.campaign.store` adds a
+content-addressed run cache (rows are pure functions of their jobs, so a
+sha256 over the identity block addresses the row a run *would* produce —
+``repro-cc campaign --cache DIR`` short-circuits re-submitted jobs with
+byte-identical stored rows) and the per-cell fold
+(:class:`~repro.campaign.store.CellStats`) behind both the summary table
+and ``repro-cc stats``.
 
 And every campaign runs through **one layered pipeline**:
 :class:`~repro.campaign.driver.CampaignDriver` composes
@@ -109,7 +109,7 @@ from repro.campaign.sinks import (
 )
 from repro.campaign.store import (
     CACHE_KEY_ATTRS,
-    ColumnStore,
+    CellStats,
     RunCache,
     run_cache_key,
     run_cache_key_for_row,
@@ -131,9 +131,9 @@ __all__ = [
     "CampaignPlan",
     "CampaignResult",
     "CampaignSpec",
+    "CellStats",
     "Collector",
     "CollectorState",
-    "ColumnStore",
     "Executor",
     "FaultSchedule",
     "Finalizer",

@@ -19,9 +19,9 @@ shard client feeding a ``collect`` service, a notebook — builds one
   goes to the cache, the result list, the crash-safety sink and the
   progress callback, in that order, exactly once.
 * a :class:`Finalizer` — the atomic job-order ``--out`` rewrite, the
-  summary table (one columnar pass over the job-order rows), cache
-  statistics and the exit-code derivation, returned as a
-  :class:`CampaignOutcome`.
+  summary table (one :class:`~repro.campaign.store.CellStats` fold over
+  the job-order rows), cache statistics and the exit-code derivation,
+  returned as a :class:`CampaignOutcome`.
 
 Whether a batch runs serially or on a pool, after its cache hits are
 drained, is decided in one place, :func:`dispatch`, for the local campaign,
@@ -77,7 +77,7 @@ from repro.campaign.sinks import (
     row_line,
     write_lines_atomic,
 )
-from repro.campaign.store import ColumnStore, RunCache
+from repro.campaign.store import CellStats, RunCache
 
 
 def shard_slice(jobs: Sequence[RunJob], index: int, count: int) -> List[RunJob]:
@@ -577,7 +577,7 @@ class Finalizer:
         cell's timed runs over their summed wall time — the workers' view,
         independent of how many ran concurrently) and the fairness spread
         (Jain index range across the cell's runs).  Counts, steps and Jain
-        come from one :class:`~repro.campaign.store.ColumnStore` pass over
+        come from one :class:`~repro.campaign.store.CellStats` fold over
         the job-order rows (the aggregates ``repro-cc stats`` serves), so
         cells appear in job order; per-run wall time is not in the rows, so
         throughput is joined in from the results.  A cache hit or a resumed
@@ -598,26 +598,20 @@ class Finalizer:
                     elapsed + job_result.elapsed_seconds,
                 )
         rows: List[Dict[str, object]] = []
-        for cell in ColumnStore.from_rows(result.rows).cell_stats():
+        for cell in CellStats.from_rows(result.rows).cells():
             timed_steps, elapsed = timed_by_cell.get(
-                (cell["scenario"], cell["algorithm"]), (0, 0.0)
+                (cell.scenario, cell.algorithm), (0, 0.0)
             )
-            # Error rows carry no metrics; the Jain spread covers the
-            # completed runs only (a fully errored cell renders "-").
             rows.append(
                 {
-                    "scenario": cell["scenario"],
-                    "algorithm": cell["algorithm"],
-                    "runs": cell["runs"],
-                    "violations": cell["violations"],
-                    "errors": cell["errors"],
-                    "steps": cell["steps"],
+                    "scenario": cell.scenario,
+                    "algorithm": cell.algorithm,
+                    "runs": cell.runs,
+                    "violations": cell.violations,
+                    "errors": cell.errors,
+                    "steps": cell.steps,
                     "steps/s": round(timed_steps / elapsed, 1) if elapsed > 0 else "-",
-                    "jain min..max": (
-                        f"{cell['jain_min']:.3f}..{cell['jain_max']:.3f}"
-                        if cell["jain_min"] is not None
-                        else "-"
-                    ),
+                    "jain min..max": cell.jain_spread,
                 }
             )
         rows.append(

@@ -89,11 +89,18 @@ def parse_rows(lines: Iterable[str], source: str = "<stream>") -> List[Dict[str,
 
 
 def read_rows(path: str) -> List[Dict[str, object]]:
-    """Rows of a (possibly interrupted) campaign JSONL file; [] if absent."""
+    """Rows of a (possibly interrupted) campaign JSONL file; [] if absent.
+
+    A path that cannot be read as UTF-8 text (a directory, a binary file)
+    raises :class:`ResumeError` naming the path and the cause.
+    """
     if not os.path.exists(path):
         return []
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_rows(fh, source=path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_rows(fh, source=path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ResumeError(f"{path}: not a readable campaign stream ({exc})") from exc
 
 
 def completed_rows(rows: Iterable[Dict[str, object]]) -> Dict[int, Dict[str, object]]:

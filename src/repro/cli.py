@@ -29,13 +29,13 @@ common operations:
   write the merged JSONL in job order — byte-identical to running the
   matrix locally with ``--jobs 1``.  A dead shard's undelivered range is
   re-dispatched to the surviving shards through the resume machinery,
-* ``stats``    -- columnar aggregates over an existing campaign rows file
-  (per-cell run/violation/error counts, step totals, Jain spread) served
-  from an array-backed column store instead of reparsing JSONL per query,
+* ``stats``    -- per-cell aggregates over an existing campaign rows file
+  (run/violation/error counts, step totals, Jain spread), the fold the
+  campaign summary table uses,
 * ``scenarios``-- list the available scenarios.
 
-``run``, ``check``, ``bounds`` and ``compare`` exit 2 on an unknown
-``--scenario``.
+Every command that takes ``--scenario`` prints ``<command>: unknown
+scenario 'NAME'`` and exits 2 on an unknown one.
 
 Examples::
 
@@ -73,8 +73,8 @@ from repro.campaign import (
     CampaignDriver,
     CampaignResult,
     CampaignSpec,
+    CellStats,
     Collector,
-    ColumnStore,
     FaultSchedule,
     Finalizer,
     JsonlSink,
@@ -253,8 +253,9 @@ def _expand_matrix(args: argparse.Namespace):
 
     Every participant of a sharded campaign calls this with the same flag
     values, so everyone expands the identical job list — the property the
-    collector's handshake fingerprint then enforces.  Raises ``KeyError`` /
-    ``ValueError`` for malformed matrices (the CLI maps those to exit 2).
+    collector's handshake fingerprint then enforces.  Raises
+    ``_UnknownScenario`` for an unknown ``--scenario`` and ``ValueError``
+    for other malformed matrices (the CLI maps both to exit 2).
     """
     scenarios = tuple(args.scenario or ())
     if not scenarios and not args.random:
@@ -262,22 +263,25 @@ def _expand_matrix(args: argparse.Namespace):
         scenarios = ("figure1",)
     if not scenarios and args.random:
         _warn_ignored_random_axes(args)
-    spec = CampaignSpec(
-        scenarios=scenarios,
-        random_count=args.random,
-        random_base_seed=args.random_seed,
-        algorithms=tuple(args.algorithm or ("cc2",)),
-        tokens=tuple(args.token or ("tree",)),
-        engines=tuple(args.engine or ("incremental",)),
-        daemons=tuple(args.daemon or ("weakly_fair",)),
-        faults=tuple(FaultSchedule.parse(text) for text in (args.faults or ("none",))),
-        seeds=tuple(range(args.seed, args.seed + args.seeds)),
-        max_steps=args.steps,
-        discussion_steps=args.discussion,
-        environment=args.environment,
-        grace_steps=args.grace,
-        arbitrary_start=args.arbitrary,
-    )
+    try:
+        spec = CampaignSpec(
+            scenarios=scenarios,
+            random_count=args.random,
+            random_base_seed=args.random_seed,
+            algorithms=tuple(args.algorithm or ("cc2",)),
+            tokens=tuple(args.token or ("tree",)),
+            engines=tuple(args.engine or ("incremental",)),
+            daemons=tuple(args.daemon or ("weakly_fair",)),
+            faults=tuple(FaultSchedule.parse(text) for text in (args.faults or ("none",))),
+            seeds=tuple(range(args.seed, args.seed + args.seeds)),
+            max_steps=args.steps,
+            discussion_steps=args.discussion,
+            environment=args.environment,
+            grace_steps=args.grace,
+            arbitrary_start=args.arbitrary,
+        )
+    except KeyError as exc:  # an unknown --scenario
+        raise _UnknownScenario(exc.args[0]) from None
     return spec, expand_jobs(spec)
 
 
@@ -344,7 +348,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             info=print,
             warn=_warn,
         )
-    except (KeyError, ValueError, ResumeError) as exc:
+    except (ValueError, ResumeError) as exc:
         print(f"campaign: {exc}", file=sys.stderr)
         return 2
     try:
@@ -392,7 +396,7 @@ def _write_rows(path: str, rows) -> None:
 def _cmd_collect(args: argparse.Namespace) -> int:
     try:
         _spec, all_jobs = _expand_matrix(args)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"collect: {exc}", file=sys.stderr)
         return 2
     prior_rows: List[dict] = []
@@ -461,14 +465,13 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    """Columnar aggregates over an existing rows file, without re-running.
+    """Per-cell aggregates over an existing rows file, without re-running.
 
-    Loads the JSONL into a :class:`~repro.campaign.store.ColumnStore` once
-    and serves every aggregate (per-cell counts, step totals, Jain spread,
-    status breakdown) from the typed columns — the query path the summary
-    table itself uses.  Like ``--resume``, it keeps the latest row of each
-    job, in job order: a ``--retry-errors`` stream stopped before its final
-    rewrite holds both the error row and its retry.
+    Folds the rows through :class:`~repro.campaign.store.CellStats`, the
+    fold the campaign summary table uses; the TOTAL row sums the cells.
+    Like ``--resume``, it keeps the latest row of each job, in job order: a
+    ``--retry-errors`` stream stopped before its final rewrite holds both
+    the error row and its retry.
     """
     try:
         rows = read_rows(args.rows)
@@ -478,36 +481,25 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if not rows:
         print(f"stats: no rows in {args.rows}", file=sys.stderr)
         return 2
-    store = ColumnStore.from_rows(row for _, row in sorted(completed_rows(rows).items()))
-    table = []
-    for cell in store.cell_stats():
-        table.append(
-            {
-                "scenario": cell["scenario"],
-                "algorithm": cell["algorithm"],
-                "runs": cell["runs"],
-                "violations": cell["violations"],
-                "errors": cell["errors"],
-                "steps": cell["steps"],
-                "jain min..max": (
-                    f"{cell['jain_min']:.3f}..{cell['jain_max']:.3f}"
-                    if cell["jain_min"] is not None
-                    else "-"
-                ),
-            }
-        )
-    table.append(
+    latest = [row for _, row in sorted(completed_rows(rows).items())]
+    table = [
         {
-            "scenario": "TOTAL",
-            "algorithm": "-",
-            "runs": len(store),
-            "violations": store.violation_count(),
-            "errors": store.error_count(),
-            "steps": store.total_steps(),
-            "jain min..max": "-",
+            "scenario": cell.scenario,
+            "algorithm": cell.algorithm,
+            "runs": cell.runs,
+            "violations": cell.violations,
+            "errors": cell.errors,
+            "steps": cell.steps,
+            "jain min..max": cell.jain_spread,
         }
-    )
-    print(format_table(table, title=f"Stats: {len(store)} rows from {args.rows}"))
+        for cell in CellStats.from_rows(latest).cells()
+    ]
+    total = {"scenario": "TOTAL", "algorithm": "-"}
+    for key in ("runs", "violations", "errors", "steps"):
+        total[key] = sum(row[key] for row in table)
+    total["jain min..max"] = "-"
+    table.append(total)
+    print(format_table(table, title=f"Stats: {len(latest)} rows from {args.rows}"))
     return 0
 
 
@@ -800,8 +792,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser(
         "stats",
-        help="columnar aggregates over an existing campaign rows file "
-        "(per-cell counts, step totals, Jain spread) without re-running",
+        help="per-cell aggregates over an existing campaign rows file "
+        "(counts, step totals, Jain spread) without re-running",
     )
     stats.add_argument(
         "rows",

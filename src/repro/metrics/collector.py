@@ -1,10 +1,9 @@
 """Per-trace metric aggregation.
 
 ``collect_metrics`` condenses one recorded trace into the numbers the
-benchmark harness and ``EXPERIMENTS.md`` report: meetings convened, average
-and peak concurrency, per-professor participation statistics and the action
-histogram (useful for inspecting how much work the stabilization actions do
-after a fault).
+benchmark tables report: meetings convened, average and peak concurrency,
+per-professor participation statistics and the action histogram (useful for
+inspecting how much work the stabilization actions do after a fault).
 
 :class:`StreamingMetricsCollector` computes the same numbers *online* from
 the stream of configurations a scheduler produces, so sparse runs

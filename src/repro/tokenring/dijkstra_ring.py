@@ -26,10 +26,11 @@ Two classes are provided:
 
 The ring order is *virtual*: by default processes are arranged in increasing
 id order, regardless of the communication topology.  This is the substitution
-documented in DESIGN.md §3 -- the paper's ``TC`` passes the token between
-``G_H``-neighbours, ours between ring-neighbours; the CC layer only ever uses
-the predicate ``Token(p)`` and the statement ``ReleaseToken_p``, so Property 1
-(the only interface the proofs rely on) is preserved.  Use
+documented under "Substitutions" in docs/ARCHITECTURE.md -- the paper's
+``TC`` passes the token between ``G_H``-neighbours, ours between
+ring-neighbours; the CC layer only ever uses the predicate ``Token(p)`` and
+the statement ``ReleaseToken_p``, so Property 1 (the only interface the
+proofs rely on) is preserved.  Use
 :class:`~repro.tokenring.tree_circulation.TreeTokenCirculation` for a ring
 that follows the communication graph.
 """

@@ -11,7 +11,7 @@ A token module contributes
   layer and realize the "stabilizes independently of the activations of
   action ``T``" part of Property 1 (empty for the ring modules, whose
   stabilization happens through token passing itself -- a documented
-  substitution, see DESIGN.md §3).
+  substitution, see "Substitutions" in docs/ARCHITECTURE.md).
 
 ``Token(p)`` and ``ReleaseToken_p`` work over the snapshot's rows
 (``pid -> {variable: value}``, as in

@@ -1,12 +1,11 @@
-"""Columnar row store, content-addressed run cache, and crash-safe resume.
+"""Per-cell fold, content-addressed run cache, and crash-safe resume.
 
 Three surfaces of ``repro.campaign.store`` and the resume fixes that ship
 with it:
 
-* :class:`ColumnStore` round-trips every row shape **byte-identically**
-  through typed columns (the exactness overlay keeps off-type values
-  verbatim — ``0`` never becomes ``0.0``), and its aggregate queries match
-  a row-by-row reference.
+* :class:`CellStats` folds rows into per-(scenario, algorithm) cells that
+  match a row-by-row reference, and ``repro-cc stats`` and the campaign
+  summary table show the same cells.
 * :class:`RunCache` hits are byte-identical to execution, compose with
   ``--jobs``, ``--resume``, ``--engine batched`` and a sharded collector
   campaign, and degrade to misses (never wrong rows) on corrupt or
@@ -29,11 +28,13 @@ import pytest
 from repro.campaign import (
     CACHE_KEY_ATTRS,
     CampaignDriver,
+    CampaignResult,
     CampaignSpec,
-    ColumnStore,
+    CellStats,
     Finalizer,
     RunCache,
     expand_jobs,
+    merge_results,
     run_cache_key,
     run_cache_key_for_row,
 )
@@ -66,94 +67,49 @@ def campaign_rows():
     return CampaignDriver(SPEC).execute().rows
 
 
-class TestColumnStoreRoundTrip:
-    def test_campaign_rows_round_trip_byte_identical(self, campaign_rows):
-        store = ColumnStore.from_rows(campaign_rows)
-        assert store.lines() == [row_line(row) for row in campaign_rows]
-        assert store.rows() == campaign_rows
-
-    def test_error_timed_null_and_offtype_rows(self):
-        rows = [
-            # error row: no metric fields at all
-            {"job": 0, "scenario": "figure1", "status": "error",
-             "error": "RuntimeError: boom", "ok": False},
-            # timed row with a JSON null and an off-type int in a float column
-            {"job": 1, "scenario": "figure1", "status": "ok", "ok": True,
-             "grace_steps": None, "steps_per_sec": 812.5, "jain": 1,
-             "steps": 40},
-            # off-type: bool in an int column, float in an int column
-            {"job": 2, "scenario": "grid-3x3", "status": "ok", "ok": True,
-             "steps": True, "meetings": 2.0, "jain": 0.5},
-            # un-schema'd field: kept exact, absent elsewhere
-            {"job": 3, "note": "adhoc", "status": "ok"},
-        ]
-        store = ColumnStore.from_rows(rows)
-        assert store.lines() == [row_line(row) for row in rows]
-        # The overlay preserved values, not coercions.
-        assert store.row(1)["jain"] == 1 and isinstance(store.row(1)["jain"], int)
-        assert store.row(2)["steps"] is True
-        assert store.row(2)["meetings"] == 2.0 and isinstance(store.row(2)["meetings"], float)
-        assert "note" not in store.row(0)
-
-    def test_rowsink_protocol_and_jsonl_loader(self, campaign_rows, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        path.write_text("".join(row_line(row) + "\n" for row in campaign_rows))
-        store = ColumnStore.from_jsonl(str(path))
-        assert len(store) == len(campaign_rows)
-        assert store.lines() == [row_line(row) for row in campaign_rows]
-        with pytest.raises(IndexError):
-            store.row(len(campaign_rows))
-
-
-class TestColumnStoreAggregates:
+class TestCellStats:
     def test_aggregates_match_row_by_row_reference(self, campaign_rows):
-        store = ColumnStore.from_rows(campaign_rows)
-        assert store.total_steps() == sum(int(r.get("steps", 0)) for r in campaign_rows)
-        expected_counts = {}
-        for row in campaign_rows:
-            expected_counts[str(row["status"])] = (
-                expected_counts.get(str(row["status"]), 0) + 1
-            )
-        assert store.status_counts() == expected_counts
-        assert store.violation_count() == sum(
+        cells = CellStats.from_rows(campaign_rows).cells()
+        assert sum(c.runs for c in cells) == len(campaign_rows)
+        assert sum(c.steps for c in cells) == sum(int(r.get("steps", 0)) for r in campaign_rows)
+        assert sum(c.violations for c in cells) == sum(
             1 for r in campaign_rows if r["status"] == "violation"
         )
-        assert store.error_count() == 0
+        assert sum(c.errors for c in cells) == 0
 
     def test_cell_stats_shape_and_jain_spread(self, campaign_rows):
-        store = ColumnStore.from_rows(campaign_rows)
-        cells = store.cell_stats()
-        assert [(c["scenario"], c["algorithm"]) for c in cells] == [
+        cells = CellStats.from_rows(campaign_rows).cells()
+        assert [(c.scenario, c.algorithm) for c in cells] == [
             ("figure1", "cc1"), ("figure1", "cc2"),
             ("grid-3x3", "cc1"), ("grid-3x3", "cc2"),
         ]
         for cell in cells:
             members = [
                 r for r in campaign_rows
-                if (r["scenario"], r["algorithm"]) == (cell["scenario"], cell["algorithm"])
+                if (r["scenario"], r["algorithm"]) == (cell.scenario, cell.algorithm)
             ]
-            assert cell["runs"] == len(members) == 2
-            assert cell["steps"] == sum(int(r["steps"]) for r in members)
+            assert cell.runs == len(members) == 2
+            assert cell.steps == sum(int(r["steps"]) for r in members)
             jains = [r["jain"] for r in members if isinstance(r["jain"], float)]
-            assert cell["jain_min"] == min(jains)
-            assert cell["jain_max"] == max(jains)
+            assert cell.jain_min == min(jains)
+            assert cell.jain_max == max(jains)
+            assert cell.jain_spread == f"{min(jains):.3f}..{max(jains):.3f}"
 
     def test_error_rows_excluded_from_jain_and_counted(self):
         rows = [
             {"job": 0, "scenario": "s", "algorithm": "a", "status": "ok",
              "steps": 10, "jain": 0.5},
+            # error rows carry no metrics: counted, but no steps or Jain
             {"job": 1, "scenario": "s", "algorithm": "a", "status": "error",
              "error": "boom", "ok": False},
-            # exact-overlay steps (bool) must not leak into totals
             {"job": 2, "scenario": "s", "algorithm": "a", "status": "violation",
              "steps": 7, "jain": 0.25},
         ]
-        store = ColumnStore.from_rows(rows)
-        cell = store.cell_stats()[0]
-        assert (cell["runs"], cell["violations"], cell["errors"]) == (3, 1, 1)
-        assert cell["steps"] == 17
-        assert (cell["jain_min"], cell["jain_max"]) == (0.25, 0.5)
-        assert store.total_steps() == 17
+        (cell,) = CellStats.from_rows(rows).cells()
+        assert (cell.runs, cell.violations, cell.errors) == (3, 1, 1)
+        assert cell.steps == 17
+        assert (cell.jain_min, cell.jain_max) == (0.25, 0.5)
+        assert CellStats.from_rows(rows[1:2]).cells()[0].jain_spread == "-"
 
 
 class TestRunCache:
@@ -554,3 +510,46 @@ class TestStatsSubcommand:
         total = next(line for line in out.splitlines() if line.startswith("| TOTAL"))
         runs, errors = (cell.strip() for cell in total.split("|")[3:6:2])
         assert (runs, errors) == ("1", "0")
+
+    def test_stats_and_campaign_summary_fold_the_same_cells(self, capsys, tmp_path, campaign_rows):
+        # One fold behind both tables: `stats` on a file and the campaign
+        # summary on the same rows agree cell by cell.  The file holds an
+        # error row, a --retry-errors duplicate (job 0's error row, then its
+        # retry) and a row without `scenario` or `jain`.
+        jobs = expand_jobs(SPEC)
+        bare = {k: v for k, v in campaign_rows[2].items() if k not in ("scenario", "jain")}
+        rows = [
+            error_result(jobs[0], RuntimeError("boom")).row,
+            campaign_rows[0],
+            campaign_rows[1],
+            bare,
+            *campaign_rows[3:7],
+            error_result(jobs[7], RuntimeError("boom")).row,
+        ]
+        path = tmp_path / "rows.jsonl"
+        path.write_text("".join(row_line(row) + "\n" for row in rows))
+        assert main(["stats", str(path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("| ")]
+        header = [name.strip() for name in lines[0].strip("|").split("|")]
+        stats = [
+            dict(zip(header, (value.strip() for value in line.strip("|").split("|"))))
+            for line in lines[2:]
+        ]
+        result = CampaignResult(
+            jobs=jobs, results=merge_results(rows, []), workers=1, elapsed_seconds=0.0
+        )
+        summary = [
+            {key: str(value) for key, value in row.items() if key != "steps/s"}
+            for row in Finalizer.summary_rows(result)
+        ]
+        columns = ("scenario", "algorithm", "runs", "violations", "errors", "steps")
+        assert [{key: row[key] for key in columns} for row in stats] == [
+            {key: row[key] for key in columns} for row in summary
+        ]
+        assert [row["jain min..max"] for row in stats[:-1]] == [
+            row["jain min..max"] for row in summary[:-1]
+        ]
+        cells = stats[:-1]
+        assert ("None", "cc2") in [(row["scenario"], row["algorithm"]) for row in cells]
+        assert [row["errors"] for row in cells].count("1") == 1
+        assert sum(int(row["runs"]) for row in cells) == len(jobs) == 8

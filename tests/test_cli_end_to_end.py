@@ -40,14 +40,49 @@ class TestRunEndToEnd:
 
 
 
-@pytest.mark.parametrize("command", ["run", "check", "bounds", "compare"])
-def test_unknown_scenario_is_a_usage_error(command, capsys):
-    # One stderr line and exit 2, as `campaign` does: for `check`, exit 1
-    # would claim a violated property.
-    assert main([command, "--scenario", "nope"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run"],
+        ["check"],
+        ["bounds"],
+        ["compare"],
+        ["campaign"],
+        ["collect", "--listen", "tcp:127.0.0.1:0", "--out", "rows.jsonl"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unknown_scenario_is_a_usage_error(argv, capsys):
+    # One stderr line and exit 2, spelled the same by every command: for
+    # `check`, exit 1 would claim a violated property.
+    assert main(argv + ["--scenario", "nope"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"{command}: unknown scenario 'nope'\n"
+    assert captured.err == f"{argv[0]}: unknown scenario 'nope'\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "{path}"],
+        ["campaign", "--resume", "--out", "{path}"],
+        ["collect", "--listen", "tcp:127.0.0.1:0", "--resume", "--out", "{path}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unreadable_rows_file_is_a_usage_error(argv, kind, tmp_path, capsys):
+    # `stats` and both --resume paths read the rows file the same way: a
+    # file that is not a campaign stream is exit 2 and one line naming it.
+    path = tmp_path / "rows.jsonl"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe not utf-8\n")
+    assert main([arg.format(path=path) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{argv[0]}: {path}: ")
+    assert captured.err.count("\n") == 1
 
 
 class TestCheckEndToEnd:

@@ -19,12 +19,7 @@ if str(REPO_ROOT) not in sys.path:
 
 from tools.staticcheck import Diagnostic, Project
 from tools.staticcheck import repo_checks
-from tools.staticcheck.repo_checks import (
-    CliAdapterPass,
-    CliDocsPass,
-    DocLinksPass,
-    PerfRowsPass,
-)
+from tools.staticcheck.repo_checks import CliAdapterPass, CliDocsPass, DocLinksPass
 
 
 def _located(diagnostics):
@@ -52,27 +47,31 @@ def test_cli_thin_adapter_checker_catches_drift(tmp_path):
     assert "batched" in found[3].message
 
 
-def test_perf_row_checker_catches_drift(tmp_path):
-    # The schema checker must actually bite: unknown bench names, missing
-    # fields and malformed lines all surface as errors.
-    rows = tmp_path / "benchmarks" / "perf_rows.jsonl"
-    rows.parent.mkdir()
-    rows.write_text(
-        '{"bench": "engine_scaling", "engine": "dense", "n": 1, "steps": 2, '
-        '"steps_per_sec": 3.0, "timestamp": 1.0}\n'          # ok
-        '{"bench": "mystery_bench", "timestamp": 1.0}\n'     # unknown bench
-        '{"bench": "campaign_scaling", "timestamp": 1.0}\n'  # missing fields
-        "not json at all\n"                                  # malformed
-        '{"engine": "dense", "timestamp": 1.0}\n'            # no bench
+def test_document_names_in_sources_must_exist(tmp_path):
+    # A NAME.md mentioned in a src/ or benchmarks/ source must exist at the
+    # repo root or under docs/; each dangling one is reported at its line.
+    (tmp_path / "README.md").write_text("# Readme\n")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "GUIDE.md").write_text("# Guide\n")
+    module = tmp_path / "src" / "repro" / "example.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        '"""See README.md and docs/GUIDE.md.\n'
+        "\n"
+        'The substitution is recorded in DESIGN.md \u00a73.\n"""\n'
     )
-    found = PerfRowsPass().run(Project.load(tmp_path))
+    bench = tmp_path / "benchmarks" / "bench_example.py"
+    bench.parent.mkdir()
+    bench.write_text('"""Regenerates a table of EXPERIMENTS.md."""\n')
+    found = sorted(DocLinksPass().run(Project.load(tmp_path)))
     assert _located(found) == [
-        ("benchmarks/perf_rows.jsonl", line, "RC004") for line in (2, 3, 4, 5)
+        ("benchmarks/bench_example.py", 1, "RC002"),
+        ("src/repro/example.py", 3, "RC002"),
     ]
-    assert "mystery_bench" in found[0].message
-    assert "missing field" in found[1].message
-    assert "not valid JSON" in found[2].message
-    assert "missing string 'bench'" in found[3].message
+    assert [d.message for d in found] == [
+        "unknown document EXPERIMENTS.md",
+        "unknown document DESIGN.md",
+    ]
 
 
 def test_cli_docs_are_checked_per_subcommand_section(tmp_path):

@@ -12,10 +12,10 @@ Two families live here, registered the same way:
 * **AST passes** (:data:`AST_PASSES`) analyze the parsed
   :class:`~tools.staticcheck.project.Project` without executing anything —
   they work on the repo layout *and* on fixture corpora;
-* **repo passes** (:data:`REPO_PASSES`, RC0xx) check the git index, the
-  docs and the perf rows against the code — RC002/RC003 import ``repro``
-  when they run, so they only make sense against the real repo and return
-  nothing for fixture projects.
+* **repo passes** (:data:`REPO_PASSES`, RC0xx) check the git index and the
+  docs against the code — RC002/RC003 import ``repro`` when they run, so
+  they only make sense against the real repo and return nothing for
+  fixture projects.
 
 The driver (:func:`run_passes`) is what both the CLI and tier-1 call; it
 returns every diagnostic sorted, suppressed ones included, and leaves the
@@ -35,7 +35,6 @@ from tools.staticcheck.repo_checks import (
     CliAdapterPass,
     CliDocsPass,
     DocLinksPass,
-    PerfRowsPass,
     TrackedBytecodePass,
 )
 from tools.staticcheck.spawn_safety import SpawnSafetyPass
@@ -55,7 +54,6 @@ REPO_PASSES = (
     TrackedBytecodePass,
     DocLinksPass,
     CliDocsPass,
-    PerfRowsPass,
     CliAdapterPass,
 )
 

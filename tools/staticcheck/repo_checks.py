@@ -1,29 +1,28 @@
-"""RC0xx — repo hygiene: the git index, the docs and the perf rows against the code.
+"""RC0xx — repo hygiene: the git index and the docs against the code.
 
-The AST passes judge the code alone; these five judge what must agree with
+The AST passes judge the code alone; these four judge what must agree with
 it.  They are deliberately *dynamic* where drift demands it — RC002 and
 RC003 import ``repro`` (to resolve references and to introspect the live
 argparse parser) and RC001 runs ``git ls-files`` — and each builds its
 :class:`~tools.staticcheck.diagnostics.Diagnostic` at the file and line
 where it finds the defect.  Python sources come from the
-:class:`~tools.staticcheck.project.Project`, parsed once; the docs,
-``docs/CLI.md`` and ``benchmarks/perf_rows.jsonl`` are read under
-``project.root``.
+:class:`~tools.staticcheck.project.Project`, parsed once; the docs and
+``docs/CLI.md`` are read under ``project.root``.
 
 ========  ==============================================================
 RC001     tracked bytecode artefacts (``.pyc`` / ``__pycache__``)
 RC002     broken docs links / dangling ``repro.*``, ``Class.member``,
-          benchmark or docstring references
+          benchmark, docstring or ``NAME.md`` references
 RC003     ``docs/CLI.md`` flag drift against ``repro.cli.build_parser()``
-RC004     ``benchmarks/perf_rows.jsonl`` row-schema violations
 RC010     ``repro/cli.py`` imports dispatch machinery (thin-adapter breach)
 ========  ==============================================================
 
-RC005–RC009 are retired: the campaign contracts they re-ran (spawn entry
-points, row schemas and resume round-trips, sink pickling, the collector
-merge, the run-cache key) are pinned by the tier-1 tests under
-``tests/test_campaign*.py``, and RL303 checks ``SPAWN_ENTRY_POINTS``
-statically.
+RC004 is retired with the perf-row file it checked (``perfbench/`` holds
+the recorded perf numbers).  RC005–RC009 are retired: the campaign
+contracts they re-ran (spawn entry points, row schemas and resume
+round-trips, sink pickling, the collector merge, the run-cache key) are
+pinned by the tier-1 tests under ``tests/test_campaign*.py``, and RL303
+checks ``SPAWN_ENTRY_POINTS`` statically.
 
 These passes only run against the real repo layout; a fixture-corpus
 project (``enforce_scopes=False``) gets an empty result, so the AST corpus
@@ -37,7 +36,6 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
-import json
 import re
 import subprocess
 import sys
@@ -58,6 +56,8 @@ _MODULE_RE = re.compile(
 #: `Scheduler.set_configuration`, `DistributedAlgorithm.enabled_action(pid)`.
 _MEMBER_RE = re.compile(r"`([A-Za-z_][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\([^`]*\))?`")
 _BENCH_RE = re.compile(r"benchmarks/bench_[a-z0-9_]+\.py")
+#: A markdown document named in a source file: ``README.md``, ``docs/CLI.md``.
+_DOC_NAME_RE = re.compile(r"\b[A-Za-z0-9_-]+\.md\b")
 _FLAG_RE = re.compile(r"--[a-z][a-z0-9-]*")
 #: Sphinx-style cross-references in code docstrings, e.g.
 #: :class:`~repro.campaign.driver.CampaignDriver`; only ``repro.`` targets
@@ -193,6 +193,20 @@ def _xref_errors(rel: str, text: str) -> List[Diagnostic]:
     ]
 
 
+def _doc_name_errors(root: Path, rel: str, text: str) -> List[Diagnostic]:
+    """``NAME.md`` mentions in one source file that name no document at the
+    repo root or under ``docs/``."""
+    return [
+        Diagnostic(
+            rel, _line_of(text, match.start()), DocLinksPass.code,
+            f"unknown document {match.group()}",
+        )
+        for match in _DOC_NAME_RE.finditer(text)
+        if not (root / match.group()).is_file()
+        and not (root / "docs" / match.group()).is_file()
+    ]
+
+
 def _public_classes(project: Project) -> Dict[str, Tuple[str, ...]]:
     """``class name -> dotted paths`` of every public top-level class under ``repro``."""
     classes: Dict[str, Tuple[str, ...]] = {}
@@ -233,15 +247,17 @@ class DocLinksPass(_RepoCheck):
     an importable module (or an attribute of one), every backticked
     ``Class.member`` (optionally called) whose ``Class`` is a public class
     defined under ``repro`` names a real member of it, every
-    ``benchmarks/bench_*.py`` named exists, and every ``repro.`` target of a
+    ``benchmarks/bench_*.py`` named exists, every ``repro.`` target of a
     ``:func:``/``:class:``/``:meth:``/``:mod:``/``:data:``/``:attr:``/
-    ``:exc:`` cross-reference in ``src/`` resolves too.
+    ``:exc:`` cross-reference in ``src/`` resolves too, and every
+    ``NAME.md`` a ``src/`` or ``benchmarks/`` source mentions exists at the
+    repo root or under ``docs/``.
     """
 
     name = "repo-doc-links"
     code = "RC002"
     codes = {
-        code: "broken docs link or dangling module/member/benchmark/docstring reference"
+        code: "broken docs link or dangling module/member/benchmark/docstring/document reference"
     }
 
     def check(self, project: Project) -> List[Diagnostic]:
@@ -258,6 +274,8 @@ class DocLinksPass(_RepoCheck):
                 found.extend(_member_ref_errors(rel, text, classes))
         for source in project.files_in_scope(("src/",)):
             found.extend(_xref_errors(source.rel, source.text))
+        for source in project.files_in_scope(("src/", "benchmarks/")):
+            found.extend(_doc_name_errors(project.root, source.rel, source.text))
         return found
 
     def _doc_errors(self, root: Path, base: Path, rel: str, text: str) -> List[Diagnostic]:
@@ -368,86 +386,6 @@ class CliDocsPass(_RepoCheck):
                     self._at(rel, 1, f"does not mention subcommand `repro-cc {command}`")
                 )
         return found
-
-
-# --------------------------------------------------------------------------- #
-# RC004 — perf_rows.jsonl row schemas
-# --------------------------------------------------------------------------- #
-#: bench name -> required row fields (beyond the universal bench/timestamp).
-#: A bench that starts emitting rows must register its schema here, so the
-#: perf trajectory stays aggregatable; unregistered bench names fail.
-PERF_ROW_SCHEMAS: Dict[str, Set[str]] = {
-    "engine_scaling": {"engine", "n", "steps", "steps_per_sec"},
-    "engine_scaling_batched": {"engine", "runs", "n", "steps", "steps_per_sec"},
-    "streaming_spec_overhead": {
-        "engine", "kind", "n", "overhead", "scenario", "steps", "steps_per_sec"
-    },
-    "campaign_scaling": {"jobs", "runs", "total_steps", "seconds", "runs_per_sec"},
-    "campaign_sink_overhead": {
-        "sink", "runs", "total_steps", "seconds", "runs_per_sec", "overhead"
-    },
-    "run_cache_resubmission": {
-        "variant", "runs", "cold_seconds", "cached_seconds", "speedup"
-    },
-    "row_store_aggregates": {
-        "query", "rows", "jsonl_seconds", "store_seconds", "speedup"
-    },
-    "campaign_driver_overhead": {
-        "variant", "runs", "total_steps", "seconds", "overhead"
-    },
-}
-
-_SCALAR_TYPES = (str, int, float, bool, type(None))
-
-
-class PerfRowsPass(_RepoCheck):
-    """Every line of ``benchmarks/perf_rows.jsonl`` is a JSON object matching
-    :data:`PERF_ROW_SCHEMAS`, so perf rows stay machine-readable across
-    commits and a new bench cannot emit rows nobody can aggregate.
-    """
-
-    name = "repo-perf-rows"
-    code = "RC004"
-    codes = {code: "benchmarks/perf_rows.jsonl row violates its bench schema"}
-
-    def check(self, project: Project) -> List[Diagnostic]:
-        rel = "benchmarks/perf_rows.jsonl"
-        path = project.root / rel
-        if not path.is_file():
-            return []  # nothing recorded yet (fresh clone before any bench run)
-        found: List[Diagnostic] = []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-            if line.strip():
-                found.extend(self._at(rel, lineno, error) for error in self._row_errors(line))
-        return found
-
-    @staticmethod
-    def _row_errors(line: str) -> List[str]:
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return [f"not valid JSON ({exc})"]
-        if not isinstance(row, dict):
-            return ["row is not a JSON object"]
-        errors: List[str] = []
-        bad_values = [k for k, v in row.items() if not isinstance(v, _SCALAR_TYPES)]
-        if bad_values:
-            errors.append(f"non-scalar field(s) {bad_values}")
-        if not isinstance(row.get("timestamp"), (int, float)):
-            errors.append("missing numeric 'timestamp'")
-        bench = row.get("bench")
-        if not isinstance(bench, str):
-            return errors + ["missing string 'bench'"]
-        schema = PERF_ROW_SCHEMAS.get(bench)
-        if schema is None:
-            return errors + [
-                f"unknown bench {bench!r} (register its row schema in "
-                "tools/staticcheck/repo_checks.py PERF_ROW_SCHEMAS)"
-            ]
-        missing = schema - set(row)
-        if missing:
-            errors.append(f"bench {bench!r} row missing field(s) {sorted(missing)}")
-        return errors
 
 
 # --------------------------------------------------------------------------- #
