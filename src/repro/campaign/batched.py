@@ -11,7 +11,7 @@ daemon, initial configuration, fault injector and streaming monitors.
 
 Row identity is the whole point: each lane's :class:`JobResult` is assembled
 by the same :func:`~repro.campaign.jobs.completed_row` helper the solo path
-uses, fed by the same streaming collector/spec-suite observers, over a
+uses, fed by the same streaming spec suite (one observer per lane), over a
 step-record stream the lane contract guarantees is identical to the solo
 run's.  Sinks, ``--resume`` and the shard collector therefore see rows that
 are byte-identical whether a cell was executed batched, solo, or split
@@ -137,7 +137,6 @@ def _run_group(jobs: Sequence[RunJob]) -> List[JobResult]:
     from repro.core.runner import CommitteeCoordinator
     from repro.kernel.batched import BatchedScheduler
     from repro.kernel.faults import FaultInjector, arbitrary_configuration
-    from repro.metrics.collector import StreamingMetricsCollector
     from repro.spec.streaming import StreamingSpecSuite
 
     lead = jobs[0]
@@ -157,9 +156,7 @@ def _run_group(jobs: Sequence[RunJob]) -> List[JobResult]:
     initials = []
     daemons = []
     injectors = []
-    collectors = []
     suites = []
-    listeners = []
     for job in jobs:
         initials.append(
             arbitrary_configuration(algorithm, seed=job.seed)
@@ -172,16 +169,11 @@ def _run_group(jobs: Sequence[RunJob]) -> List[JobResult]:
             if job.fault_every
             else None
         )
-        collector = StreamingMetricsCollector(hypergraph)
-        suite = StreamingSpecSuite(
-            hypergraph,
-            grace_steps=job.grace_steps,
-            collector=collector,
-            check_discussion=True,
+        suites.append(
+            StreamingSpecSuite(
+                hypergraph, grace_steps=job.grace_steps, check_discussion=True
+            )
         )
-        collectors.append(collector)
-        suites.append(suite)
-        listeners.append((collector.observe_step, suite.observe_step))
 
     scheduler = BatchedScheduler(
         program,
@@ -189,14 +181,14 @@ def _run_group(jobs: Sequence[RunJob]) -> List[JobResult]:
         daemons,
         injectors=injectors if lead.fault_every else None,
         fault_every=lead.fault_every,
-        step_listeners=listeners,
+        step_listeners=[(suite.observe_step,) for suite in suites],
         record=True,
     )
     lanes = scheduler.run(lead.max_steps)
 
     results: List[JobResult] = []
-    for job, lane, collector, suite in zip(jobs, lanes, collectors, suites):
-        metrics = collector.metrics(lane.trace)
+    for job, lane, suite in zip(jobs, lanes, suites):
+        metrics = suite.collector.metrics(lane.trace)
         verdicts = suite.verdicts()
         row = completed_row(job, lane.steps, lane.stop_reason, metrics, verdicts)
         results.append(

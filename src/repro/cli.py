@@ -57,6 +57,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -307,6 +308,31 @@ def _check_campaign_flags(args: argparse.Namespace, shard_spec) -> None:
         raise ValueError("--resume requires --out (the JSONL file to continue)")
 
 
+def _check_out(path: str) -> None:
+    """Reject an ``--out`` file no run could write (CLI exit 2).
+
+    Checked before any job runs or the collector listens: the rows are
+    written as they complete, and rewritten whole when the run ends.
+    """
+    folder = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        raise ValueError(f"{path}: --out names a directory, not a file")
+    if not os.path.isdir(folder):
+        raise ValueError(f"{path}: --out directory {folder} does not exist")
+    if not os.access(folder, os.W_OK):
+        raise ValueError(f"{path}: --out directory {folder} is not writable")
+
+
+def _open_cache(path: str) -> RunCache:
+    """The ``--cache`` store, or a usage error naming the path (CLI exit 2)."""
+    try:
+        return RunCache(path)
+    except OSError as exc:
+        raise ValueError(
+            f"{path}: --cache cannot be used as a directory ({exc.strerror})"
+        ) from exc
+
+
 def _warn(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -331,6 +357,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             prior_rows = read_rows(args.out)
             validate_rows_match_jobs(all_jobs, prior_rows)
         if args.out:
+            _check_out(args.out)
             sink = JsonlSink(args.out, append=args.resume)
         driver = CampaignDriver(
             all_jobs,
@@ -338,7 +365,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             mp_context=args.mp_context,
             sink=sink,
             timing=args.timing,
-            cache=RunCache(args.cache) if args.cache else None,
+            cache=_open_cache(args.cache) if args.cache else None,
             prior_rows=prior_rows,
             retry_errors=args.retry_errors,
             rerun_disagreements=args.rerun_disagreements,
@@ -400,12 +427,13 @@ def _cmd_collect(args: argparse.Namespace) -> int:
         print(f"collect: {exc}", file=sys.stderr)
         return 2
     prior_rows: List[dict] = []
-    if args.resume:
-        try:
+    try:
+        if args.resume:
             prior_rows = read_rows(args.out)
-        except ResumeError as exc:
-            print(f"collect: {exc}", file=sys.stderr)
-            return 2
+        _check_out(args.out)
+    except (ResumeError, ValueError) as exc:
+        print(f"collect: {exc}", file=sys.stderr)
+        return 2
     try:
         collector = Collector(all_jobs, args.listen, prior_rows=prior_rows)
     except (ResumeError, ValueError) as exc:

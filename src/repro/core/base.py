@@ -207,19 +207,6 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
                 held.append(edge)
         return tuple(held)
 
-    def participants_in(self, configuration: Configuration) -> Tuple[ProcessId, ...]:
-        """Processes participating in some meeting in ``configuration``."""
-        participants: List[ProcessId] = []
-        for edge in self.meetings_in(configuration):
-            participants.extend(edge.members)
-        return tuple(sorted(set(participants)))
-
-    def status_of(self, configuration: Configuration, pid: ProcessId) -> str:
-        return configuration.get(pid, STATUS)
-
-    def pointer_of(self, configuration: Configuration, pid: ProcessId) -> Optional[Hyperedge]:
-        return configuration.get(pid, POINTER)
-
     def token_holders(self, configuration: Configuration) -> Tuple[ProcessId, ...]:
         """Processes currently satisfying the ``Token(p)`` input predicate."""
         return tuple(self.token.token_holders(configuration))

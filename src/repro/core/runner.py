@@ -31,9 +31,9 @@ from repro.kernel.daemon import DAEMON_NAMES, Daemon, daemon_from_name
 from repro.kernel.faults import FaultInjector, arbitrary_configuration
 from repro.kernel.scheduler import ENGINES, Scheduler, SchedulerResult
 from repro.kernel.trace import Trace
-from repro.metrics.collector import StreamingMetricsCollector, TraceMetrics, collect_metrics
+from repro.metrics.collector import StreamingMetricsCollector, TraceMetrics
 from repro.spec.events import MeetingEvent, meeting_events
-from repro.spec.fairness import FairnessSummary, professor_fairness_counts
+from repro.spec.fairness import FairnessSummary
 from repro.spec.streaming import SpecVerdicts, StreamingSpecSuite
 from repro.tokenring.dijkstra_ring import DijkstraRingToken
 from repro.tokenring.oracle import OracleTokenModule
@@ -187,14 +187,16 @@ class CommitteeCoordinator:
         ``from_arbitrary=True`` the run starts from an arbitrary configuration
         (the snap-stabilization setting).
 
-        With ``record_configurations=False`` the run is *sparse*: the trace
-        retains only the initial and final configurations, but the summary
-        ``metrics`` and ``fairness`` are still exact — they are computed
-        online by a :class:`StreamingMetricsCollector` while the run happens.
-        Only the per-event ``events`` list is skipped (it stays empty).
+        The summary ``metrics`` and ``fairness`` are computed online by a
+        :class:`StreamingMetricsCollector` while the run happens, on dense
+        and sparse runs alike.  With ``record_configurations=False`` the run
+        is *sparse*: the trace retains only the initial and final
+        configurations and its step counts, and the per-event ``events``
+        list stays empty.
 
-        With ``check=True`` a :class:`StreamingSpecSuite` rides along the run
-        (dense or sparse) and the outcome's ``spec`` carries the
+        With ``check=True`` a :class:`StreamingSpecSuite` is the run's one
+        observer instead (it drives its own collector), and the outcome's
+        ``spec`` carries the
         Exclusion/Synchronization/Progress reports and the fairness summary —
         identical to running the dense post-hoc checkers on the equivalent
         recorded trace.  ``stop_on_violation=True`` (implies ``check``) halts
@@ -215,23 +217,21 @@ class CommitteeCoordinator:
         initial = None
         if from_arbitrary:
             initial = arbitrary_configuration(self.algorithm, seed=self.seed)
-        collector = None if record_configurations else StreamingMetricsCollector(self.hypergraph)
+        # One observer per run: a checked run's suite drives its own
+        # collector, an unchecked run registers a bare collector.
         suite = None
         if check or stop_on_violation or check_discussion:
-            # When the metrics collector rides along too, the suite reuses
-            # its meeting-event stream and convene counter: metrics + spec
-            # checking together pay the per-step committee sweep once.  The
-            # collector must run first in the listener sequence.
             suite = StreamingSpecSuite(
                 self.hypergraph,
                 grace_steps=grace_steps,
                 stop_on_violation=stop_on_violation,
-                collector=collector,
                 check_discussion=check_discussion,
             )
-        listeners = [
-            observer.observe_step for observer in (collector, suite) if observer is not None
-        ]
+            collector = suite.collector
+            observer = suite.observe_step
+        else:
+            collector = StreamingMetricsCollector(self.hypergraph)
+            observer = collector.observe_step
         scheduler = Scheduler(
             self.algorithm,
             environment=env,
@@ -239,24 +239,16 @@ class CommitteeCoordinator:
             initial_configuration=initial,
             record_configurations=record_configurations,
             engine=self.engine,
-            step_listener=listeners or None,
+            step_listener=observer,
         )
         result = scheduler.run(max_steps=max_steps, injector=injector, fault_every=fault_every)
         trace = result.trace
-        if collector is None:
-            metrics = collect_metrics(trace, self.hypergraph)
-            events = meeting_events(trace, self.hypergraph)
-            fairness = professor_fairness_counts(trace, self.hypergraph)
-        else:
-            metrics = collector.metrics(trace)
-            events = []
-            fairness = collector.fairness()
         return SimulationOutcome(
             trace=trace,
             result=result,
-            metrics=metrics,
-            events=events,
-            fairness=fairness,
+            metrics=collector.metrics(trace),
+            events=meeting_events(trace, self.hypergraph) if record_configurations else [],
+            fairness=collector.fairness(),
             hypergraph=self.hypergraph,
             algorithm_name=self.algorithm_name,
             spec=suite.verdicts() if suite is not None else None,

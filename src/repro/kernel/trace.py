@@ -1,9 +1,10 @@
 """Computation traces.
 
 A computation is a maximal sequence of configurations ``γ0 γ1 ...`` produced
-by the scheduler.  The :class:`Trace` stores the configurations together with
-per-step metadata (which processes moved, which actions they executed, round
-boundaries) and offers the queries the spec checkers need.
+by the scheduler.  A dense :class:`Trace` stores the configurations together
+with per-step metadata (which processes moved, which actions they executed,
+round boundaries) and offers the queries the spec checkers need.  A sparse
+trace keeps counts only, so its memory does not grow with the run.
 """
 
 from __future__ import annotations
@@ -106,34 +107,45 @@ class Trace:
     Recording every configuration keeps spec checking simple and exact; for
     the problem sizes of the paper's figures and of our benchmarks this is
     cheap.  ``record_configurations=False`` in the scheduler produces a
-    *sparse* trace that only keeps the first and last configurations plus
-    step metadata, which the throughput benchmarks use.
+    *sparse* trace, in ``O(n)`` memory whatever the run length.
 
-    The sparse contract: step metadata (``steps``, ``rounds``,
-    ``action_counts``, ``executions_of``) is always exact, but
-    per-configuration queries are not available — ``configurations`` holds
-    only the initial configuration, ``pairs``/``variable_series`` degenerate,
-    and consumers that need the full configuration sequence (e.g.
-    ``waiting_spells``) must check :attr:`is_sparse` and either raise or use
-    a streaming collector attached to the scheduler while the run happens.
+    The sparse contract is counts, not records: ``length``, ``rounds``,
+    ``action_counts()``, ``initial`` and ``final`` are exact, while the
+    intermediate configurations and the :class:`StepRecord` objects are
+    dropped.  ``steps``, ``pairs``, ``executions_of`` and every dense
+    consumer of the configuration sequence (the dense spec checkers,
+    ``waiting_spells``, ...) call :meth:`require_dense` and raise; such
+    consumers attach a step listener (a streaming collector, spec suite or
+    recorder) to the scheduler while the run happens instead.
     """
 
     def __init__(self, initial: Configuration) -> None:
         self._configurations: List[Configuration] = [initial]
         self._steps: List[StepRecord] = []
         self._sparse_final: Optional[Configuration] = None
+        self._length = 0
+        self._rounds = 0
+        self._action_counts: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # construction (used by the scheduler)
     # ------------------------------------------------------------------ #
+    def _count(self, step: StepRecord) -> None:
+        self._length += 1
+        self._rounds = step.round_index + 1
+        counts = self._action_counts
+        for label in step.executed.values():
+            counts[label] = counts.get(label, 0) + 1
+
     def append(self, configuration: Configuration, step: StepRecord) -> None:
         self._configurations.append(configuration)
         self._steps.append(step)
+        self._count(step)
 
     def append_sparse(self, configuration: Configuration, step: StepRecord) -> None:
-        """Record the step but keep only the latest configuration."""
+        """Count the step but keep only the latest configuration."""
         self._sparse_final = configuration
-        self._steps.append(step)
+        self._count(step)
 
     # ------------------------------------------------------------------ #
     # accessors
@@ -166,9 +178,9 @@ class Trace:
             raise ValueError(
                 f"{consumer} needs a densely recorded trace, but this trace "
                 "was recorded with record_configurations=False and only "
-                "retains the initial and final configurations; re-run with "
-                "record_configurations=True, or attach a streaming monitor "
-                "(repro.spec.streaming.StreamingSpecSuite, "
+                "retains the initial and final configurations and its step "
+                "counts; re-run with record_configurations=True, or attach a "
+                "streaming monitor (repro.spec.streaming.StreamingSpecSuite, "
                 "repro.metrics.collector.StreamingMetricsCollector, ...) as a "
                 "scheduler step_listener while the run happens"
             )
@@ -180,19 +192,19 @@ class Trace:
 
     @property
     def steps(self) -> Sequence[StepRecord]:
+        """Every step's :class:`StepRecord` (dense traces only)."""
+        self.require_dense("Trace.steps")
         return tuple(self._steps)
 
     @property
     def length(self) -> int:
         """Number of steps in the computation."""
-        return len(self._steps)
+        return self._length
 
     @property
     def rounds(self) -> int:
         """Number of completed rounds (per the Dolev-Israeli-Moran definition)."""
-        if not self._steps:
-            return 0
-        return self._steps[-1].round_index + 1
+        return self._rounds
 
     def __iter__(self) -> Iterator[Configuration]:
         return iter(self._configurations)
@@ -205,12 +217,14 @@ class Trace:
     # ------------------------------------------------------------------ #
     def pairs(self) -> Iterator[Tuple[Configuration, Configuration, StepRecord]]:
         """Iterate over ``(γ_i, γ_{i+1}, step_i)`` transitions (dense traces only)."""
+        self.require_dense("Trace.pairs")
+        configurations = self._configurations
         for i, step in enumerate(self._steps):
-            if i + 1 < len(self._configurations):
-                yield self._configurations[i], self._configurations[i + 1], step
+            yield configurations[i], configurations[i + 1], step
 
     def executions_of(self, pid: ProcessId) -> List[Tuple[int, str]]:
         """All ``(step_index, action_label)`` executions of process ``pid``."""
+        self.require_dense("Trace.executions_of")
         return [
             (step.index, step.executed[pid])
             for step in self._steps
@@ -219,19 +233,8 @@ class Trace:
 
     def action_counts(self) -> Dict[str, int]:
         """Histogram of action labels executed over the whole computation."""
-        counts: Dict[str, int] = {}
-        for step in self._steps:
-            for label in step.executed.values():
-                counts[label] = counts.get(label, 0) + 1
-        return counts
+        return dict(self._action_counts)
 
     def variable_series(self, pid: ProcessId, variable: str) -> List[Any]:
         """The successive values of one variable (dense traces only)."""
         return [cfg.get(pid, variable) for cfg in self._configurations]
-
-    def step_of_round(self, round_index: int) -> Optional[int]:
-        """Index of the first step belonging to ``round_index`` (None if absent)."""
-        for step in self._steps:
-            if step.round_index == round_index:
-                return step.index
-        return None

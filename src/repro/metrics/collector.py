@@ -6,27 +6,35 @@ per-professor participation statistics and the action histogram (useful for
 inspecting how much work the stabilization actions do after a fault).
 
 :class:`StreamingMetricsCollector` computes the same numbers *online* from
-the stream of configurations a scheduler produces, so sparse runs
-(``record_configurations=False``) report full metrics without ever retaining
-the dense trace.  Attach it to the scheduler via ``step_listener``.
+the stream of configurations a scheduler produces, so no run needs its
+configurations recorded to report them.  It is the metrics source of every
+:meth:`~repro.core.runner.CommitteeCoordinator.run`, dense or sparse: an
+unchecked run registers it as the scheduler's one ``step_listener``, and a
+checked run registers the :class:`~repro.spec.streaming.StreamingSpecSuite`,
+which builds and drives its own collector.  ``collect_metrics`` stays the
+dense reference: the tests compare against it, and
+:mod:`repro.metrics.throughput` uses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernel.configuration import Configuration
 from repro.kernel.trace import StepRecord, Trace
 from repro.spec.events import (
+    MeetingEvent,
     MeetingEventStream,
     concurrency_profile,
     convened_meetings,
-    participations,
 )
-from repro.spec.fairness import FairnessSummary, professor_fairness_counts
-from repro.spec.streaming import StreamingFairnessMonitor
+from repro.spec.fairness import (
+    FairnessSummary,
+    StreamingFairnessMonitor,
+    professor_fairness_counts,
+)
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,7 @@ class TraceMetrics:
 
 
 class StreamingMetricsCollector:
-    """Online :class:`TraceMetrics` for sparse runs.
+    """Online :class:`TraceMetrics`, dense-identical on any run.
 
     Usage::
 
@@ -73,7 +81,6 @@ class StreamingMetricsCollector:
     """
 
     def __init__(self, hypergraph: Hypergraph) -> None:
-        self._hypergraph = hypergraph
         self._stream = MeetingEventStream(hypergraph)
         self._fairness = StreamingFairnessMonitor(hypergraph)
         self._profile_sum = 0
@@ -84,23 +91,17 @@ class StreamingMetricsCollector:
     def stream(self) -> MeetingEventStream:
         """The meeting-event stream this collector drives.
 
-        A :class:`~repro.spec.streaming.StreamingSpecSuite` built with
-        ``collector=`` this collector (and registered *after* it in the
-        scheduler's listener sequence) reads this stream, so metrics and
-        spec checking share one per-step meeting sweep and can never
-        disagree on convene events.
+        The :class:`~repro.spec.streaming.StreamingSpecSuite` that owns this
+        collector hands it to its monitors, so metrics and spec checking
+        share one per-step meeting sweep and never disagree on convene
+        events.
         """
         return self._stream
 
-    @property
-    def fairness_monitor(self) -> StreamingFairnessMonitor:
-        """The shared convene counter (see :attr:`stream`)."""
-        return self._fairness
-
     def observe_step(
         self, configuration: Configuration, record: Optional[StepRecord] = None
-    ) -> None:
-        """Scheduler ``step_listener`` hook.
+    ) -> List[MeetingEvent]:
+        """Scheduler ``step_listener`` hook; returns the configuration's meeting events.
 
         Forwards the record's :class:`~repro.kernel.trace.StepDelta` to the
         meeting-event stream so the per-step committee sweep runs in
@@ -108,16 +109,14 @@ class StreamingMetricsCollector:
         a missing record/delta falls back to the full sweep.
         """
         delta = record.delta if record is not None else None
-        self._fairness.consume(self._stream.observe(configuration, delta))
+        events = self._stream.observe(configuration, delta)
+        self._fairness.consume(events)
         held = self._stream.current_meetings
         self._profile_sum += held
         self._profile_count += 1
         if held > self._peak_concurrency:
             self._peak_concurrency = held
-
-    @property
-    def _meetings_convened(self) -> int:
-        return self._fairness.meetings_convened
+        return events
 
     def fairness(self) -> FairnessSummary:
         """Participation statistics seen so far (mirrors ``professor_fairness_counts``)."""
@@ -126,14 +125,14 @@ class StreamingMetricsCollector:
     def metrics(self, trace: Trace) -> TraceMetrics:
         """The :class:`TraceMetrics` of the observed run.
 
-        ``trace`` supplies the step metadata (always recorded, even sparse):
-        step/round counts and the action histogram.
+        ``trace`` supplies the step counts every trace keeps, even sparse:
+        steps, rounds and the action histogram.
         """
         fairness = self.fairness()
         return TraceMetrics(
             steps=trace.length,
             rounds=trace.rounds,
-            meetings_convened=self._meetings_convened,
+            meetings_convened=self._fairness.meetings_convened,
             peak_concurrency=self._peak_concurrency,
             mean_concurrency=(
                 self._profile_sum / self._profile_count if self._profile_count else 0.0

@@ -28,7 +28,6 @@ from repro.spec.streaming import (
     SpecVerdicts,
     SpecViolationError,
     StreamingExclusionMonitor,
-    StreamingFairnessMonitor,
     StreamingProgressMonitor,
     StreamingSpecSuite,
     StreamingSynchronizationMonitor,
@@ -39,7 +38,11 @@ from repro.spec.discussion import (
     check_essential_discussion,
     check_voluntary_discussion,
 )
-from repro.spec.fairness import committee_fairness_counts, professor_fairness_counts
+from repro.spec.fairness import (
+    StreamingFairnessMonitor,
+    committee_fairness_counts,
+    professor_fairness_counts,
+)
 from repro.spec.concurrency import check_maximal_concurrency, measure_fair_concurrency
 from repro.spec.stabilization import snap_stabilization_sweep
 

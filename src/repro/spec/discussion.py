@@ -16,9 +16,11 @@ streaming monitors (:class:`StreamingEssentialDiscussionMonitor` /
 :class:`StreamingVoluntaryDiscussionMonitor`) that consume the scheduler's
 configuration stream in O(n + m) memory and produce byte-identical
 :class:`~repro.spec.properties.PropertyReport` objects — so sparse
-multi-million-step campaign runs can check 2-phase discussion online.  The
-:class:`~repro.spec.streaming.StreamingSpecSuite` wires them up behind its
-``check_discussion`` switch.
+multi-million-step campaign runs can check 2-phase discussion online.  They
+speak the suite's one monitor interface
+(:class:`~repro.spec.streaming.StreamingPropertyMonitor`) behind its
+``check_discussion`` switch; their violations are messages without a
+configuration index, so ``observe`` returns ``[]`` and never stops a run.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
 from repro.kernel.configuration import Configuration
 from repro.kernel.trace import Trace
 from repro.spec.events import MeetingEvent, committee_meets, meeting_events
-from repro.spec.properties import PropertyReport
+from repro.spec.properties import PropertyReport, Violation
 
 
 def _meeting_intervals(trace: Trace, hypergraph: Hypergraph) -> List[Tuple[Hyperedge, int, Optional[int]]]:
@@ -147,7 +149,7 @@ class StreamingEssentialDiscussionMonitor:
         configuration: Configuration,
         events: Sequence[MeetingEvent],
         writers: Optional[Mapping[ProcessId, Tuple[str, ...]]] = None,
-    ) -> None:
+    ) -> List[Violation]:
         open_meetings = self._open
         member_open = self._member_open
         # Terminations first: γ_index is outside the dense scan window.
@@ -194,8 +196,9 @@ class StreamingEssentialDiscussionMonitor:
                     _, reached = open_meetings[committee]
                     if not reached[pid]:
                         self._mark(committee, reached, pid, states)
+        return []
 
-    def report(self) -> PropertyReport:
+    def report(self, n_configurations: int) -> PropertyReport:
         """Dense-identical report: meetings still open are not checked yet."""
         return PropertyReport(self.name, not self._violations, list(self._violations))
 
@@ -224,7 +227,7 @@ class StreamingVoluntaryDiscussionMonitor:
         configuration: Configuration,
         events: Sequence[MeetingEvent],
         writers: Optional[Mapping[ProcessId, Tuple[str, ...]]] = None,
-    ) -> None:
+    ) -> List[Violation]:
         previous = self._previous
         for event in events:
             committee = event.committee
@@ -251,6 +254,7 @@ class StreamingVoluntaryDiscussionMonitor:
                     "leaving from the done status"
                 )
         self._previous = configuration
+        return []
 
-    def report(self) -> PropertyReport:
+    def report(self, n_configurations: int) -> PropertyReport:
         return PropertyReport(self.name, not self._violations, list(self._violations))

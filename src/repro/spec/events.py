@@ -14,7 +14,7 @@ These are the Section 4.2 definitions, applied to recorded configurations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.states import DONE, IDLE, LOOKING, POINTER, STATUS, WAITING
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
@@ -61,9 +61,9 @@ class MeetingEventStream:
 
     Feed configurations in trace order to :meth:`observe`; it returns the
     events that happen "in" the observed configuration (the same events, in
-    the same order, as :func:`meeting_events` over the full trace).  Used by
-    the streaming metrics collector so sparse runs
-    (``record_configurations=False``) never need the dense trace.
+    the same order, as :func:`meeting_events` over the full trace).  The
+    streaming metrics collector drives it, so no run needs its configurations
+    recorded to know its meetings.
 
     **Delta fast path.**  When :meth:`observe` is also given the step's
     :class:`~repro.kernel.trace.StepDelta` (every scheduler-produced
@@ -97,43 +97,30 @@ class MeetingEventStream:
         self._previous: Dict[Hyperedge, bool] = {}
         self._held_by_member: Dict[ProcessId, set] = {}
         self._conflicts: set = set()
-        self._held_cache: Optional[Tuple[Hyperedge, ...]] = ()
         self._held_count = 0
         self._index = 0
         self._epoch: Optional[int] = None
-        #: ``True`` iff the most recent :meth:`observe` swept every committee
-        #: (first observation, no delta, or epoch change).  Observers that
-        #: keep their own delta-derived state (the streaming Progress
-        #: monitor's status watermarks) resynchronize exactly when this is
-        #: set.
-        self.last_scan_was_full = True
+        #: The writer map the most recent :meth:`observe` applied, or
+        #: ``None`` when it swept every committee (first observation, no
+        #: delta, or epoch change).  Observers that keep their own
+        #: delta-derived state (the streaming Progress monitor's status
+        #: watermarks) update from it, and resynchronize exactly when it is
+        #: ``None``.
+        self.last_writers: Optional[Mapping[ProcessId, Tuple[str, ...]]] = None
         #: Number of committees meeting in the most recently observed
         #: configuration (the online concurrency profile sample).
         self.current_meetings = 0
-        #: The events returned by the most recent :meth:`observe` call, so a
-        #: second observer sharing this stream (e.g. a spec suite riding the
-        #: metrics collector's stream) can read them without re-scanning.
-        self.last_events: List[MeetingEvent] = []
-
-    @property
-    def observations(self) -> int:
-        """Number of configurations observed so far (shared-stream sync check)."""
-        return self._index
 
     @property
     def held(self) -> Tuple[Hyperedge, ...]:
         """The committees meeting in the most recently observed configuration.
 
         In hyperedge order — the streaming counterpart of
-        :func:`meetings_in`.  Materialized lazily (and cached until the held
-        set changes): the delta-driven monitors never touch it on the hot
-        path, so steps that change no meeting pay nothing for it.
+        :func:`meetings_in`.  Built on each call, in ``O(m)``: the
+        per-step monitors never read it (the Progress verdict reads it once).
         """
-        if self._held_cache is None:
-            self._held_cache = tuple(
-                edge for edge in self._edges if self._previous.get(edge, False)
-            )
-        return self._held_cache
+        previous = self._previous
+        return tuple(edge for edge in self._edges if previous.get(edge, False))
 
     def conflict_pairs(self) -> List[Tuple[Hyperedge, Hyperedge]]:
         """Currently-held intersecting committee pairs, in dense checker order.
@@ -153,7 +140,6 @@ class MeetingEventStream:
     # ------------------------------------------------------------------ #
     def _flip_on(self, edge: Hyperedge) -> None:
         self._held_count += 1
-        self._held_cache = None
         order = self._edge_order
         for q in edge:
             others = self._held_by_member.setdefault(q, set())
@@ -166,7 +152,6 @@ class MeetingEventStream:
 
     def _flip_off(self, edge: Hyperedge) -> None:
         self._held_count -= 1
-        self._held_cache = None
         for q in edge:
             others = self._held_by_member.get(q)
             if others is not None:
@@ -189,7 +174,7 @@ class MeetingEventStream:
             and delta.epoch == self._epoch
         )
         self._epoch = delta.epoch if delta is not None else None
-        self.last_scan_was_full = not use_delta
+        self.last_writers = delta.writes if use_delta else None
         if use_delta:
             # Only committees with a member that wrote S or P can have
             # changed their meeting status; everything else keeps its flag.
@@ -236,7 +221,6 @@ class MeetingEventStream:
                 self._flip_off(edge)
             previous[edge] = now
         self.current_meetings = self._held_count
-        self.last_events = events
         self._index += 1
         return events
 

@@ -12,11 +12,11 @@ the adversarial schedule* for the Theorem 1 witness on ``CC1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
+from repro.hypergraph.hypergraph import Hypergraph, ProcessId
 from repro.kernel.trace import Trace
-from repro.spec.events import convened_meetings, participations
+from repro.spec.events import MeetingEvent, convened_meetings, participations
 
 
 @dataclass(frozen=True)
@@ -54,11 +54,42 @@ class FairnessSummary:
         return numerator / denominator if denominator else 0.0
 
 
+class StreamingFairnessMonitor:
+    """Online counterpart of :func:`professor_fairness_counts`.
+
+    Counts convene events per professor and per committee; the
+    :class:`~repro.metrics.collector.StreamingMetricsCollector` feeds it the
+    events of every observed configuration.
+    """
+
+    def __init__(self, hypergraph: Hypergraph) -> None:
+        self._per_professor: Dict[ProcessId, int] = {p: 0 for p in hypergraph.vertices}
+        self._per_committee: Dict[Tuple[ProcessId, ...], int] = {
+            e.members: 0 for e in hypergraph.hyperedges
+        }
+        self.meetings_convened = 0
+
+    def consume(self, events: Sequence[MeetingEvent]) -> None:
+        for event in events:
+            if event.kind != "convene":
+                continue
+            self.meetings_convened += 1
+            self._per_committee[event.committee.members] += 1
+            for member in event.committee:
+                self._per_professor[member] += 1
+
+    def summary(self) -> FairnessSummary:
+        return FairnessSummary(
+            per_professor=dict(self._per_professor),
+            per_committee=dict(self._per_committee),
+        )
+
+
 def professor_fairness_counts(trace: Trace, hypergraph: Hypergraph) -> FairnessSummary:
     """Participation counts per professor and per committee for one trace.
 
     Raises :class:`ValueError` on sparse traces; use
-    :class:`repro.spec.streaming.StreamingFairnessMonitor` (or the
+    :class:`StreamingFairnessMonitor` (or the
     :class:`~repro.metrics.collector.StreamingMetricsCollector`) on such runs.
     """
     trace.require_dense("professor_fairness_counts")

@@ -4,9 +4,10 @@ The dense checkers in :mod:`repro.spec.properties` and
 :mod:`repro.spec.fairness` need the full recorded configuration sequence,
 which production-scale runs (``record_configurations=False``) do not retain.
 The monitors here consume the *stream* of configurations a scheduler
-produces — via the observer protocol shared with
-:class:`~repro.metrics.collector.StreamingMetricsCollector` (the scheduler's
-``step_listener`` hook) — and produce the **same**
+produces — through :class:`StreamingSpecSuite`, the run's one
+``step_listener``, which drives its own
+:class:`~repro.metrics.collector.StreamingMetricsCollector` and hands each
+configuration's meeting events to every monitor — and produce the **same**
 :class:`~repro.spec.properties.PropertyReport` /
 :class:`~repro.spec.fairness.FairnessSummary` objects as the dense post-hoc
 checkers, in memory proportional to the hypergraph, not to the run length.
@@ -18,8 +19,9 @@ Usage::
     suite = StreamingSpecSuite(hypergraph)
     scheduler = Scheduler(algorithm, ..., record_configurations=False,
                           step_listener=suite.observe_step)
-    scheduler.run(max_steps=5_000_000)
+    result = scheduler.run(max_steps=5_000_000)
     verdicts = suite.verdicts()     # == the dense checkers on the same run
+    metrics = suite.collector.metrics(result.trace)   # == collect_metrics
     assert verdicts.exclusion.holds and verdicts.synchronization.holds
 
 With ``stop_on_violation=True`` the suite raises
@@ -44,7 +46,7 @@ Parity contract with the dense checkers, monitor by monitor:
   when the trace length (and hence the default window) is known.  Progress
   violations consequently never trigger the early stop — only the safety
   monitors (Exclusion, Synchronization) do.
-* **Fairness** — convene-event counting, shared with the metrics collector.
+* **Fairness** — the suite's collector counts convene events.
 * **2-phase discussion** (``check_discussion=True``) — the
   Essential/Voluntary checkers of :mod:`repro.spec.discussion` stream too:
   intervals are paired on convene/terminate events exactly like the dense
@@ -52,29 +54,24 @@ Parity contract with the dense checkers, monitor by monitor:
   Campaign runs (:mod:`repro.campaign`) enable this so 2-phase discussion is
   checked on sparse runs.
 
-**Cost per step.**  As of the kernel's writer-set delta protocol
-(:class:`~repro.kernel.trace.StepDelta`), the suite updates from each step's
-exact ``(process, variable)`` writes in ``O(|writers|)`` amortized per step:
-the shared :class:`~repro.spec.events.MeetingEventStream` re-examines only
-committees incident to a process that wrote ``S`` or ``P``, the Exclusion
-monitor consults the stream's (normally empty) conflict set, and the
-Progress monitor updates its watermarks from status flips and
-convene/terminate events instead of sweeping every professor.  The suite
-falls back to the original ``O(n + m)`` full sweep exactly when the delta
-cannot be trusted: the first observation, records without a delta
-(hand-driven streams), and — crucially — whenever the delta's configuration
-*epoch* differs from the last applied one, which is how the kernel signals
-an external configuration swap
+**Cost per step.**  ``O(|writers|)``: the collector's
+:class:`~repro.spec.events.MeetingEventStream` re-examines only committees
+incident to a process that wrote ``S`` or ``P`` in the step's
+:class:`~repro.kernel.trace.StepDelta`, Exclusion reads the stream's
+(normally empty) conflict set, and the other monitors update from the writer
+map the stream applied.  The stream falls back to the full ``O(n + m)``
+sweep, and the monitors resync, on the first observation, on a record
+without a delta, and whenever the delta's configuration *epoch* moved
 (:meth:`~repro.kernel.scheduler.Scheduler.set_configuration`,
-:meth:`~repro.kernel.faults.FaultInjector.corrupt_scheduler`) between steps.
-Verdicts are byte-identical on every path.
+:meth:`~repro.kernel.faults.FaultInjector.corrupt_scheduler`).  Verdicts are
+byte-identical on every path.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.states import LOOKING, POINTER, STATUS, WAITING
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
@@ -97,8 +94,9 @@ from repro.spec.properties import (
     synchronization_violations_at,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - the collector imports this module
-    from repro.metrics.collector import StreamingMetricsCollector
+#: Number of trailing ``(index, configuration)`` frames a
+#: :class:`CounterexampleWindow` keeps.
+WINDOW_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -160,19 +158,18 @@ class SpecViolationError(StopRun):
 # individual monitors
 # --------------------------------------------------------------------------- #
 class StreamingPropertyMonitor:
-    """Base class: consumes per-configuration observations, accumulates violations.
+    """Base class of the suite's monitors, and their one interface.
 
-    Safety monitors implement :meth:`observe` (full-information: the held
-    meetings of the configuration) and may additionally provide an
-    ``observe_stream(index, configuration, events, stream)`` fast path that
-    reads the shared :class:`~repro.spec.events.MeetingEventStream` instead
-    of a materialized held tuple; the suite prefers the fast path when
-    present and falls back to :meth:`observe` for third-party monitors.
-
-    :class:`StreamingProgressMonitor` is *not* a safety monitor (its verdict
-    is finalize-time only) and deliberately does not implement this
-    signature — its ``observe(index, configuration, events, writers)`` is
-    the suite's delta-driven hook; see its docstring.
+    The suite calls :meth:`observe` once per configuration, in trace order,
+    with the configuration's meeting events and the step delta's writer map
+    (``None`` when the event stream full-scanned: first observation,
+    delta-less record, configuration-epoch change).  ``observe`` returns the
+    violations that occur *in* ``γ_index``; only the safety monitors
+    (Exclusion, Synchronization) return any, and only they drive the early
+    stop.  :meth:`report` renders the dense-identical
+    :class:`PropertyReport` for the configurations observed so far.  The
+    2-phase discussion monitors of :mod:`repro.spec.discussion` implement the
+    same two methods.
     """
 
     name: str = "Property"
@@ -184,8 +181,8 @@ class StreamingPropertyMonitor:
         self,
         index: int,
         configuration: Configuration,
-        held: Sequence[Hyperedge],
         events: Sequence[MeetingEvent],
+        writers: Optional[Mapping[ProcessId, Tuple[str, ...]]] = None,
     ) -> List[Violation]:
         """Consume ``γ_index``; returns the violations that occur *in* it."""
         raise NotImplementedError
@@ -213,43 +210,30 @@ class StreamingExclusionMonitor(StreamingPropertyMonitor):
     regression in ``committee_meets``/pointer handling, or a future
     multi-pointer algorithm, would surface here), while observed safety
     violations in practice come from the Synchronization monitor.
+
+    It reads the stream's conflict set, which the stream maintains across
+    flips, so in the (normal) conflict-free steady state a step costs one
+    empty-set check instead of an all-pairs scan of the held meetings.
+    Pairs come out in the dense checker's enumeration order, so accumulated
+    violations stay byte-identical.
     """
 
     name = "Exclusion"
 
-    def __init__(self) -> None:
+    def __init__(self, stream: MeetingEventStream) -> None:
         super().__init__()
+        self._stream = stream
         self._armed = False
 
-    def _arm_on_convene(self, events) -> bool:
-        if not self._armed and any(e.kind == "convene" for e in events):
+    def observe(self, index, configuration, events, writers=None):
+        if not self._armed:
+            if not any(e.kind == "convene" for e in events):
+                return []
             # The first convene: from this configuration (inclusive) onward
             # every pair of held meetings must be conflict-free — exactly the
             # dense checker's ``start = min(convene_indices)``.
             self._armed = True
-        return self._armed
-
-    def observe(self, index, configuration, held, events):
-        """Full-held path: scan all pairs of the materialized held tuple."""
-        if not self._arm_on_convene(events):
-            return []
-        found = exclusion_violations_at(index, held)
-        self._details.extend(found)
-        return found
-
-    def observe_stream(self, index, configuration, events, stream):
-        """Delta path: read the stream's conflict set — O(1) when conflict-free.
-
-        The stream maintains the intersecting pairs among currently-held
-        committees across flips, so in the (normal) conflict-free steady
-        state this costs one empty-set check per step instead of an
-        all-pairs scan of the held meetings.  Pairs come out in the dense
-        checker's enumeration order, so accumulated violations stay
-        byte-identical.
-        """
-        if not self._arm_on_convene(events):
-            return []
-        pairs = stream.conflict_pairs()
+        pairs = self._stream.conflict_pairs()
         if not pairs:
             return []
         found: List[Violation] = []
@@ -262,14 +246,13 @@ class StreamingExclusionMonitor(StreamingPropertyMonitor):
 class StreamingSynchronizationMonitor(StreamingPropertyMonitor):
     """Online counterpart of :func:`repro.spec.properties.check_synchronization`.
 
-    Already event-driven — the check runs only on convene events — so the
-    delta fast path (:meth:`observe_stream`) just skips the unused held
-    tuple.
+    Event-driven: the check runs only on convene events, in the
+    configuration the event happens in.
     """
 
     name = "Synchronization"
 
-    def observe(self, index, configuration, held, events):
+    def observe(self, index, configuration, events, writers=None):
         found: List[Violation] = []
         for event in events:
             if event.kind == "convene":
@@ -278,9 +261,6 @@ class StreamingSynchronizationMonitor(StreamingPropertyMonitor):
                 )
         self._details.extend(found)
         return found
-
-    def observe_stream(self, index, configuration, events, stream):
-        return self.observe(index, configuration, (), events)
 
 
 class StreamingProgressMonitor(StreamingPropertyMonitor):
@@ -296,7 +276,7 @@ class StreamingProgressMonitor(StreamingPropertyMonitor):
     The watermarks are maintained in ``O(|writers|)`` per step: a professor's
     waiting-ness can only flip when it writes its status ``S`` (tracked from
     the step delta's writer set; a full rescan happens exactly when the
-    shared stream full-scans, i.e. on the first observation, delta-less
+    event stream full-scans, i.e. on the first observation, delta-less
     records, and configuration-epoch changes), and meeting participation is
     tracked from terminate events plus — for meetings still held when the
     verdict is rendered — the stream's current held set.  Not-waiting
@@ -310,22 +290,13 @@ class StreamingProgressMonitor(StreamingPropertyMonitor):
     def __init__(
         self,
         hypergraph: Hypergraph,
-        grace_steps: Optional[int] = None,
-        *,
         stream: MeetingEventStream,
+        grace_steps: Optional[int] = None,
     ) -> None:
         super().__init__()
         if grace_steps is not None and grace_steps < 1:
             # Fail at construction, not after a multi-million-step run.
             raise ValueError(f"grace_steps must be >= 1, got {grace_steps!r}")
-        if stream is None:
-            # The finalize-time "still meeting" credit comes from the
-            # stream's held set; without it the monitor would silently
-            # report false violations for meetings held through the window.
-            raise ValueError(
-                "StreamingProgressMonitor requires the MeetingEventStream "
-                "whose events it consumes (StreamingSpecSuite wires this up)"
-            )
         self._hypergraph = hypergraph
         self._grace_steps = grace_steps
         self._stream = stream
@@ -350,19 +321,11 @@ class StreamingProgressMonitor(StreamingPropertyMonitor):
         else:
             self._waiting[pid] = False
 
-    def observe(
-        self,
-        index: int,
-        configuration: Configuration,
-        events: Sequence[MeetingEvent],
-        writers: Optional[Mapping[ProcessId, Tuple[str, ...]]] = None,
-    ) -> List[Violation]:
-        """Consume ``γ_index``.
+    def observe(self, index, configuration, events, writers=None):
+        """Consume ``γ_index``; the verdict waits for :meth:`finalize`.
 
-        ``writers`` is the step delta's writer map when the incremental path
-        applies (only those professors can have flipped their status);
-        ``None`` forces a full status rescan — first observation, delta-less
-        record, or epoch change.
+        Only the professors in ``writers`` can have flipped their status;
+        ``None`` rescans every status.
         """
         states = configuration.states_view()
         if writers is None:
@@ -391,9 +354,7 @@ class StreamingProgressMonitor(StreamingPropertyMonitor):
         last_index = n_configurations - 1
         # Materialize the implicit watermarks: not-waiting professors are
         # not-waiting *now*, members of still-held meetings are meeting now.
-        meeting_now: set = set()
-        for edge in self._stream.held:
-            meeting_now.update(edge)
+        meeting_now = {q for edge in self._stream.held for q in edge}
         waiting = self._waiting
         last_not_waiting = self._last_not_waiting
         last_met = self._last_met
@@ -411,38 +372,6 @@ class StreamingProgressMonitor(StreamingPropertyMonitor):
                 continue  # some member participated in a meeting inside the window
             found.append(progress_violation(edge, window, last_index))
         return found
-
-
-class StreamingFairnessMonitor:
-    """Online counterpart of :func:`repro.spec.fairness.professor_fairness_counts`.
-
-    Counts convene events per professor and per committee; shared by
-    :class:`StreamingSpecSuite` and the
-    :class:`~repro.metrics.collector.StreamingMetricsCollector` so the two
-    observers never disagree on participation counts.
-    """
-
-    def __init__(self, hypergraph: Hypergraph) -> None:
-        self._per_professor: Dict[ProcessId, int] = {p: 0 for p in hypergraph.vertices}
-        self._per_committee: Dict[Tuple[ProcessId, ...], int] = {
-            e.members: 0 for e in hypergraph.hyperedges
-        }
-        self.meetings_convened = 0
-
-    def consume(self, events: Sequence[MeetingEvent]) -> None:
-        for event in events:
-            if event.kind != "convene":
-                continue
-            self.meetings_convened += 1
-            self._per_committee[event.committee.members] += 1
-            for member in event.committee:
-                self._per_professor[member] += 1
-
-    def summary(self) -> FairnessSummary:
-        return FairnessSummary(
-            per_professor=dict(self._per_professor),
-            per_committee=dict(self._per_committee),
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -467,11 +396,7 @@ class SpecVerdicts:
 
     @property
     def all_hold(self) -> bool:
-        checked = self.exclusion.holds and self.synchronization.holds and self.progress.holds
-        for report in (self.essential, self.voluntary):
-            if report is not None:
-                checked = checked and report.holds
-        return checked
+        return all(report.holds for report in self.reports)
 
     @property
     def reports(self) -> Tuple[PropertyReport, ...]:
@@ -498,7 +423,7 @@ class SpecVerdicts:
 
 
 class StreamingSpecSuite:
-    """All four streaming monitors behind one scheduler observer.
+    """The one observer of a checked run: metrics, fairness and every monitor.
 
     Parameters
     ----------
@@ -511,19 +436,17 @@ class StreamingSpecSuite:
         Raise :class:`SpecViolationError` at the first Exclusion or
         Synchronization violation, halting the scheduler at the offending
         step (Progress is a finalize-time verdict and never early-stops).
-    window_size:
-        Number of trailing ``(index, configuration)`` frames retained for the
-        counterexample window.
-    collector:
-        Optional :class:`~repro.metrics.collector.StreamingMetricsCollector`
-        this suite rides.  When given, the suite reads the collector's
-        meeting-event stream and convene counter instead of driving its
-        own, so metrics + spec checking together pay the per-step meeting
-        sweep once.  The collector must be registered *before* this suite
-        in the scheduler's ``step_listener`` sequence.
+    check_discussion:
+        Also run the 2-phase discussion monitors (Definition 1).
 
-    Attach via the scheduler's ``step_listener``; the suite consumes each
-    configuration exactly once and keeps O(n + m + window_size) state.
+    The suite builds its own
+    :class:`~repro.metrics.collector.StreamingMetricsCollector`
+    (:attr:`collector`) and drives it first on every step: the collector's
+    meeting-event stream yields the configuration's events, and the suite
+    hands them to each monitor in turn.  Attach :meth:`observe_step` as the
+    scheduler's ``step_listener``, then read the run's metrics from
+    ``suite.collector`` and its verdicts from :meth:`verdicts`.  The suite
+    keeps O(n + m + WINDOW_SIZE) state.
 
     Mid-run fault injection caveat: like the dense post-hoc checkers on a
     trace that contains mid-run corruption, the monitors attribute every
@@ -543,37 +466,28 @@ class StreamingSpecSuite:
         *,
         grace_steps: Optional[int] = None,
         stop_on_violation: bool = False,
-        window_size: int = 8,
-        collector: Optional["StreamingMetricsCollector"] = None,
         check_discussion: bool = False,
     ) -> None:
+        # Imported here: repro.metrics.collector imports repro.spec, so a
+        # module-top import would cycle through the package __init__s.
+        from repro.metrics.collector import StreamingMetricsCollector
+
         self.hypergraph = hypergraph
         self.stop_on_violation = stop_on_violation
-        self._drives_stream = collector is None
-        self._stream = MeetingEventStream(hypergraph) if collector is None else collector.stream
-        self.exclusion = StreamingExclusionMonitor()
+        self.collector = StreamingMetricsCollector(hypergraph)
+        self._stream = self.collector.stream
+        self.exclusion = StreamingExclusionMonitor(self._stream)
         self.synchronization = StreamingSynchronizationMonitor()
-        self.progress = StreamingProgressMonitor(
-            hypergraph, grace_steps, stream=self._stream
-        )
-        # 2-phase discussion (Definition 1) rides along when asked for; the
-        # reports are byte-identical to the dense checkers in
-        # :mod:`repro.spec.discussion`.  Discussion violations never trigger
-        # the early stop — they are interval-shaped (reported at terminate
-        # events), not per-configuration safety checks.
+        self.progress = StreamingProgressMonitor(hypergraph, self._stream, grace_steps)
         self.essential = StreamingEssentialDiscussionMonitor() if check_discussion else None
         self.voluntary = StreamingVoluntaryDiscussionMonitor() if check_discussion else None
-        self.fairness = (
-            StreamingFairnessMonitor(hypergraph) if collector is None else collector.fairness_monitor
+        monitors = (
+            self.exclusion, self.synchronization, self.progress, self.essential, self.voluntary
         )
-        self._safety_monitors = (self.exclusion, self.synchronization)
-        self._frames: Deque[Tuple[int, Configuration]] = deque(maxlen=window_size)
+        self._monitors = tuple(monitor for monitor in monitors if monitor is not None)
+        self._frames: Deque[Tuple[int, Configuration]] = deque(maxlen=WINDOW_SIZE)
         self._index = 0
         self.first_violation: Optional[CounterexampleWindow] = None
-
-    @property
-    def configurations_observed(self) -> int:
-        return self._index
 
     def observe_step(
         self, configuration: Configuration, record: Optional[StepRecord] = None
@@ -585,55 +499,20 @@ class StreamingSpecSuite:
         configuration-epoch change falls back to the full ``O(n + m)`` sweep
         with identical verdicts.
         """
+        events = self.collector.observe_step(configuration, record)
+        # The stream decided full-vs-delta (it owns the epoch bookkeeping);
+        # monitors that keep delta-derived state resync exactly when it
+        # full-scanned.
+        writers = self._stream.last_writers
         index = self._index
         self._index += 1
-        delta = record.delta if record is not None else None
-        if self._drives_stream:
-            events = self._stream.observe(configuration, delta)
-            self.fairness.consume(events)
-        else:
-            # The collector already drove the stream (and counted its
-            # convenes) this step; reuse its scan.  Guard the ordering
-            # invariant — reading a stale scan would silently shift every
-            # verdict by one configuration.
-            if self._stream.observations != self._index:
-                # A listener-ordering bug in the harness wiring must crash
-                # loudly — a StopRun here would masquerade as a clean early
-                # stop and silently ship one-configuration-shifted verdicts.
-                raise RuntimeError(  # repro-lint: disable=RL401 -- misconfiguration guard, not a run outcome
-                    "shared MeetingEventStream is out of sync (stream saw "
-                    f"{self._stream.observations} configurations, suite saw "
-                    f"{self._index}); the collector must be registered "
-                    "before this suite in the scheduler's step_listener "
-                    "sequence"
-                )
-            events = self._stream.last_events
-        # The stream decided full-vs-delta (it owns the epoch bookkeeping);
-        # the Progress monitor's status watermarks must resync exactly when
-        # the stream full-scanned.
-        writers = (
-            None
-            if delta is None or self._stream.last_scan_was_full
-            else delta.writes
-        )
         self._frames.append((index, configuration))
-        self.progress.observe(index, configuration, events, writers)
-        if self.essential is not None:
-            self.essential.observe(index, configuration, events, writers)
-            self.voluntary.observe(index, configuration, events, writers)
-        # Let every safety monitor observe the committed step *before*
-        # raising, so post-halt verdicts stay dense-identical on the
-        # recorded prefix even when several properties break at once.
+        # Every monitor observes the committed step *before* the suite
+        # raises, so post-halt verdicts stay dense-identical on the recorded
+        # prefix even when several properties break at once.
         first_found: Optional[Violation] = None
-        for monitor in self._safety_monitors:
-            stream_hook = getattr(monitor, "observe_stream", None)
-            if stream_hook is not None:
-                found = stream_hook(index, configuration, events, self._stream)
-            else:
-                # Third-party monitor with the full-information signature:
-                # materialize the held tuple for it (lazy + cached, so this
-                # only costs when such a monitor is actually installed).
-                found = monitor.observe(index, configuration, self._stream.held, events)
+        for monitor in self._monitors:
+            found = monitor.observe(index, configuration, events, writers)
             if found and first_found is None:
                 first_found = found[0]
         if first_found is not None and self.first_violation is None:
@@ -655,8 +534,8 @@ class StreamingSpecSuite:
             exclusion=self.exclusion.report(n),
             synchronization=self.synchronization.report(n),
             progress=self.progress.report(n),
-            fairness=self.fairness.summary(),
+            fairness=self.collector.fairness(),
             first_violation=self.first_violation,
-            essential=self.essential.report() if self.essential is not None else None,
-            voluntary=self.voluntary.report() if self.voluntary is not None else None,
+            essential=self.essential.report(n) if self.essential is not None else None,
+            voluntary=self.voluntary.report(n) if self.voluntary is not None else None,
         )

@@ -211,14 +211,21 @@ class TestBatchedScheduler:
             FaultInjector(algorithm, fraction=1.0, seed=1),
             None,  # lane 1 rides the same schedule but is never corrupted
         ]
+        records = []
+
+        def record_lane_0(configuration, record):
+            if record is not None:
+                records.append(record)
+
         scheduler = BatchedScheduler(
-            program, initials, daemons, injectors=injectors, fault_every=10
+            program, initials, daemons, injectors=injectors, fault_every=10,
+            step_listeners=[(record_lane_0,), ()],
         )
         results = scheduler.run(35)
         assert results[0].epoch >= 3  # bursts at steps 10, 20, 30
         assert results[1].epoch == 0
         # The epoch travels in the step deltas after each swap.
-        deltas = [record.delta.epoch for record in results[0].trace.steps]
+        deltas = [record.delta.epoch for record in records]
         assert max(deltas) == results[0].epoch
 
     def test_arbitrary_starts_encode_round_trip(self):

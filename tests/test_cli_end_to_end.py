@@ -85,6 +85,38 @@ def test_unreadable_rows_file_is_a_usage_error(argv, kind, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["campaign", "--out", "{dir}"], "{dir}"),
+        (["campaign", "--out", "{missing}"], "{missing}"),
+        (["campaign", "--shard", "1/2", "--out", "{dir}"], "{dir}"),
+        (["campaign", "--cache", "{file}"], "{file}"),
+        (["collect", "--listen", "tcp:127.0.0.1:0", "--timeout", "0.5",
+          "--out", "{dir}"], "{dir}"),
+    ],
+    ids=["out-directory", "out-missing-directory", "shard-out-directory",
+         "cache-file", "collect-out-directory"],
+)
+def test_unusable_out_or_cache_path_is_a_usage_error(argv, bad, tmp_path, capsys):
+    # Checked before any job runs or the collector listens: exit 2 and one
+    # line naming the path, not a traceback (exit 1 means a violation).
+    paths = {
+        "dir": tmp_path / "rows",
+        "missing": tmp_path / "missing" / "rows.jsonl",
+        "file": tmp_path / "cache",
+    }
+    paths["dir"].mkdir()
+    paths["file"].write_text("")
+    names = {key: str(path) for key, path in paths.items()}
+    argv = [arg.format(**names) for arg in argv]
+    assert main(argv + ["--scenario", "figure1", "--steps", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{argv[0]}: {bad.format(**names)}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 class TestCheckEndToEnd:
     def test_clean_check_exits_zero(self, capsys):
         assert main(["check", "--scenario", "figure1", "--algorithm", "cc2",

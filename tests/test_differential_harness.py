@@ -117,8 +117,31 @@ def generate_scenario(seed: int, max_steps: int = 260) -> ScenarioSpec:
     )
 
 
+class _StepRecorder:
+    """A step listener keeping every ``StepRecord``: a sparse run's steps.
+
+    A sparse trace keeps counts only, so the step-identity assertions read
+    the records from this listener, registered beside the suite.
+    """
+
+    def __init__(self) -> None:
+        self.steps = []
+
+    def __call__(self, configuration, record) -> None:
+        if record is not None:
+            self.steps.append(record)
+
+
+def _listeners(suite: Optional[StreamingSpecSuite], recorder: Optional[_StepRecorder]):
+    listeners = [suite.observe_step] if suite is not None else []
+    if recorder is not None:
+        listeners.append(recorder)
+    return listeners or None
+
+
 def _build(spec: ScenarioSpec, engine: str, record: bool,
-           suite: Optional[StreamingSpecSuite] = None
+           suite: Optional[StreamingSpecSuite] = None,
+           recorder: Optional[_StepRecorder] = None,
            ) -> Tuple[Scheduler, Optional[FaultInjector]]:
     """The scenario's fresh scheduler and fault injector (not yet run)."""
     hypergraph = spec.hypergraph()
@@ -140,7 +163,7 @@ def _build(spec: ScenarioSpec, engine: str, record: bool,
         ),
         record_configurations=record,
         engine=engine,
-        step_listener=suite.observe_step if suite is not None else None,
+        step_listener=_listeners(suite, recorder),
     )
     injector = (
         FaultInjector(algorithm, fraction=spec.burst_fraction, seed=spec.seed + 1)
@@ -150,10 +173,11 @@ def _build(spec: ScenarioSpec, engine: str, record: bool,
 
 
 def _drive(spec: ScenarioSpec, engine: str, record: bool,
-           suite: Optional[StreamingSpecSuite] = None) -> Scheduler:
+           suite: Optional[StreamingSpecSuite] = None,
+           recorder: Optional[_StepRecorder] = None) -> Scheduler:
     """Run the scenario with a hand-written loop: the independent reference
     for ``Scheduler.run``'s fault hook (``TestFaultHook``)."""
-    scheduler, injector = _build(spec, engine, record, suite)
+    scheduler, injector = _build(spec, engine, record, suite, recorder)
     while scheduler.step_index < spec.max_steps:
         if (
             injector is not None
@@ -199,11 +223,14 @@ class TestDifferentialHarness:
 
         # Streaming monitors on the *incremental* engine, sparse run.
         suite = StreamingSpecSuite(hypergraph)
-        incremental_sched = _drive(spec, engine="incremental", record=False, suite=suite)
+        recorder = _StepRecorder()
+        incremental_sched = _drive(
+            spec, engine="incremental", record=False, suite=suite, recorder=recorder
+        )
         _assert_verdicts_equal(suite.verdicts(), dense, spec)
 
         # Same step sequence across engines (the corruption bursts included).
-        assert tuple(dense_sched.trace.steps) == tuple(incremental_sched.trace.steps), spec
+        assert tuple(dense_sched.trace.steps) == tuple(recorder.steps), spec
         assert dense_sched.configuration == incremental_sched.configuration, spec
 
         # Streaming monitors on the *dense* engine agree as well (isolates
@@ -246,6 +273,7 @@ def _build_random(
     engine: str,
     record: bool,
     suite: Optional[StreamingSpecSuite] = None,
+    recorder: Optional[_StepRecorder] = None,
 ) -> Tuple[Scheduler, Optional[FaultInjector]]:
     """A randomized scenario's fresh scheduler and fault injector.
 
@@ -269,7 +297,7 @@ def _build_random(
         ),
         record_configurations=record,
         engine=engine,
-        step_listener=suite.observe_step if suite is not None else None,
+        step_listener=_listeners(suite, recorder),
     )
     injector = (
         FaultInjector(algorithm, fraction=spec.fault_fraction, seed=spec.seed + 1)
@@ -285,10 +313,13 @@ def _drive_random(
     record: bool,
     max_steps: int,
     suite: Optional[StreamingSpecSuite] = None,
+    recorder: Optional[_StepRecorder] = None,
 ) -> Scheduler:
     """Drive one randomized scenario with a hand-written loop, bursts
     placed exactly as the campaign worker places them."""
-    scheduler, injector = _build_random(spec, algorithm_name, engine, record, suite)
+    scheduler, injector = _build_random(
+        spec, algorithm_name, engine, record, suite, recorder
+    )
     while scheduler.step_index < max_steps:
         if (
             injector is not None
@@ -323,12 +354,14 @@ class TestRandomScenarioFuzz:
 
         dense = _drive_random(spec, algorithm_name, "dense", True, max_steps)
         suite = StreamingSpecSuite(hypergraph, check_discussion=True)
+        recorder = _StepRecorder()
         incremental = _drive_random(
-            spec, algorithm_name, "incremental", False, max_steps, suite=suite
+            spec, algorithm_name, "incremental", False, max_steps,
+            suite=suite, recorder=recorder,
         )
 
         # Engines agree on the execution itself.
-        assert tuple(dense.trace.steps) == tuple(incremental.trace.steps), spec
+        assert tuple(dense.trace.steps) == tuple(recorder.steps), spec
         assert dense.configuration == incremental.configuration, spec
 
         # Streaming verdicts match the dense post-hoc checkers.
@@ -464,7 +497,7 @@ def _drive_batched(spec: ScenarioSpec, hypergraph: Hypergraph, algorithm,
     program = compile_program(
         algorithm, AlwaysRequestingEnvironment(spec.discussion_steps)
     )
-    initials, daemons, injectors, suites, listeners = [], [], [], [], []
+    initials, daemons, injectors, suites, recorders = [], [], [], [], []
     for lane_seed in lane_seeds:
         initials.append(
             arbitrary_configuration(algorithm, seed=lane_seed)
@@ -475,16 +508,17 @@ def _drive_batched(spec: ScenarioSpec, hypergraph: Hypergraph, algorithm,
             FaultInjector(algorithm, fraction=spec.burst_fraction, seed=lane_seed + 1)
             if spec.burst_every else None
         )
-        suite = StreamingSpecSuite(hypergraph)
-        suites.append(suite)
-        listeners.append((suite.observe_step,))
+        suites.append(StreamingSpecSuite(hypergraph))
+        recorders.append(_StepRecorder())
     scheduler = BatchedScheduler(
         program, initials, daemons,
         injectors=injectors if spec.burst_every else None,
         fault_every=spec.burst_every,
-        step_listeners=listeners,
+        step_listeners=[
+            (suite.observe_step, recorder) for suite, recorder in zip(suites, recorders)
+        ],
     )
-    return scheduler.run(spec.max_steps), suites
+    return scheduler.run(spec.max_steps), suites, recorders
 
 
 def _drive_lane_solo(spec: ScenarioSpec, algorithm, lane_seed: int) -> Scheduler:
@@ -527,14 +561,14 @@ class TestBatchedDifferential:
     def _check_cell(spec: ScenarioSpec, lane_seeds) -> None:
         hypergraph = spec.hypergraph()
         algorithm = _shared_algorithm(spec, hypergraph)
-        lanes, suites = _drive_batched(spec, hypergraph, algorithm, lane_seeds)
-        for lane_seed, lane, suite in zip(lane_seeds, lanes, suites):
+        lanes, suites, recorders = _drive_batched(spec, hypergraph, algorithm, lane_seeds)
+        for lane_seed, lane, suite, recorder in zip(lane_seeds, lanes, suites, recorders):
             context = (spec, lane_seed)
             solo = _drive_lane_solo(spec, algorithm, lane_seed)
             # The execution itself: identical step records (selected sets,
             # executed action labels, enabled/neutralized sets, rounds,
             # writer-set deltas with epochs) and identical end states.
-            assert tuple(solo.trace.steps) == tuple(lane.trace.steps), context
+            assert tuple(solo.trace.steps) == tuple(recorder.steps), context
             assert solo.configuration == lane.configuration, context
             assert solo.step_index == lane.steps, context
             # The verdicts: the lane's streaming suite equals the dense

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
 from repro.core.runner import CommitteeCoordinator
@@ -10,6 +13,11 @@ from repro.hypergraph.generators import figure1_hypergraph, path_of_committees
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.kernel.configuration import Configuration
 from repro.kernel.daemon import SynchronousDaemon
+from repro.kernel.faults import FaultInjector
+from repro.kernel.trace import StepRecord
+from repro.metrics.collector import collect_metrics
+from repro.spec.events import meeting_events
+from repro.spec.fairness import professor_fairness_counts
 from repro.workloads.request_models import (
     AlwaysRequestingEnvironment,
     BurstyRequestEnvironment,
@@ -81,6 +89,80 @@ class TestCommitteeCoordinator:
         outcome = coordinator.run(max_steps=300)
         held = coordinator.meetings_in(outcome.final)
         assert isinstance(held, tuple)
+
+
+def _reachable_step_records(root) -> int:
+    """How many ``StepRecord`` objects ``root`` keeps alive (classes,
+    modules and functions are not followed)."""
+    seen = {id(root)}
+    todo = [root]
+    found = 0
+    while todo:
+        obj = todo.pop()
+        found += isinstance(obj, StepRecord)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(
+                ref, (type, types.ModuleType, types.FunctionType)
+            ):
+                seen.add(id(ref))
+                todo.append(ref)
+    return found
+
+
+class TestOneObserver:
+    """A run's metrics and fairness come from its one observer, dense or sparse."""
+
+    @staticmethod
+    def _assert_dense_references(outcome, hypergraph) -> None:
+        trace = outcome.trace
+        assert outcome.metrics == collect_metrics(trace, hypergraph)
+        assert outcome.fairness == professor_fairness_counts(trace, hypergraph)
+        assert outcome.events == meeting_events(trace, hypergraph)
+
+    @pytest.mark.parametrize("checked", [False, True], ids=["unchecked", "checked"])
+    @pytest.mark.parametrize("arbitrary", [False, True], ids=["clean", "arbitrary"])
+    @pytest.mark.parametrize("token", ["tree", "ring", "oracle"])
+    @pytest.mark.parametrize("algorithm", ["cc1", "cc2", "cc3"])
+    def test_dense_run_equals_post_hoc_references(self, algorithm, token, arbitrary, checked):
+        hypergraph = figure1_hypergraph()
+        outcome = CommitteeCoordinator(
+            hypergraph, algorithm=algorithm, token=token, seed=7
+        ).run(max_steps=300, from_arbitrary=arbitrary, check=checked)
+        assert (outcome.spec is not None) == checked
+        self._assert_dense_references(outcome, hypergraph)
+
+    def test_dense_run_stopped_on_violation_equals_references(self):
+        hypergraph = figure1_hypergraph()
+        coordinator = CommitteeCoordinator(hypergraph, algorithm="cc2", seed=2)
+        outcome = coordinator.run(
+            max_steps=300,
+            stop_on_violation=True,
+            injector=FaultInjector(coordinator.algorithm, fraction=0.8, seed=3),
+            fault_every=9,
+        )
+        assert outcome.result.stop_reason == "violation"
+        assert outcome.steps < 300
+        self._assert_dense_references(outcome, hypergraph)
+
+    def test_sparse_trace_keeps_counts_not_records(self):
+        # A sparse run's memory must not grow with its length: its trace
+        # keeps the step count, the last round and the action histogram.
+        hypergraph = figure1_hypergraph()
+        dense = CommitteeCoordinator(hypergraph, algorithm="cc2", seed=3).run(max_steps=400)
+        sparse = CommitteeCoordinator(hypergraph, algorithm="cc2", seed=3).run(
+            max_steps=400, record_configurations=False
+        )
+        assert _reachable_step_records(dense.trace) == 400
+        assert _reachable_step_records(sparse.trace) == 0
+        assert sparse.trace.length == dense.trace.length == 400
+        assert sparse.trace.rounds == dense.trace.rounds
+        assert sparse.trace.action_counts() == dense.trace.action_counts()
+        with pytest.raises(ValueError, match="record_configurations"):
+            sparse.trace.steps
+        with pytest.raises(ValueError, match="record_configurations"):
+            list(sparse.trace.pairs())
+        with pytest.raises(ValueError, match="record_configurations"):
+            sparse.trace.executions_of(1)
 
 
 class TestRequestModels:

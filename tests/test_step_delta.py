@@ -255,7 +255,7 @@ class TestMonitorResyncOnEpochBump:
 
         def spy(configuration, record):
             if record is not None:
-                scans.append(suite._stream.last_scan_was_full)
+                scans.append(suite._stream.last_writers is None)
 
         algorithm, scheduler = _scheduler(
             engine="incremental",

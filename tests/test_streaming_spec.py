@@ -49,13 +49,11 @@ TOKENS = ("ring", "tree", "oracle")
 
 def _build(algorithm: str, token: str, seed: int, engine: str, record: bool,
            suite: Optional[StreamingSpecSuite] = None,
-           collector: Optional[StreamingMetricsCollector] = None,
            arbitrary: bool = False):
     hypergraph = figure1_hypergraph()
     coordinator = CommitteeCoordinator(
         hypergraph, algorithm=algorithm, token=token, seed=seed, engine=engine
     )
-    listeners = [obs.observe_step for obs in (collector, suite) if obs is not None]
     scheduler = Scheduler(
         coordinator.algorithm,
         environment=AlwaysRequestingEnvironment(discussion_steps=1),
@@ -65,7 +63,7 @@ def _build(algorithm: str, token: str, seed: int, engine: str, record: bool,
         ),
         record_configurations=record,
         engine=engine,
-        step_listener=listeners or None,
+        step_listener=suite.observe_step if suite is not None else None,
     )
     return hypergraph, coordinator.algorithm, scheduler
 
@@ -261,7 +259,7 @@ class TestCounterexampleWindows:
         # Under the single-pointer vocabulary two conflicting committees can
         # never *meet* simultaneously, so the Exclusion monitor is
         # defense-in-depth for the meeting-detection invariant; exercise its
-        # violation path directly with a synthetic held sequence.
+        # violation path directly with a stub stream holding a conflict.
         from repro.spec.events import MeetingEvent
         from repro.spec.properties import exclusion_violations_at
         from repro.spec.streaming import StreamingExclusionMonitor
@@ -269,12 +267,17 @@ class TestCounterexampleWindows:
         hypergraph = figure1_hypergraph()
         a, b = hypergraph.hyperedges[0], hypergraph.hyperedges[1]
         assert a.intersects(b)
-        monitor = StreamingExclusionMonitor()
+
+        class _ConflictStream:
+            def conflict_pairs(self):
+                return [(a, b)]
+
+        monitor = StreamingExclusionMonitor(_ConflictStream())
         convene = [MeetingEvent("convene", a, 1)]
         # Before any convene: held conflicts are exempt (inherited meetings).
-        assert monitor.observe(0, None, (a, b), []) == []
+        assert monitor.observe(0, None, [], None) == []
         # The first convene arms the monitor; the conflict is now reported.
-        found = monitor.observe(1, None, (a, b), convene)
+        found = monitor.observe(1, None, convene, None)
         assert len(found) == 1
         assert found[0].committees == (a.members, b.members)
         assert found[0] == exclusion_violations_at(1, (a, b))[0]
@@ -294,11 +297,11 @@ class TestCounterexampleWindows:
             def __init__(self, name):
                 self.name = name
 
-            def observe(self, index, configuration, held, events):
+            def observe(self, index, configuration, events, writers):
                 calls.append(self.name)
                 return [Violation(self.name, index, (), self.name)]
 
-        suite._safety_monitors = (_Tripping("first"), _Tripping("second"))
+        suite._monitors = (_Tripping("first"), _Tripping("second"))
         with pytest.raises(SpecViolationError) as excinfo:
             suite.observe_step(
                 CommitteeCoordinator(hypergraph, algorithm="cc1").algorithm.initial_configuration()
@@ -363,9 +366,10 @@ class TestStopRunProtocol:
                            lambda cfg, rec: seen.append(rec)],
         )
         result = scheduler.run(max_steps=20)
-        # Initial call with record=None plus one call per step, for everyone.
+        # Initial call with record=None plus one call per step, for everyone:
+        # the suite's own collector saw what the standalone one saw.
         assert len(seen) == result.steps + 1
-        assert suite.configurations_observed == result.steps + 1
+        assert suite.collector.metrics(result.trace) == collector.metrics(result.trace)
         assert collector.metrics(result.trace).steps == result.steps
 
 
@@ -472,9 +476,9 @@ class TestRunnerCheckMode:
         assert sparse.meetings_convened == dense.meetings_convened
 
     def test_sparse_check_shares_one_meeting_sweep(self):
-        # Composed mode: the suite rides the collector's stream, so metrics
-        # AND spec verdicts both match the dense run while the per-step
-        # committee scan happens once.
+        # The suite drives its own collector, so metrics AND spec verdicts
+        # both match the dense run while the per-step committee scan happens
+        # once.
         hypergraph = figure1_hypergraph()
         dense = CommitteeCoordinator(hypergraph, algorithm="cc2", seed=11, engine="dense").run(
             max_steps=500
@@ -487,36 +491,6 @@ class TestRunnerCheckMode:
         assert sparse.spec.fairness == dense.fairness
         assert sparse.spec.exclusion == check_exclusion(dense.trace, hypergraph)
         assert sparse.spec.progress == check_progress(dense.trace, hypergraph)
-
-    def test_shared_stream_suite_matches_standalone(self):
-        # Unit-level: a suite sharing the collector's stream produces the
-        # same verdicts as a standalone suite over the same run.
-        hypergraph = figure1_hypergraph()
-        collector = StreamingMetricsCollector(hypergraph)
-        shared = StreamingSpecSuite(hypergraph, collector=collector)
-        _, _, sched = _build(
-            "cc3", "ring", seed=6, engine="incremental", record=False,
-            suite=shared, collector=collector,
-        )
-        sched.run(max_steps=200)
-
-        standalone = StreamingSpecSuite(hypergraph)
-        _, _, sched2 = _build(
-            "cc3", "ring", seed=6, engine="incremental", record=False, suite=standalone
-        )
-        sched2.run(max_steps=200)
-        assert shared.verdicts() == standalone.verdicts()
-
-    def test_shared_stream_misordering_fails_loudly(self):
-        # Registering the shared-stream suite before (or without) the
-        # observer that drives the stream must raise, not silently shift
-        # every verdict by one configuration.
-        hypergraph = figure1_hypergraph()
-        collector = StreamingMetricsCollector(hypergraph)
-        suite = StreamingSpecSuite(hypergraph, collector=collector)
-        with pytest.raises(RuntimeError, match="out of sync"):
-            # collector never ran
-            _build("cc2", "oracle", seed=1, engine="incremental", record=False, suite=suite)
 
     def test_check_cli_rejects_non_positive_steps(self):
         with pytest.raises(SystemExit):
