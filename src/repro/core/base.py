@@ -6,9 +6,9 @@
   plus the bound token module's variables),
 * their action-table key: the status ``S``, at which every action declares
   when its guard can hold,
-* the predicates ``Ready``, ``Meeting`` and ``LeaveMeeting`` (syntactically
-  identical in Algorithms 1 and 2 up to the statuses that exist); these and
-  the algorithms' other guard macros are
+* the predicates ``Ready`` and ``Meeting`` (syntactically identical in
+  Algorithms 1 and 2 up to the statuses that exist); ``Ready`` and the
+  algorithms' guard macros that one walk derives for several guards are
   :func:`~repro.kernel.algorithm.shared`, so one guard context evaluates
   each of them at most once for its own process,
 * deterministic tie-breaking when the pseudo-code says "``P := ε`` such that
@@ -146,9 +146,11 @@ class CommitteeAlgorithmBase(DistributedAlgorithm):
                 return True
         return False
 
-    @shared
     def meeting(self, ctx: ActionContext, pid: ProcessId) -> bool:
-        """``Meeting(p) ≡ ∃ε ∈ E_p : ∀q ∈ ε : (P_q = ε ∧ S_q ∈ {waiting, done})``."""
+        """``Meeting(p) ≡ ∃ε ∈ E_p : ∀q ∈ ε : (P_q = ε ∧ S_q ∈ {waiting, done})``.
+
+        Most calls are its only one in a walk, so it is not memoized.
+        """
         states = ctx.states
         for edge in self._incident[pid]:
             for q in edge:

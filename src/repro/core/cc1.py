@@ -79,9 +79,11 @@ class CC1Algorithm(CommitteeAlgorithmBase):
                 free.append(edge)
         return tuple(free)
 
-    @shared
     def free_nodes(self, ctx: ActionContext, pid: ProcessId) -> Tuple[ProcessId, ...]:
-        """``FreeNodes_p``: processes incident to some free edge of ``p``."""
+        """``FreeNodes_p``: processes incident to some free edge of ``p``.
+
+        Only the memoized ``Cands_p`` calls it, so it needs no memo.
+        """
         nodes: set = set()
         for edge in self.free_edges(ctx, pid):
             nodes.update(edge)
@@ -111,7 +113,7 @@ class CC1Algorithm(CommitteeAlgorithmBase):
         return (
             self.local_max(ctx, pid)
             and not self.ready(ctx, pid)
-            and ctx.read(pid, POINTER) not in free
+            and ctx.states[pid][POINTER] not in free
         )
 
     def join_local_max(self, ctx: ActionContext, pid: ProcessId) -> bool:
@@ -123,12 +125,15 @@ class CC1Algorithm(CommitteeAlgorithmBase):
         cands = self.candidates(ctx, pid)
         if not cands:
             return False
-        leader_pointer = ctx.read(max(cands), POINTER)
-        return any(edge == leader_pointer and ctx.read(pid, POINTER) != edge for edge in free)
+        states = ctx.states
+        leader_pointer = states[max(cands)][POINTER]
+        return leader_pointer in free and states[pid][POINTER] != leader_pointer
 
-    @shared
     def leave_meeting(self, ctx: ActionContext, pid: ProcessId) -> bool:
-        """``LeaveMeeting(p) ≡ ∃ε ∈ E_p : (P_p = ε ∧ ∀q ∈ ε : (P_q = ε ⇒ S_q = done))``."""
+        """``LeaveMeeting(p) ≡ ∃ε ∈ E_p : (P_p = ε ∧ ∀q ∈ ε : (P_q = ε ⇒ S_q = done))``.
+
+        Most calls are its only one in a walk, so it is not memoized.
+        """
         states = ctx.states
         pointer = states[pid][POINTER]
         for edge in self._incident[pid]:
@@ -146,7 +151,7 @@ class CC1Algorithm(CommitteeAlgorithmBase):
         """``Useless(p) ≡ Token(p) ∧ [S_p = idle ∨ (S_p = looking ∧ FreeEdges_p = ∅)]``."""
         if not self.token.token(ctx, pid):
             return False
-        status = ctx.read(pid, STATUS)
+        status = ctx.states[pid][STATUS]
         if status == IDLE:
             return True
         return status == LOOKING and not self.free_edges(ctx, pid)
@@ -158,9 +163,9 @@ class CC1Algorithm(CommitteeAlgorithmBase):
         test it, and no status admits both, so a walk evaluates it at most
         once and it needs no memo.
         """
-        status = ctx.read(pid, STATUS)
-        pointer = ctx.read(pid, POINTER)
-        if status == IDLE and pointer is not None:
+        own = ctx.states[pid]
+        status = own[STATUS]
+        if status == IDLE and own[POINTER] is not None:
             return False
         if status == WAITING and not (self.ready(ctx, pid) or self.meeting(ctx, pid)):
             return False
@@ -176,7 +181,7 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Step1 : idle professor requests participation ---------------- #
         def step1_guard(ctx: ActionContext) -> bool:
-            return ctx.read(pid, STATUS) == IDLE and ctx.request_in()
+            return ctx.states[pid][STATUS] == IDLE and ctx.request_in()
 
         def step1_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, LOOKING)
@@ -202,7 +207,7 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Token1 : publish token ownership ------------------------------ #
         def token1_guard(ctx: ActionContext) -> bool:
-            return token.token(ctx, pid) != bool(ctx.read(pid, TOKEN_FLAG))
+            return token.token(ctx, pid) != bool(ctx.states[pid][TOKEN_FLAG])
 
         def token1_stmt(ctx: ActionContext) -> None:
             ctx.write(TOKEN_FLAG, token.token(ctx, pid))
@@ -217,14 +222,14 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Step31 : committee agreed, wait for the meeting ---------------- #
         def step31_guard(ctx: ActionContext) -> bool:
-            return ctx.read(pid, STATUS) == LOOKING and self.ready(ctx, pid)
+            return ctx.states[pid][STATUS] == LOOKING and self.ready(ctx, pid)
 
         def step31_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, WAITING)
 
         # -- Step32 : meeting convened, essential discussion ---------------- #
         def step32_guard(ctx: ActionContext) -> bool:
-            return ctx.read(pid, STATUS) == WAITING and self.meeting(ctx, pid)
+            return ctx.states[pid][STATUS] == WAITING and self.meeting(ctx, pid)
 
         def step32_stmt(ctx: ActionContext) -> None:
             ctx.environment.on_essential_discussion(pid)
@@ -243,13 +248,13 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Stab1 / Stab2 : snap-stabilization correction ------------------- #
         def stab1_guard(ctx: ActionContext) -> bool:
-            return ctx.read(pid, STATUS) == IDLE and not self.correct(ctx, pid)
+            return ctx.states[pid][STATUS] == IDLE and not self.correct(ctx, pid)
 
         def stab1_stmt(ctx: ActionContext) -> None:
             ctx.write(POINTER, None)
 
         def stab2_guard(ctx: ActionContext) -> bool:
-            return ctx.read(pid, STATUS) != IDLE and not self.correct(ctx, pid)
+            return ctx.states[pid][STATUS] != IDLE and not self.correct(ctx, pid)
 
         def stab2_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, LOOKING)

@@ -85,10 +85,13 @@ class CC2Algorithm(CommitteeAlgorithmBase):
             nodes.update(edge)
         return tuple(sorted(nodes))
 
-    @shared
     def t_pointing_edges(self, ctx: ActionContext, pid: ProcessId) -> Tuple[Hyperedge, ...]:
         """``TPointingEdges_p = {ε ∈ E_p | ∃q ∈ ε : (P_q = ε ∧ T_q ∧ S_q = looking)}``:
-        incident committees selected by a looking token holder."""
+        incident committees selected by a looking token holder.
+
+        The memoized ``Locked`` answers most guards that ask, and a walk
+        rarely derives this twice, so it is not memoized.
+        """
         states = ctx.states
         pointing = []
         for edge in self._incident[pid]:
@@ -99,7 +102,6 @@ class CC2Algorithm(CommitteeAlgorithmBase):
                     break
         return tuple(pointing)
 
-    @shared
     def t_pointing_nodes(self, ctx: ActionContext, pid: ProcessId) -> Tuple[ProcessId, ...]:
         nodes: set = set()
         for edge in self.t_pointing_edges(ctx, pid):
@@ -126,10 +128,12 @@ class CC2Algorithm(CommitteeAlgorithmBase):
         """``Locked(p) ≡ TPointingEdges_p ≠ ∅``."""
         return bool(self.t_pointing_edges(ctx, pid))
 
-    @shared
     def leave_meeting(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``LeaveMeeting(p) ≡ S_p = done ∧ ∃ε ∈ E_p : (P_p = ε ∧ ∀q ∈ ε : (P_q = ε ⇒ S_q ≠ waiting))``:
-        done, pointing at ``ε`` and no member of ``ε`` still waiting."""
+        done, pointing at ``ε`` and no member of ``ε`` still waiting.
+
+        Most calls are its only one in a walk, so it is not memoized.
+        """
         states = ctx.states
         own = states[pid]
         if own[STATUS] != DONE:
@@ -161,7 +165,7 @@ class CC2Algorithm(CommitteeAlgorithmBase):
         return (
             self.local_max(ctx, pid)
             and not self.ready(ctx, pid)
-            and ctx.read(pid, POINTER) not in free
+            and ctx.states[pid][POINTER] not in free
         )
 
     def join_local_max(self, ctx: ActionContext, pid: ProcessId) -> bool:
@@ -175,26 +179,29 @@ class CC2Algorithm(CommitteeAlgorithmBase):
         nodes = self.free_nodes(ctx, pid)
         if not nodes:
             return False
-        leader_pointer = ctx.read(max(nodes), POINTER)
-        return any(edge == leader_pointer and ctx.read(pid, POINTER) != edge for edge in free)
+        states = ctx.states
+        leader_pointer = states[max(nodes)][POINTER]
+        return leader_pointer in free and states[pid][POINTER] != leader_pointer
 
     def token_holder_to_edge(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``TokenHolderToEdge(p)``: the looking token holder must point at a target committee."""
+        own = ctx.states[pid]
         return (
             self.token.token(ctx, pid)
-            and ctx.read(pid, STATUS) == LOOKING
+            and own[STATUS] == LOOKING
             and not self.ready(ctx, pid)
-            and ctx.read(pid, POINTER) not in self.token_target_edges(ctx, pid)
+            and own[POINTER] not in self.token_target_edges(ctx, pid)
         )
 
     def join_token_holder(self, ctx: ActionContext, pid: ProcessId) -> bool:
         """``JoinTokenHolder(p)``: a locked looking process adopts the token holder's committee."""
+        own = ctx.states[pid]
         return (
             not self.token.token(ctx, pid)
-            and ctx.read(pid, STATUS) == LOOKING
+            and own[STATUS] == LOOKING
             and not self.ready(ctx, pid)
             and self.locked(ctx, pid)
-            and ctx.read(pid, POINTER) not in self.t_pointing_edges(ctx, pid)
+            and own[POINTER] not in self.t_pointing_edges(ctx, pid)
         )
 
     def correct(self, ctx: ActionContext, pid: ProcessId) -> bool:
@@ -203,7 +210,7 @@ class CC2Algorithm(CommitteeAlgorithmBase):
         Only ``Stab`` tests it, so a walk evaluates it at most once and it
         needs no memo.
         """
-        status = ctx.read(pid, STATUS)
+        status = ctx.states[pid][STATUS]
         if status == WAITING and not (self.ready(ctx, pid) or self.meeting(ctx, pid)):
             return False
         if status == DONE and not (self.meeting(ctx, pid) or self.leave_meeting(ctx, pid)):
@@ -248,7 +255,7 @@ class CC2Algorithm(CommitteeAlgorithmBase):
 
         # -- Lock : maintain the L flag ------------------------------------ #
         def lock_guard(ctx: ActionContext) -> bool:
-            return self.locked(ctx, pid) != bool(ctx.read(pid, LOCK_FLAG))
+            return self.locked(ctx, pid) != bool(ctx.states[pid][LOCK_FLAG])
 
         def lock_stmt(ctx: ActionContext) -> None:
             ctx.write(LOCK_FLAG, self.locked(ctx, pid))
@@ -289,21 +296,21 @@ class CC2Algorithm(CommitteeAlgorithmBase):
 
         # -- Token : publish token ownership --------------------------------- #
         def token_guard(ctx: ActionContext) -> bool:
-            return token.token(ctx, pid) != bool(ctx.read(pid, TOKEN_FLAG))
+            return token.token(ctx, pid) != bool(ctx.states[pid][TOKEN_FLAG])
 
         def token_stmt(ctx: ActionContext) -> None:
             ctx.write(TOKEN_FLAG, token.token(ctx, pid))
 
         # -- Step2 : committee agreed, wait for the meeting ------------------- #
         def step2_guard(ctx: ActionContext) -> bool:
-            return ctx.read(pid, STATUS) == LOOKING and self.ready(ctx, pid)
+            return ctx.states[pid][STATUS] == LOOKING and self.ready(ctx, pid)
 
         def step2_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, WAITING)
 
         # -- Step3 : meeting convened, essential discussion ------------------- #
         def step3_guard(ctx: ActionContext) -> bool:
-            return ctx.read(pid, STATUS) == WAITING and self.meeting(ctx, pid)
+            return ctx.states[pid][STATUS] == WAITING and self.meeting(ctx, pid)
 
         def step3_stmt(ctx: ActionContext) -> None:
             ctx.environment.on_essential_discussion(pid)

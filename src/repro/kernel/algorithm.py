@@ -32,7 +32,7 @@ coordination algorithms read the predicates ``RequestIn(p)`` and
 environment is exposed to guards and statements through the
 :class:`ActionContext`; its :meth:`Environment.observe` reports which
 processes' answers flipped (the environment delta), so the incremental
-engine refreshes only those between steps.
+engine re-evaluates only those, besides the processes a step wrote to.
 """
 
 from __future__ import annotations
@@ -80,9 +80,13 @@ class Environment:
         ``(request_in, request_out)`` answer on ``configuration`` may differ
         from its answer just before this call (extra processes are allowed,
         missing ones are not), or ``None`` when the environment cannot tell.
-        The incremental engine re-evaluates exactly these processes between
-        steps; on ``None`` it drops its cached enabled map, so the next step
-        sweeps every guard.
+
+        After a step, the incremental engine walks the guards of the dirty
+        processes the step did not move *before* this call (they must see
+        the answers the step saw), and those of the dirty processes it moved
+        right *after* it.  It re-evaluates the delta's other processes
+        before the next step.  On ``None`` it drops its cached enabled map
+        (and skips the movers' walk), so the next step sweeps every guard.
         """
         return None
 
@@ -103,9 +107,10 @@ class ActionContext:
 
     **The read protocol.**  ``states`` is the snapshot's row mapping
     ``pid -> {variable: value}``, taken once from the configuration's
-    ``states_view()``; it MUST NOT be mutated.  Hot macros index it directly
-    (``states[q][STATUS]``, no Python frame per read), and :meth:`read` and
-    :meth:`own` are the one-call forms over the same rows.  Every provider
+    ``states_view()``; it MUST NOT be mutated.  Guards and their macros
+    index it directly (``states[q][STATUS]``, no Python frame per read),
+    and :meth:`read` and :meth:`own` are the one-call forms over the same
+    rows, which statements use.  Every provider
     of a context's configuration implements just this mapping: a
     :class:`~repro.kernel.configuration.Configuration`, a batched lane view
     and a composed component's prefixing view.

@@ -22,18 +22,26 @@ Two execution engines are available (``engine=`` parameter):
     The reference engine: ``Enabled(γ)`` is recomputed from scratch before
     and after every step.
 ``"incremental"``
-    The post-step enabled map of step ``k`` is cached and reused as the
-    pre-step map of step ``k+1``.  Re-evaluation has exactly two inputs:
+    The post-step enabled map of step ``k`` is cached, updated in place and
+    reused as the pre-step map of step ``k+1``.  Re-evaluation has exactly
+    two inputs:
 
-    * after a step, the readers of the ``(writer, variable)`` pairs the step
-      wrote, from the reader map inverted at construction from
-      :meth:`~repro.kernel.algorithm.DistributedAlgorithm.read_dependency_variables`;
+    * after a step, the *dirty set*: the readers of the ``(writer,
+      variable)`` pairs the step wrote, from the reader map inverted at
+      construction from
+      :meth:`~repro.kernel.algorithm.DistributedAlgorithm.read_dependency_variables`.
+      The dirty processes the step did not move are walked before the
+      environment observes ``γ'``: only they can be neutralized or stay
+      owed a move in the round, so they see the answers the step saw.  The
+      dirty processes the step moved are walked once, right after
+      :meth:`~repro.kernel.algorithm.Environment.observe` returns, so
+      their entries already carry the answers the next step will see;
     * between steps, the processes whose request answers flipped: the
-      *environment delta* that
-      :meth:`~repro.kernel.algorithm.Environment.observe` returns, collected
-      over every ``observe`` since the last refresh (idle ticks included).
-      An environment that cannot tell returns ``None``, which drops the
-      cached map, so the next step sweeps every guard.
+      *environment delta* that ``observe`` returns, collected over every
+      ``observe`` since the last refresh (idle ticks included), less the
+      movers just walked.  An environment that cannot tell returns
+      ``None``, which drops the cached map (and skips the movers' walk), so
+      the next step sweeps every guard.
 
     Produces traces identical to the dense engine for any fixed seed.
 
@@ -73,7 +81,7 @@ own enabled-map cache is invalidated through the same
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.kernel.algorithm import ActionContext, DistributedAlgorithm, Environment
 from repro.kernel.configuration import Configuration, ProcessId
@@ -143,11 +151,12 @@ class Scheduler:
         initial configuration.  Pass an arbitrary configuration (see
         :mod:`repro.kernel.faults`) for stabilization experiments.
     record_configurations:
-        If ``False``, only the initial and current configurations are kept
-        (step metadata is always recorded); use for long throughput runs.
-        Such *sparse* traces cannot answer per-configuration queries
-        (``pairs``, ``variable_series``, ``waiting_spells`` — they raise or
-        degenerate); attach a streaming consumer via ``step_listener`` (e.g.
+        If ``False``, only the initial and current configurations and the
+        step counts are kept; use for long throughput runs.  Such *sparse*
+        traces cannot answer per-configuration queries (``configurations``,
+        ``steps``, ``pairs``, ``variable_series``, ``waiting_spells``, ...
+        raise :class:`ValueError`); attach a streaming consumer via
+        ``step_listener`` (e.g.
         :class:`~repro.metrics.collector.StreamingMetricsCollector`) to
         compute trace metrics online instead.
     engine:
@@ -292,6 +301,19 @@ class Scheduler:
         else:
             self._env_flips.update(flips)
 
+    def _walk(
+        self, pids: Iterable[ProcessId], configuration: Configuration, enabled_map: Dict[ProcessId, Any]
+    ) -> None:
+        """Re-evaluate ``pids`` against ``configuration``, into ``enabled_map``."""
+        environment, tables = self.environment, self._tables
+        enabled_action = self.algorithm.enabled_action
+        for pid in pids:
+            action = enabled_action(pid, configuration, environment, tables[pid])
+            if action is None:
+                enabled_map.pop(pid, None)
+            else:
+                enabled_map[pid] = action
+
     def _current_enabled(self) -> Dict[ProcessId, Any]:
         """The enabled map for the current configuration (cached if incremental)."""
         if self.engine == "dense":
@@ -300,19 +322,10 @@ class Scheduler:
         if cache is None:
             cache = self._enabled_cache = self._sweep(self.configuration)
             return cache
-        # The cache was computed before the environment observed the current
-        # configuration; refresh the processes whose request answers flipped
-        # since.
-        refresh = self._env_flips
-        if refresh:
-            configuration, environment, tables = self.configuration, self.environment, self._tables
-            enabled_action = self.algorithm.enabled_action
-            for pid in refresh:
-                action = enabled_action(pid, configuration, environment, tables[pid])
-                if action is None:
-                    cache.pop(pid, None)
-                else:
-                    cache[pid] = action
+        # Refresh the processes whose request answers flipped since the
+        # cache last saw the environment.
+        if self._env_flips:
+            self._walk(self._env_flips, self.configuration, cache)
             self._env_flips = set()
         return cache
 
@@ -321,32 +334,33 @@ class Scheduler:
         enabled_map: Dict[ProcessId, Any],
         writers: Dict[ProcessId, Dict[str, Any]],
         new_configuration: Configuration,
-    ) -> Dict[ProcessId, Any]:
-        """The enabled map of ``new_configuration`` (γ').
+        selected: FrozenSet[ProcessId],
+    ) -> Tuple[Dict[ProcessId, Any], Set[ProcessId]]:
+        """The enabled map of ``new_configuration`` (γ'), and the movers left to walk.
 
-        Dense engine: a full sweep.  Incremental engine: start from the
-        pre-step map and re-evaluate the dirty set, the union of the readers
-        of every ``(writer, variable)`` pair the step wrote.  For everyone
-        else neither the variables their guards read nor the environment
-        changed, so their enabledness is unchanged by construction.
+        Dense engine: a full sweep, and no mover is left.  Incremental
+        engine: update the pre-step map in place.  The dirty set is the
+        union of the readers of every ``(writer, variable)`` pair the step
+        wrote; for everyone else neither the variables their guards read
+        nor the environment changed, so their enabledness is unchanged by
+        construction.  The dirty processes outside ``selected`` are walked
+        here.  The movers, the dirty processes in ``selected``, are
+        returned for :meth:`step` to walk once the environment has
+        observed γ'; until then their entries are stale, which the step's
+        bookkeeping never reads (a mover is never neutralized, and it
+        leaves the round's pending set before the map is consulted).
         """
         if self.engine == "dense":
-            return self._sweep(new_configuration)
-        after = dict(enabled_map)
+            return self._sweep(new_configuration), set()
         dirty: Set[ProcessId] = set()
         readers = self._readers
         for writer, written in writers.items():
             for name in written:
                 dirty.update(readers[writer, name])
-        environment, tables = self.environment, self._tables
-        enabled_action = self.algorithm.enabled_action
-        for pid in dirty:
-            action = enabled_action(pid, new_configuration, environment, tables[pid])
-            if action is None:
-                after.pop(pid, None)
-            else:
-                after[pid] = action
-        return after
+        movers = dirty & selected
+        dirty -= selected
+        self._walk(dirty, new_configuration, enabled_map)
+        return enabled_map, movers
 
     def step(self) -> Optional[StepRecord]:
         """Execute one step; returns ``None`` if the configuration is terminal."""
@@ -354,11 +368,12 @@ class Scheduler:
         if not enabled_map:
             return None
         enabled_ids = tuple(sorted(enabled_map))
+        enabled_before = frozenset(enabled_map)
 
         if self._round_pending is None:
             # A new round starts: it must see the activation or
             # neutralization of every process enabled right now.
-            self._round_pending = set(enabled_ids)
+            self._round_pending = set(enabled_before)
 
         selected = self.daemon.select(enabled_ids, self.configuration, self.step_index)
         selected = frozenset(p for p in selected if p in enabled_map)
@@ -383,19 +398,16 @@ class Scheduler:
         new_configuration = self.configuration.updated(writes)
 
         # Neutralization: enabled before, not selected, not enabled after.
-        enabled_after_map = self._enabled_after_step(enabled_map, writes, new_configuration)
-        enabled_after = set(enabled_after_map)
-        neutralized = frozenset(
-            pid
-            for pid in enabled_ids
-            if pid not in selected and pid not in enabled_after
+        enabled_after_map, movers = self._enabled_after_step(
+            enabled_map, writes, new_configuration, selected
         )
+        neutralized = (enabled_before - selected).difference(enabled_after_map)
 
         record = StepRecord(
             index=self.step_index,
-            selected=frozenset(selected),
+            selected=selected,
             executed=executed,
-            enabled_before=frozenset(enabled_ids),
+            enabled_before=enabled_before,
             neutralized=neutralized,
             round_index=self.round_index,
             delta=StepDelta(
@@ -409,28 +421,29 @@ class Scheduler:
         )
 
         # Advance round bookkeeping *after* stamping the record: the step is
-        # part of the round it completes.
-        self._round_pending -= set(selected)
-        self._round_pending -= set(neutralized)
-        # Processes that are simply no longer enabled (e.g. their guard went
-        # false because a neighbour moved) also stop being owed a move.
-        self._round_pending &= enabled_after | set(selected)
-        if not self._round_pending:
+        # part of the round it completes.  The movers leave first; of the
+        # rest, a process that is no longer enabled (neutralized, or its
+        # guard went false because a neighbour moved) stops being owed a
+        # move.
+        pending = self._round_pending
+        pending -= selected
+        pending.intersection_update(enabled_after_map)
+        if not pending:
             self.round_index += 1
             self._round_pending = None
 
         self.configuration = new_configuration
-        if self.engine == "incremental":
-            # γ''s enabled map becomes the next step's pre-step map; the
-            # environment drift from the ``observe`` below is folded in by
-            # ``_current_enabled`` at the start of the next step.
-            self._enabled_cache = enabled_after_map
         if self.record_configurations:
             self.trace.append(new_configuration, record)
         else:
             self.trace.append_sparse(new_configuration, record)
         self.step_index += 1
         self._observe(new_configuration, record.index)
+        if movers and self._enabled_cache is not None:
+            # γ''s map becomes the next step's pre-step map: the movers see
+            # the answers ``observe`` just settled, so their flips are moot.
+            self._walk(movers, new_configuration, self._enabled_cache)
+            self._env_flips -= movers
         # Every listener sees every committed step, even when one of them
         # stops the run: capture the first StopRun, keep notifying the rest
         # (their state must stay in sync with the trace), then re-raise.
@@ -478,8 +491,14 @@ class Scheduler:
         injector corrupts the configuration (via
         :meth:`~repro.kernel.faults.FaultInjector.corrupt_scheduler`) before
         step ``k`` whenever ``k > 0`` and ``k % fault_every == 0`` — never
-        before the first step and never after the last one.
+        before the first step and never after the last one.  An injector
+        needs ``fault_every >= 1``; anything else raises :class:`ValueError`
+        before the first step.
         """
+        if injector is not None and fault_every < 1:
+            raise ValueError(
+                f"fault_every must be >= 1 when an injector is given, got {fault_every!r}"
+            )
         stop_reason = "max_steps"
         terminated = False
         while self.step_index < max_steps:

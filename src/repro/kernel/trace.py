@@ -112,8 +112,9 @@ class Trace:
     The sparse contract is counts, not records: ``length``, ``rounds``,
     ``action_counts()``, ``initial`` and ``final`` are exact, while the
     intermediate configurations and the :class:`StepRecord` objects are
-    dropped.  ``steps``, ``pairs``, ``executions_of`` and every dense
-    consumer of the configuration sequence (the dense spec checkers,
+    dropped.  ``configurations``, ``steps``, ``pairs``, ``executions_of``,
+    ``variable_series``, ``len()``, iteration and every dense consumer of
+    the configuration sequence (the dense spec checkers,
     ``waiting_spells``, ...) call :meth:`require_dense` and raise; such
     consumers attach a step listener (a streaming collector, spec suite or
     recorder) to the scheduler while the run happens instead.
@@ -187,7 +188,8 @@ class Trace:
 
     @property
     def configurations(self) -> Sequence[Configuration]:
-        """All recorded configurations (only the initial one when sparse)."""
+        """Every configuration ``γ0 .. γn`` (dense traces only)."""
+        self.require_dense("Trace.configurations")
         return tuple(self._configurations)
 
     @property
@@ -207,10 +209,18 @@ class Trace:
         return self._rounds
 
     def __iter__(self) -> Iterator[Configuration]:
+        self.require_dense("Trace.__iter__")
         return iter(self._configurations)
 
     def __len__(self) -> int:
+        """The number of configurations, ``length + 1`` (dense traces only)."""
+        self.require_dense("Trace.__len__")
         return len(self._configurations)
+
+    def __bool__(self) -> bool:
+        # Every trace holds at least its initial configuration; without this
+        # a sparse trace's truth value would go through ``__len__``.
+        return True
 
     # ------------------------------------------------------------------ #
     # queries used by the spec checkers
@@ -237,4 +247,5 @@ class Trace:
 
     def variable_series(self, pid: ProcessId, variable: str) -> List[Any]:
         """The successive values of one variable (dense traces only)."""
+        self.require_dense("Trace.variable_series")
         return [cfg.get(pid, variable) for cfg in self._configurations]

@@ -41,9 +41,13 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.kernel.algorithm import Action, ActionContext, DistributedAlgorithm
 from repro.kernel.configuration import ProcessId
-from repro.tokenring.interfaces import Rows, TokenModule
+from repro.tokenring.interfaces import PrefixedNames, Rows, TokenModule
 
 COUNTER = "c"
+
+
+#: The counter's row name under each prefix.
+_COUNTER_NAMES = PrefixedNames(COUNTER)
 
 
 class DijkstraRingToken(TokenModule):
@@ -123,8 +127,8 @@ class DijkstraRingToken(TokenModule):
 
     def holds_token(self, states: Rows, prefix: str, pid: ProcessId) -> bool:
         # A missing (or ``None``) counter reads as 0.
-        own = states[pid].get(prefix + COUNTER)
-        pred = states[self._pred[pid]].get(prefix + COUNTER)
+        own = states[pid].get(_COUNTER_NAMES[prefix])
+        pred = states[self._pred[pid]].get(_COUNTER_NAMES[prefix])
         if own is None:
             own = 0
         if pred is None:

@@ -34,6 +34,26 @@ from repro.kernel.configuration import ProcessId
 Rows = Mapping[ProcessId, Mapping[str, Any]]
 
 
+class PrefixedNames(dict):
+    """``prefix -> prefix + name`` for one variable ``name``, each built on first use.
+
+    A module that keeps ``TABLE = PrefixedNames(VAR)`` looks ``TABLE[prefix]``
+    up instead of building ``prefix + VAR`` on every ``Token(p)`` call.
+    repro-lint reads ``TABLE[prefix]`` as naming ``VAR``, as it reads
+    ``prefix + VAR``.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, prefix: str) -> str:
+        value = self[prefix] = prefix + self.name
+        return value
+
+
 class TokenModule(abc.ABC):
     """Abstract self-stabilizing token circulation (Property 1)."""
 

@@ -34,3 +34,11 @@ def run_by_hand(scheduler, max_steps):
     while scheduler.step_index < max_steps:
         if scheduler.step() is None:  # expect: RL403
             break
+
+
+def walk_by_hand(algorithm, pid, ctx):
+    """A hand-written guard walk outside the kernel."""
+    for action in reversed(algorithm.actions(pid)):
+        if action.guard(ctx):  # expect: RL404
+            return action
+    return None

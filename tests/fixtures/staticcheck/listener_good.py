@@ -40,3 +40,8 @@ class DelegatingListener:
 def run_through_the_loop(scheduler, injector, max_steps):
     """Steps only through Scheduler.run, which owns the fault schedule."""
     return scheduler.run(max_steps=max_steps, injector=injector, fault_every=10)
+
+
+def walk_through_the_kernel(algorithm, pid, configuration, environment):
+    """Asks the one guard entry point, which walks the action table."""
+    return algorithm.enabled_action(pid, configuration, environment)

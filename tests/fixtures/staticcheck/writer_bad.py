@@ -65,6 +65,14 @@ class TokenModule:
 COUNTER = "c"
 
 
+class PrefixedNames(dict):
+    """Stand-in for repro.tokenring.interfaces.PrefixedNames."""
+
+
+_COUNTER_NAMES = PrefixedNames(COUNTER)
+_POINTER_NAMES = PrefixedNames(POINTER)
+
+
 class UndeclaredTokenReader(TokenModule):
     """A row-based ``Token(p)`` reading a predecessor variable it does not declare."""
 
@@ -79,7 +87,9 @@ class UndeclaredTokenReader(TokenModule):
         pred_row = states[self._pred[pid]]
         pred = pred_row.get(prefix + COUNTER)  # ok: declared
         marked = states[self._pred[pid]].get(prefix + POINTER)  # expect: RL202
-        return own != pred and marked is None
+        cached = states[self._pred[pid]].get(_COUNTER_NAMES[prefix])  # ok: declared, via the table
+        pointed = states[self._pred[pid]].get(_POINTER_NAMES[prefix])  # expect: RL202
+        return own != pred and marked is None and cached == pred and pointed is None
 
     def release_token(self, ctx, prefix):
         ctx.write(prefix + COUNTER, ctx.states[self._pred[ctx.pid]].get(prefix + COUNTER))  # ok: declared

@@ -13,6 +13,8 @@ Covers
   namespaced contexts start with a memo of their own;
 * the environment delta: every request-answer flip is reported, and the
   refresh it drives is invisible next to the ``None`` fallback;
+* the cached map: before every step it equals a full sweep, and a step's
+  movers are walked once, after the environment observes them;
 * a finished run being freed by reference counting alone;
 * copy-on-write ``Configuration.updated``;
 * ``Scheduler.run`` evaluating ``stop_predicate`` on idle ticks;
@@ -60,6 +62,7 @@ from repro.workloads.request_models import (
     ProbabilisticRequestEnvironment,
     ScriptedEnvironment,
     SelectiveInfiniteMeetingEnvironment,
+    environment_from_spec,
 )
 
 
@@ -180,20 +183,21 @@ class TestGuardPurity:
 
 #: The ``shared`` predicates of each algorithm; every binding adds ``token``.
 SHARED_PREDICATES = {
-    "cc1": (
-        "ready", "meeting", "free_edges", "free_nodes", "candidates",
-        "local_max", "leave_meeting",
-    ),
-    "cc2": (
-        "ready", "meeting", "free_edges", "free_nodes", "t_pointing_edges",
-        "t_pointing_nodes", "locked", "local_max", "leave_meeting",
-    ),
+    "cc1": ("ready", "free_edges", "candidates", "local_max"),
+    "cc2": ("ready", "free_edges", "free_nodes", "locked", "local_max"),
 }
 SHARED_PREDICATES["cc3"] = SHARED_PREDICATES["cc2"]
-#: Every predicate checked against its formula: the shared ones, ``token``,
-#: and ``correct``, which a walk evaluates at most once and so runs unwrapped.
+#: The predicates that run unwrapped: ``correct``, which a walk evaluates at
+#: most once, and the macros a walk seldom derives twice.
+UNSHARED_PREDICATES = {
+    "cc1": ("meeting", "free_nodes", "leave_meeting", "correct"),
+    "cc2": ("meeting", "t_pointing_edges", "t_pointing_nodes", "leave_meeting", "correct"),
+}
+UNSHARED_PREDICATES["cc3"] = UNSHARED_PREDICATES["cc2"]
+#: Every predicate checked against its formula: the shared ones, ``token``
+#: and the unwrapped ones.
 CHECKED_PREDICATES = {
-    name: shared_names + ("token", "correct")
+    name: shared_names + ("token",) + UNSHARED_PREDICATES[name]
     for name, shared_names in SHARED_PREDICATES.items()
 }
 
@@ -580,6 +584,79 @@ class TestEnvironmentDelta:
         ):
             assert tuple(delta.trace.steps) == tuple(reference.trace.steps)
             assert delta.configuration == reference.configuration
+
+
+class TestCachedMapIsAFullSweep:
+    """Before every step the incremental engine's cached map is a full sweep,
+    and movers are walked once, after the environment observes them."""
+
+    #: ``(environment spec, discussion steps)``.
+    ENVIRONMENTS = (("always", 1), ("always", 3), ("probabilistic:0.5", 1), ("bursty:5:3", 1))
+
+    @staticmethod
+    def _labels(enabled_map):
+        return {pid: action.label for pid, action in enabled_map.items()}
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("spec,discussion", ENVIRONMENTS)
+    @pytest.mark.parametrize("arbitrary", (False, True), ids=("clean", "arbitrary"))
+    @pytest.mark.parametrize("faults", (False, True), ids=("no-faults", "faults"))
+    def test_map_before_every_step(self, algorithm, spec, discussion, arbitrary, faults):
+        # Under ``always`` with one step of discussion every flip belongs to
+        # a process the step moved (a fault burst would flip others).
+        only_mover_flips = spec == "always" and discussion == 1 and not faults
+        for seed in (1, 2):
+            algo = CommitteeCoordinator(
+                figure1_hypergraph(), algorithm=algorithm, token="tree", seed=seed
+            ).algorithm
+            environment = environment_from_spec(spec, discussion, seed=seed)
+            daemon = default_daemon(seed=seed)
+            walks, marks, flips, checked = [0], {"end": 0}, [0], [0]
+            scheduler = Scheduler(
+                algo,
+                environment=environment,
+                daemon=daemon,
+                initial_configuration=(
+                    algo.arbitrary_configuration(random.Random(seed)) if arbitrary else None
+                ),
+                step_listener=lambda configuration, record: marks.__setitem__("end", walks[0]),
+            )
+            plain_action = algo.enabled_action
+            plain_observe = environment.observe
+            plain_current = scheduler._current_enabled
+            plain_select = daemon.select
+
+            def counted_action(*args):
+                walks[0] += 1
+                return plain_action(*args)
+
+            def counted_observe(configuration, step_index):
+                delta = plain_observe(configuration, step_index)
+                flips[0] += len(delta)
+                return delta
+
+            def current():
+                marks["map"] = plain_current()
+                return marks["map"]
+
+            def select(enabled_ids, configuration, step_index):
+                if only_mover_flips and step_index > 0:
+                    assert walks[0] == marks["end"], (seed, step_index)
+                reference = algo.enabled_processes(configuration, environment)
+                assert self._labels(marks["map"]) == self._labels(reference), (seed, step_index)
+                checked[0] += 1
+                return plain_select(enabled_ids, configuration, step_index)
+
+            # Each is looked up at call time, so the run goes through them.
+            algo.enabled_action = counted_action
+            environment.observe = counted_observe
+            scheduler._current_enabled = current
+            daemon.select = select
+            injector = FaultInjector(algo, fraction=0.5, seed=seed + 1) if faults else None
+            scheduler.run(max_steps=60, injector=injector, fault_every=7)
+            assert checked[0] == scheduler.trace.length > 0
+            if only_mover_flips:
+                assert flips[0] > 0
 
 
 def test_finished_run_is_freed_by_reference_counting():

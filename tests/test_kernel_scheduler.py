@@ -6,9 +6,12 @@ from typing import Any, Dict, Sequence, Tuple
 
 import pytest
 
+from repro.core.runner import CommitteeCoordinator
+from repro.hypergraph.generators import figure1_hypergraph
 from repro.kernel.algorithm import Action, ActionContext, DistributedAlgorithm, Environment
 from repro.kernel.configuration import Configuration
 from repro.kernel.daemon import CentralDaemon, SynchronousDaemon, default_daemon
+from repro.kernel.faults import FaultInjector
 from repro.kernel.scheduler import Scheduler
 
 
@@ -146,8 +149,31 @@ class TestTraceRecording:
             CountUpAlgorithm(2, 3), daemon=SynchronousDaemon(), record_configurations=False
         )
         result = scheduler.run(max_steps=100)
-        assert len(result.trace.configurations) == 1  # only the initial one kept densely
+        # Only the initial and final configurations are kept, so the
+        # sequence is not there to answer.
+        with pytest.raises(ValueError, match="Trace.configurations needs a densely recorded trace"):
+            result.trace.configurations
         assert result.trace.final.get(1, "c") == 3
+
+    def test_sparse_trace_refuses_every_configuration_query(self):
+        outcome = CommitteeCoordinator(figure1_hypergraph(), seed=1).run(
+            max_steps=300, record_configurations=False
+        )
+        trace = outcome.trace
+        assert trace.length == 300
+        for name, query in (
+            ("Trace.__len__", lambda: len(trace)),
+            ("Trace.__iter__", lambda: iter(trace)),
+            ("Trace.configurations", lambda: trace.configurations),
+            ("Trace.variable_series", lambda: trace.variable_series(1, "S")),
+        ):
+            with pytest.raises(ValueError, match=f"{name} needs a densely recorded trace"):
+                query()
+        assert trace  # a trace's truth value does not go through len()
+        dense = CommitteeCoordinator(figure1_hypergraph(), seed=1).run(max_steps=300).trace
+        assert len(dense) == len(dense.configurations) == dense.length + 1 == 301
+        assert len(dense.variable_series(1, "S")) == 301
+        assert dense.final == trace.final
 
     def test_executed_action_labels(self):
         scheduler = Scheduler(CountUpAlgorithm(1, 2), daemon=SynchronousDaemon())
@@ -164,6 +190,28 @@ class TestTraceRecording:
         scheduler = Scheduler(CountUpAlgorithm(1, 3), daemon=SynchronousDaemon())
         result = scheduler.run(max_steps=10)
         assert result.trace.variable_series(1, "c") == [0, 1, 2, 3]
+
+
+class TestFaultSchedule:
+    @pytest.mark.parametrize("fault_every", (0, -3))
+    def test_injector_needs_a_positive_period(self, fault_every):
+        coordinator = CommitteeCoordinator(figure1_hypergraph(), seed=1)
+        injector = FaultInjector(coordinator.algorithm, fraction=0.3, seed=2)
+        with pytest.raises(ValueError, match="fault_every must be >= 1"):
+            coordinator.run(max_steps=50, injector=injector, fault_every=fault_every)
+        # The check runs before the first step.
+        scheduler = Scheduler(coordinator.algorithm, daemon=default_daemon(seed=1))
+        with pytest.raises(ValueError, match="fault_every"):
+            scheduler.run(max_steps=50, injector=injector, fault_every=fault_every)
+        assert scheduler.step_index == 0 and scheduler.trace.length == 0
+
+    def test_positive_period_and_no_injector_run(self):
+        coordinator = CommitteeCoordinator(figure1_hypergraph(), seed=1)
+        injector = FaultInjector(coordinator.algorithm, fraction=0.3, seed=2)
+        assert coordinator.run(max_steps=50, injector=injector, fault_every=7).steps == 50
+        # Without an injector the period is never read.
+        assert coordinator.run(max_steps=50, fault_every=0).steps == 50
+        assert coordinator.run(max_steps=50, fault_every=-3).steps == 50
 
 
 class TestEnvironmentHook:

@@ -1,10 +1,12 @@
 """RL4xx — scheduler listener / observer protocol conformance.
 
 Scheduler step listeners (``observe_step(configuration, record)`` methods
-attached via ``step_listener=``) run *inside* the scheduler loop, and
-``Scheduler.run`` is the one loop that steps a run.  The contract
-(docs/ARCHITECTURE.md, "observer protocol" and "one run loop") has three
-load-bearing clauses this pass checks statically:
+attached via ``step_listener=``) run *inside* the scheduler loop,
+``Scheduler.run`` is the one loop that steps a run, and
+``DistributedAlgorithm.enabled_action`` is the one entry point that walks
+guards.  The contract (docs/ARCHITECTURE.md, "observer protocol", "one run
+loop" and "action tables") has four load-bearing clauses this pass checks
+statically:
 
 ========  ==================================================================
 RL401     ``observe_step`` may raise only :class:`repro.kernel.StopRun` (or
@@ -19,6 +21,10 @@ RL402     an epoch-sensitive listener: ``observe_step`` consumes the
 RL403     a ``.step()`` call outside ``repro/kernel/scheduler.py``: a
           hand-written run loop, which skips ``Scheduler.run``'s fault
           schedule, stop predicate, idle ticks and ``StopRun`` handling
+RL404     a ``.guard(`` call outside ``repro/kernel/algorithm.py`` and
+          ``repro/kernel/composition.py``: a hand-written guard walk, which
+          skips the status-keyed action tables and ``enabled_action``, the
+          one entry point a tracer counts
 ========  ==================================================================
 
 RL401 resolves raised names through the project class index, so a local
@@ -27,8 +33,9 @@ anything; a bare ``raise`` (re-raise inside ``except``) is always fine.
 RL402 accepts either ``epoch`` bookkeeping in the class body or passing the
 delta onward as a call argument (delegation to ``MeetingEventStream``-style
 helpers, which own the epoch resync).  RL403 matches any argument-free
-``.step()`` call by name; tests and benchmarks are out of scope and may keep
-their own reference loops.
+``.step()`` call by name and RL404 any ``.guard(...)`` call; tests and
+benchmarks are out of scope and may keep their own reference loops and
+walks.
 """
 
 from __future__ import annotations
@@ -49,12 +56,17 @@ CODES: Dict[str, str] = {
     "RL401": "observe_step raises a non-StopRun exception inside the scheduler loop",
     "RL402": "delta-consuming listener has no epoch handling and does not delegate",
     "RL403": "a .step() call outside repro/kernel/scheduler.py (a hand-written run loop)",
+    "RL404": "a .guard( call outside repro/kernel/algorithm.py and composition.py (a hand-written guard walk)",
 }
 
 LISTENER_METHOD = "observe_step"
 
 #: The one module whose loop may call ``Scheduler.step()``.
 RUN_LOOP_FILE = "repro/kernel/scheduler.py"
+
+#: The modules that may call an action's guard: ``enabled_action`` (and
+#: ``Action.enabled``) and the namespacing wrapper of a composed action.
+GUARD_WALK_FILES = ("repro/kernel/algorithm.py", "repro/kernel/composition.py")
 
 
 class ListenerProtocolPass:
@@ -74,6 +86,8 @@ class ListenerProtocolPass:
                 file_diags.extend(self._check_epoch_handling(source, cls, method))
             if not source.rel.endswith(RUN_LOOP_FILE):
                 file_diags.extend(self._check_step_calls(source))
+            if not source.rel.endswith(GUARD_WALK_FILES):
+                file_diags.extend(self._check_guard_calls(source))
             diagnostics.extend(apply_suppressions(file_diags, source.suppressions))
         return diagnostics
 
@@ -219,4 +233,25 @@ class ListenerProtocolPass:
             and node.func.attr == "step"
             and not node.args
             and not node.keywords
+        ]
+
+    # ------------------------------------------------------------------ #
+    # RL404
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def _check_guard_calls(source: SourceFile) -> List[Diagnostic]:
+        return [
+            Diagnostic(
+                source.rel,
+                node.lineno,
+                "RL404",
+                "a .guard( call outside repro/kernel/algorithm.py and "
+                "repro/kernel/composition.py is a hand-written guard walk; call "
+                "DistributedAlgorithm.enabled_action (it walks the status-keyed "
+                "action table, and it is the one entry point a tracer counts)",
+            )
+            for node in ast.walk(source.tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "guard"
         ]

@@ -210,6 +210,11 @@ class Project:
                     return self.resolve_str(value_source, value, (_seen or set()) | {node.id})
         return None
 
+    def resolve_constant(self, source: SourceFile, name: str) -> Optional[Tuple[SourceFile, ast.expr]]:
+        """The module-level value bound to ``name`` (chased through imports),
+        with the file that binds it, or ``None``."""
+        return self._resolve_name(source, name, set())
+
     def resolve_str_tuple(self, source: SourceFile, node: ast.expr) -> Optional[Tuple[str, ...]]:
         """``("S", "P")`` from a tuple/list of resolvable strings, or a named constant."""
         if isinstance(node, ast.Name):

@@ -55,6 +55,10 @@ STATE_LAYOUT_METHODS = ("own_initial_state", "initial_variables", "initial_state
 #: Methods read-dependency tuples are harvested from.
 DECLARATION_METHODS = ("read_dependency_variables",)
 
+#: The table type whose ``TABLE[prefix]`` entries name the variable it was
+#: built from (``repro.tokenring.interfaces.PrefixedNames``).
+PREFIXED_NAMES = "PrefixedNames"
+
 CODES: Dict[str, str] = {
     "RL201": "statement writes an undeclared state variable",
     "RL202": "guard reads an undeclared variable of another process",
@@ -298,11 +302,26 @@ class WriterSetConformancePass:
 
     @staticmethod
     def _variable(project: Project, source: SourceFile, node: ast.expr) -> Optional[str]:
-        """The variable a read or write names: a resolvable constant, or
+        """The variable a read or write names: a resolvable constant,
         ``<prefix> + CONST`` (a token module's names under the composition's
-        prefix), which names ``CONST``."""
+        prefix), which names ``CONST``, or ``TABLE[<prefix>]`` where the
+        module-level ``TABLE = PrefixedNames(CONST)`` caches those names,
+        which names ``CONST`` too."""
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
             return project.resolve_str(source, node.right)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
+            resolved = project.resolve_constant(source, node.value.id)
+            if resolved is None:
+                return None
+            table_source, table = resolved
+            if (
+                isinstance(table, ast.Call)
+                and isinstance(table.func, ast.Name)
+                and table.func.id == PREFIXED_NAMES
+                and len(table.args) == 1
+            ):
+                return project.resolve_str(table_source, table.args[0])
+            return None
         return project.resolve_str(source, node)
 
     @staticmethod
