@@ -17,19 +17,18 @@ for), so campaign outputs diff cleanly across commits.
 
 Rows are also **crash-safe**: the driver hands every row to an optional
 :class:`~repro.campaign.sinks.RowSink` in completion order the moment its
-job finishes (line-buffered JSONL file, acked collector socket, in-memory
-buffer), worker exceptions become ``status="error"`` rows instead of
-killing the pool, :mod:`repro.campaign.resume` re-ingests a partial JSONL
-stream so ``repro-cc campaign --resume`` executes only the missing jobs,
-and :mod:`repro.campaign.adaptive` re-expands cells whose verdicts
-disagree across seeds with fresh seeds.
+job finishes (line-buffered JSONL file, in-memory buffer), worker
+exceptions become ``status="error"`` rows instead of killing the pool,
+:mod:`repro.campaign.resume` re-ingests a partial JSONL stream so
+``repro-cc campaign --resume`` executes only the missing jobs, and
+:mod:`repro.campaign.adaptive` re-expands cells whose verdicts disagree
+across seeds with fresh seeds.
 
-And campaigns **shard across machines**: :mod:`repro.campaign.shard` adds a
-collector service (``repro-cc collect``) that hands out job ranges over the
-NDJSON socket protocol, collects acked rows from many shard processes
-(``repro-cc campaign --collector``), re-dispatches a dead shard's range via
-the resume machinery, and merges everything into one campaign file that is
-byte-identical to a local ``--jobs 1`` run.
+And campaigns **shard across machines** as files: each machine runs one
+static slice (:func:`~repro.campaign.driver.shard_slice`, ``repro-cc
+campaign --shard I/N --out part-I.jsonl``), and ``--resume`` over the
+concatenated slice files executes whatever no slice finished and rewrites
+the whole in job order — byte-identical to a local ``--jobs 1`` run.
 
 And rows are **cacheable**: :mod:`repro.campaign.store` adds a
 content-addressed run cache (rows are pure functions of their jobs, so a
@@ -44,20 +43,18 @@ And every campaign runs through **one layered pipeline**:
 :class:`~repro.campaign.driver.CampaignPlan` (matrix expansion + resume
 reconciliation + cache probe), an :class:`~repro.campaign.driver.Executor`
 (:class:`~repro.campaign.driver.SerialExecutor` /
-:class:`~repro.campaign.driver.PoolExecutor` /
-:class:`~repro.campaign.driver.ShardExecutor`), a
+:class:`~repro.campaign.driver.PoolExecutor`), a
 :class:`~repro.campaign.driver.RowCollector` fan-out and a
-:class:`~repro.campaign.driver.Finalizer` — for the CLI, the shard client
-and library callers alike::
+:class:`~repro.campaign.driver.Finalizer` — for the CLI and library
+callers alike::
 
     result = CampaignDriver(spec, jobs=4).execute()
 
 Layers: ``matrix`` (the declarative spec and its expansion), ``jobs`` (the
 picklable run job + the spawn-safe worker entry point), ``driver`` (the
 plan → dispatch → collect → finalize stages), ``sinks``/``resume``/
-``adaptive``/``store`` (the persistence layer), ``shard`` (the distribution
-layer).  The CLI front end is ``repro-cc campaign`` / ``repro-cc collect``
-/ ``repro-cc stats``.
+``adaptive``/``store`` (the persistence layer).  The CLI front end is
+``repro-cc campaign`` / ``repro-cc stats``.
 """
 
 from repro.campaign.adaptive import disagreement_cells, rerun_jobs
@@ -72,7 +69,6 @@ from repro.campaign.driver import (
     PoolExecutor,
     RowCollector,
     SerialExecutor,
-    ShardExecutor,
     shard_slice,
 )
 from repro.campaign.jobs import JobResult, RunJob, error_result, execute_job
@@ -87,26 +83,7 @@ from repro.campaign.resume import (
     validate_row_matches_job,
     validate_rows_match_jobs,
 )
-from repro.campaign.shard import (
-    CONTROL_SCHEMAS,
-    Collector,
-    CollectorState,
-    ShardRecord,
-    control_message,
-    hello_message,
-    matrix_fingerprint,
-    validate_control,
-)
-from repro.campaign.sinks import (
-    AckingSocketSink,
-    BufferedSink,
-    JsonlSink,
-    RowSink,
-    ShardProtocolError,
-    TeeSink,
-    parse_address,
-    write_lines_atomic,
-)
+from repro.campaign.sinks import BufferedSink, JsonlSink, RowSink, write_lines_atomic
 from repro.campaign.store import (
     CACHE_KEY_ATTRS,
     CellStats,
@@ -122,18 +99,14 @@ from repro.campaign.store import (
 SPAWN_ENTRY_POINTS = ("repro.campaign.jobs.execute_job",)
 
 __all__ = [
-    "AckingSocketSink",
     "BufferedSink",
     "CACHE_KEY_ATTRS",
-    "CONTROL_SCHEMAS",
     "CampaignDriver",
     "CampaignOutcome",
     "CampaignPlan",
     "CampaignResult",
     "CampaignSpec",
     "CellStats",
-    "Collector",
-    "CollectorState",
     "Executor",
     "FaultSchedule",
     "Finalizer",
@@ -147,22 +120,14 @@ __all__ = [
     "RunJob",
     "SPAWN_ENTRY_POINTS",
     "SerialExecutor",
-    "ShardExecutor",
-    "ShardProtocolError",
-    "ShardRecord",
-    "TeeSink",
     "as_job_result",
-    "control_message",
     "disagreement_cells",
     "error_result",
     "execute_job",
     "execute_job_group",
     "expand_jobs",
     "group_jobs",
-    "hello_message",
-    "matrix_fingerprint",
     "merge_results",
-    "parse_address",
     "read_rows",
     "reconcile_extra_rows",
     "remaining_jobs",
@@ -170,7 +135,6 @@ __all__ = [
     "run_cache_key",
     "run_cache_key_for_row",
     "shard_slice",
-    "validate_control",
     "validate_row_matches_job",
     "validate_rows_match_jobs",
     "write_lines_atomic",

@@ -13,9 +13,10 @@ Row identity is the whole point: each lane's :class:`JobResult` is assembled
 by the same :func:`~repro.campaign.jobs.completed_row` helper the solo path
 uses, fed by the same streaming spec suite (one observer per lane), over a
 step-record stream the lane contract guarantees is identical to the solo
-run's.  Sinks, ``--resume`` and the shard collector therefore see rows that
-are byte-identical whether a cell was executed batched, solo, or split
-across batches.
+run's.  Sinks and ``--resume`` therefore see rows that are byte-identical
+whether a cell was executed batched, solo, or split across batches (a
+``--shard`` boundary or a resumed partial file may cut a seed sweep
+anywhere).
 
 Fallback is total: if the scenario is outside the batched engine's coverage
 (:class:`~repro.kernel.batched.BatchedUnsupported` — probabilistic

@@ -1,8 +1,8 @@
 """The layered campaign driver: plan → dispatch → collect → finalize.
 
-Every frontend that runs campaigns — the ``repro-cc campaign`` CLI, the
-shard client feeding a ``collect`` service, a notebook — builds one
-:class:`CampaignDriver`, which drives the same four stages:
+Every frontend that runs campaigns — the ``repro-cc campaign`` CLI, a
+notebook — builds one :class:`CampaignDriver`, which drives the same four
+stages:
 
 * :class:`CampaignPlan` — matrix expansion, resume reconciliation (prior
   rows split into in-matrix and re-run-appendix parts), static shard
@@ -10,11 +10,10 @@ shard client feeding a ``collect`` service, a notebook — builds one
   outputs are ``cached_results`` (hits, in job order) and ``todo`` (what
   actually needs executing).
 * an :class:`Executor` — :class:`SerialExecutor` (owns the batched
-  same-cell grouping), :class:`PoolExecutor` (a ``multiprocessing`` drain
-  with a chosen start method) or :class:`ShardExecutor` (the acking
-  collector-client protocol).  Executors know nothing about sinks or
-  caches; they push every finished :class:`~repro.campaign.jobs.JobResult`
-  into a collector.
+  same-cell grouping) or :class:`PoolExecutor` (a ``multiprocessing``
+  drain with a chosen start method).  Executors know nothing about sinks
+  or caches; they push every finished
+  :class:`~repro.campaign.jobs.JobResult` into a collector.
 * a :class:`RowCollector` — the single fan-out point: each completed row
   goes to the cache, the result list, the crash-safety sink and the
   progress callback, in that order, exactly once.
@@ -24,21 +23,22 @@ shard client feeding a ``collect`` service, a notebook — builds one
   returned as a :class:`CampaignOutcome`.
 
 Whether a batch runs serially or on a pool, after its cache hits are
-drained, is decided in one place, :func:`dispatch`, for the local campaign,
-the re-run appendix and every batch a shard is granted alike.
+drained, is decided in one place, :func:`dispatch`, for the campaign and
+its re-run appendix alike.
 
 :class:`CampaignDriver` composes the stages into the full CLI semantics
-(resume + cache + sinks + static shards + collector mode +
-``--rerun-disagreements``), with ``info``/``warn`` callbacks instead of
-hardwired printing, so ``cli._cmd_campaign`` is a flag-parsing adapter and
-a library caller runs the identical pipeline with
-``CampaignDriver(spec).execute()``.
+(resume + cache + sinks + static shards + ``--rerun-disagreements``),
+with ``info``/``warn`` callbacks instead of hardwired printing, so
+``cli._cmd_campaign`` is a flag-parsing adapter and a library caller runs
+the identical pipeline with ``CampaignDriver(spec).execute()``.
 
 The byte-identity contract is unchanged: rows are pure functions of their
 jobs, the collector preserves completion-order streaming for sinks, and
 the finalizer's job-order sort + sorted-key serialization make every
 frontend's artifact byte-identical for any worker count, resume history,
-cache state or shard layout.
+cache state or shard layout.  Static ``--shard`` slices are merged by
+``--resume`` over their concatenated ``--out`` files; there is no other
+merge path.
 """
 
 from __future__ import annotations
@@ -62,21 +62,12 @@ from repro.campaign.adaptive import rerun_jobs
 from repro.campaign.jobs import JobResult, RunJob, execute_job
 from repro.campaign.matrix import CampaignSpec, expand_jobs
 from repro.campaign.resume import (
-    is_job_index,
     merge_results,
     reconcile_extra_rows,
     remaining_jobs,
     validate_rows_match_jobs,
 )
-from repro.campaign.shard import DEFAULT_PULL_BATCH, control_message, hello_message
-from repro.campaign.sinks import (
-    AckingSocketSink,
-    RowSink,
-    ShardProtocolError,
-    TeeSink,
-    row_line,
-    write_lines_atomic,
-)
+from repro.campaign.sinks import RowSink, row_line, write_lines_atomic
 from repro.campaign.store import CellStats, RunCache
 
 
@@ -87,8 +78,9 @@ def shard_slice(jobs: Sequence[RunJob], index: int, count: int) -> List[RunJob]:
     expands the same matrix and selects its own range locally, so nothing
     but ``index``/``count`` needs to travel.  Ranges partition the job list
     exactly (sizes differ by at most one, earlier shards get the longer
-    ranges), so N shards' ranges merged by job index reproduce the full
-    campaign.  ``index`` is 0-based.
+    ranges), so N slices' ``--out`` files, concatenated in any order and
+    finished with ``--resume``, reproduce the full campaign.  ``index`` is
+    0-based.
     """
     if count < 1:
         raise ValueError("shard count must be >= 1")
@@ -174,7 +166,7 @@ class RowCollector:
     One object owns every per-row side effect, in a fixed order — count
     and store into the cache (executed rows only; the cache refuses error
     rows), append to the result list, stream to the crash-safety ``sink`` and
-    invoke the ``progress`` callback — so serial, pool and shard executors
+    invoke the ``progress`` callback — so the serial and pool executors
     cannot drift apart on what "a row completed" means.
 
     ``sink`` lifecycle belongs to the caller (never closed here).
@@ -353,142 +345,17 @@ def dispatch(
 ) -> int:
     """Collect ``plan``'s cache hits, then run its ``todo``; returns the workers used.
 
-    The one dispatch rule behind every frontend — the local campaign, the
-    re-run appendix and each batch a shard is granted.  Hits drain first, in
-    job order, so a sink sees them before any executed row.  The rest runs
-    in-process when ``jobs == 1`` or at most one job is left (a pool would
-    only add start-up), across a :class:`PoolExecutor` of ``jobs`` workers
-    otherwise.
+    The one dispatch rule behind every frontend — the campaign and its
+    re-run appendix.  Hits drain first, in job order, so a sink sees them
+    before any executed row.  The rest runs in-process when ``jobs == 1``
+    or at most one job is left (a pool would only add start-up), across a
+    :class:`PoolExecutor` of ``jobs`` workers otherwise.
     """
     for hit in plan.cached_results:
         collector.add_cached(hit)
     if jobs == 1 or len(plan.todo) <= 1:
         return SerialExecutor().run(plan.todo, collector)
     return PoolExecutor(jobs, mp_context=mp_context).run(plan.todo, collector)
-
-
-class ShardExecutor:
-    """Collector-client dispatch: this machine's share of a shared matrix.
-
-    Wraps the acking NDJSON protocol from :mod:`repro.campaign.shard`:
-    static mode announces its :func:`shard_slice` range in the hello and
-    runs it; pull mode asks the collector for job-index batches until it
-    says ``done``.  Every row travels through a reconnecting
-    :class:`~repro.campaign.sinks.AckingSocketSink` teed in front of
-    whatever sink the collector already carries; each granted batch goes
-    through its own :class:`CampaignPlan` (so a
-    :class:`~repro.campaign.store.RunCache` short-circuits per grant,
-    never emitting rows for jobs this shard was not granted) and then
-    :func:`dispatch`.
-
-    Raises :class:`ConnectionError` when the collector stays unreachable
-    past the reconnect budget and
-    :class:`~repro.campaign.sinks.ShardProtocolError` when it rejects the
-    shard.
-    """
-
-    def __init__(
-        self,
-        address: str,
-        jobs: Sequence[RunJob],
-        shard: Optional[Tuple[int, int]] = None,
-        name: Optional[str] = None,
-        workers: int = 1,
-        mp_context: str = "spawn",
-        batch: Optional[int] = None,
-        retries: int = 3,
-        prior_rows: Iterable[Dict[str, object]] = (),
-        retry_errors: bool = False,
-    ) -> None:
-        self.address = address
-        self.jobs = list(jobs)
-        self.by_index = {job.index: job for job in self.jobs}
-        self.prior = [
-            row
-            for row in prior_rows
-            if is_job_index(row.get("job")) and row["job"] in self.by_index
-        ]
-        self.shard = shard
-        self.name = name
-        self.workers = workers
-        self.mp_context = mp_context
-        self.batch = batch
-        self.retries = retries
-        self.retry_errors = retry_errors
-
-    def run(self, todo: Sequence[RunJob], collector: RowCollector) -> int:
-        # ``todo`` is advisory here: the collector service owns dispatch
-        # (it leases the static range or grants pull batches), so what this
-        # shard runs is decided on the wire, not by the local plan.
-        local: Optional[List[RunJob]] = None
-        job_range: Optional[Tuple[int, int]] = None
-        name = self.name
-        if self.shard is not None:
-            index, count = self.shard
-            local = shard_slice(self.jobs, index, count)
-            # The announced range covers the *unfiltered* slice: resumed
-            # rows are uploaded below, so the collector still leases the
-            # whole range to this shard and adopts the prior rows into it.
-            job_range = (local[0].index, local[-1].index + 1) if local else (0, 0)
-            if self.prior:
-                local = remaining_jobs(local, self.prior, retry_errors=self.retry_errors)
-            if name is None:
-                name = f"{index + 1}/{count}"
-        client = AckingSocketSink(
-            self.address,
-            hello=hello_message(self.jobs, shard=name, job_range=job_range),
-            retries=self.retries,
-        )
-        # The acking client fronts whatever sink the collector already has
-        # (e.g. the shard's local --out file); restored on the way out so
-        # the collector outlives this executor unchanged.
-        outer = collector.sink
-        collector.sink = client if outer is None else TeeSink([client, outer])
-        workers_used = 1
-        try:
-            for row in self.prior:
-                client.write_row(row)
-            if local is not None:
-                workers_used = max(workers_used, self._dispatch(local, collector))
-            else:
-                limit = (
-                    self.batch
-                    if self.batch is not None
-                    else max(self.workers, DEFAULT_PULL_BATCH)
-                )
-                while True:
-                    grant = client.request(control_message("pull", max=limit))
-                    if grant.get("op") != "grant":
-                        raise ShardProtocolError(
-                            f"collector at {self.address} answered a pull with {grant!r}"
-                        )
-                    try:
-                        granted = [
-                            self.by_index[index] for index in grant.get("jobs") or ()
-                        ]
-                    except (KeyError, TypeError) as exc:
-                        raise ShardProtocolError(
-                            f"collector at {self.address} granted unknown jobs: "
-                            f"{grant.get('jobs')!r}"
-                        ) from exc
-                    if granted:
-                        workers_used = max(
-                            workers_used, self._dispatch(granted, collector)
-                        )
-                    elif grant.get("done"):
-                        break
-                    # An empty, not-done grant means the collector briefly
-                    # had nothing unleased; its lease() blocks server-side,
-                    # so this is rare — just ask again.
-        finally:
-            collector.sink = outer
-            client.close()
-        return workers_used
-
-    def _dispatch(self, granted: List[RunJob], collector: RowCollector) -> int:
-        """One granted batch: its own cache probe, then :func:`dispatch`."""
-        plan = CampaignPlan(granted, cache=collector.cache)
-        return dispatch(plan, collector, self.workers, self.mp_context)
 
 
 @dataclass
@@ -519,53 +386,36 @@ class Finalizer:
         out: Optional[str] = None,
         include_timing: bool = False,
         info: Optional[Callable[[str], None]] = None,
-        prefix: str = "campaign",
     ) -> None:
         self.out = out
         self.include_timing = include_timing
         self.info = info
-        self.prefix = prefix
 
     def _say(self, message: str) -> None:
         if self.info is not None:
             self.info(message)
 
     def finalize(
-        self,
-        result: CampaignResult,
-        cache: Optional[RunCache] = None,
-        title: Optional[str] = None,
-        rows: Optional[Sequence[Dict[str, object]]] = None,
+        self, result: CampaignResult, cache: Optional[RunCache] = None
     ) -> CampaignOutcome:
-        """Persist and render a finished campaign.
-
-        ``rows`` (optional) writes those exact dicts verbatim instead of
-        re-deriving lines from ``result`` — the collector service's path,
-        where whatever the shards sent (including ``--timing`` fields)
-        must survive byte-for-byte.
-        """
+        """Persist and render a finished campaign."""
         from repro.analysis.report import format_table
 
-        if title is None:
-            title = (
-                f"Campaign: {len(result.results)} runs x {result.workers} workers "
-                f"({result.violations} with violations, {result.errors} errors)"
-            )
         if self.out:
-            if rows is not None:
-                write_lines_atomic(self.out, (row_line(row) for row in rows))
-            else:
-                result.write_jsonl(self.out, include_timing=self.include_timing)
+            result.write_jsonl(self.out, include_timing=self.include_timing)
+        title = (
+            f"Campaign: {len(result.results)} runs x {result.workers} workers "
+            f"({result.violations} with violations, {result.errors} errors)"
+        )
         summary = format_table(self.summary_rows(result), title=title)
         self._say(summary)
         if cache is not None:
             self._say(
-                f"{self.prefix}: cache {cache.root}: {cache.hits} hit(s), "
+                f"campaign: cache {cache.root}: {cache.hits} hit(s), "
                 f"{cache.misses} miss(es), {cache.stored} row(s) stored"
             )
         if self.out:
-            count = len(rows) if rows is not None else len(result.results)
-            self._say(f"wrote {count} rows to {self.out}")
+            self._say(f"wrote {len(result.results)} rows to {self.out}")
         exit_code = 3 if result.errors else (0 if result.ok else 1)
         return CampaignOutcome(result=result, summary=summary, exit_code=exit_code)
 
@@ -639,20 +489,20 @@ class CampaignDriver:
     ``cli._cmd_campaign`` maps flags onto the constructor and exit codes off
     the outcome; a library caller writes ``CampaignDriver(spec).execute()``
     for the :class:`CampaignResult` (or :meth:`run` for the rendered
-    :class:`CampaignOutcome`); a shard client passes
-    ``collector="tcp:..."``.  ``jobs`` is the worker count.
+    :class:`CampaignOutcome`).  ``jobs`` is the worker count; ``shard``
+    is a 0-based ``(index, count)`` static slice (:func:`shard_slice`).
     ``info``/``warn`` (both optional) receive the stdout/stderr lines the
-    CLI prints, each prefixed with ``prefix + ": "``.
+    CLI prints, each prefixed with ``"campaign: "``.
 
     Error handling is deliberately transparent:
-    :class:`~repro.campaign.resume.ResumeError`, :class:`ConnectionError`,
-    :class:`~repro.campaign.sinks.ShardProtocolError` and
-    ``KeyboardInterrupt`` propagate for the frontend to map onto its own
-    exit codes (2/4/4/130 in the CLI).  The ``sink``'s lifecycle belongs
-    to the caller.  ``rerun_disagreements`` cannot be combined with
-    ``collector`` — re-run jobs fall outside the matrix the shards agreed
-    on, so their rows could never reach the collector — and the
-    constructor raises :class:`ValueError` for that combination.
+    :class:`~repro.campaign.resume.ResumeError` and ``KeyboardInterrupt``
+    propagate for the frontend to map onto its own exit codes (2/130 in the
+    CLI).  The ``sink``'s lifecycle belongs to the caller.
+    ``rerun_disagreements`` cannot be combined with ``shard`` — a slice
+    sees only part of each cell, and every slice would number its re-run
+    jobs from the end of the matrix, so two slices' re-run rows would
+    claim the same indices — and the constructor raises
+    :class:`ValueError` for that combination.  Re-run on the merge step.
     """
 
     def __init__(
@@ -667,23 +517,19 @@ class CampaignDriver:
         retry_errors: bool = False,
         rerun_disagreements: bool = False,
         shard: Optional[Tuple[int, int]] = None,
-        collector: Optional[str] = None,
-        shard_name: Optional[str] = None,
-        batch: Optional[int] = None,
-        retries: int = 3,
         progress: Optional[Callable[[JobResult, int, int], None]] = None,
         out: Optional[str] = None,
-        prefix: str = "campaign",
         info: Optional[Callable[[str], None]] = None,
         warn: Optional[Callable[[str], None]] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if collector is not None and rerun_disagreements:
+        if shard is not None and rerun_disagreements:
             raise ValueError(
-                "--rerun-disagreements cannot be combined with --collector "
-                "(adaptive re-run jobs fall outside the matrix the shards and "
-                "the collector agreed on)"
+                "--rerun-disagreements cannot be combined with --shard (a "
+                "slice sees only part of each cell, and every slice would "
+                "number its re-run jobs alike); pass it to the --resume "
+                "merge of the concatenated slices instead"
             )
         self.spec_or_jobs = spec_or_jobs
         self.jobs = jobs
@@ -695,37 +541,29 @@ class CampaignDriver:
         self.retry_errors = retry_errors
         self.rerun_disagreements = rerun_disagreements
         self.shard = shard
-        self.collector = collector
-        self.shard_name = shard_name
-        self.batch = batch
-        self.retries = retries
         self.progress = progress
         self.out = out
-        self.prefix = prefix
         self.info = info
         self.warn = warn
         self.result: Optional[CampaignResult] = None
 
     def _info(self, message: str) -> None:
         if self.info is not None:
-            self.info(f"{self.prefix}: {message}")
+            self.info(f"campaign: {message}")
 
     def _warn(self, message: str) -> None:
         if self.warn is not None:
-            self.warn(f"{self.prefix}: {message}")
+            self.warn(f"campaign: {message}")
 
     def execute(self) -> CampaignResult:
         """Run the campaign; returns (and keeps) the :class:`CampaignResult`."""
         start = time.perf_counter()  # repro-lint: disable=RL102 -- campaign wall time is --timing-only, never in rows
-        # Collector mode leaves shard selection and cache probing to the
-        # service protocol (ShardExecutor plans per granted batch); local
-        # mode plans everything up front.
         plan = CampaignPlan(
             self.spec_or_jobs,
             prior_rows=self.prior_rows,
             retry_errors=self.retry_errors,
-            shard=None if self.collector else self.shard,
-            cache=None if self.collector else self.cache,
+            shard=self.shard,
+            cache=self.cache,
         )
         jobs_all = list(plan.jobs)
         collector = RowCollector(
@@ -738,31 +576,16 @@ class CampaignDriver:
         if plan.prior_rows and self.out:
             self._info(
                 f"resuming {self.out}: {len(plan.prior_rows)} row(s) already "
-                f"present, {len(plan.remaining)} of {len(plan.jobs)} job(s) remaining"
+                f"present, {len(plan.pending)} of {len(plan.selected)} job(s) remaining"
             )
-        if self.collector is not None:
-            executor = ShardExecutor(
-                self.collector,
-                plan.jobs,
-                shard=self.shard,
-                name=self.shard_name,
-                workers=self.jobs,
-                mp_context=self.mp_context,
-                batch=self.batch,
-                retries=self.retries,
-                prior_rows=plan.prior_rows,
-                retry_errors=self.retry_errors,
+        if plan.shard is not None and plan.selected:
+            index, count = plan.shard
+            self._info(
+                f"static shard {index + 1}/{count}: jobs "
+                f"{plan.selected[0].index}..{plan.selected[-1].index} "
+                f"of {len(plan.jobs)}"
             )
-            workers = executor.run((), collector)
-        else:
-            if plan.shard is not None and plan.selected:
-                index, count = plan.shard
-                self._info(
-                    f"static shard {index + 1}/{count}: jobs "
-                    f"{plan.selected[0].index}..{plan.selected[-1].index} "
-                    f"of {len(plan.jobs)}"
-                )
-            workers = dispatch(plan, collector, self.jobs, self.mp_context)
+        workers = dispatch(plan, collector, self.jobs, self.mp_context)
         executed = list(collector.results)
         merged = merge_results(plan.prior_rows, executed)
         if self.rerun_disagreements:
@@ -824,7 +647,6 @@ class CampaignDriver:
             out=self.out,
             include_timing=self.timing,
             info=self.info,
-            prefix=self.prefix,
         )
         return finalizer.finalize(self.result, cache=self.cache)
 

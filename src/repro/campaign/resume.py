@@ -24,9 +24,9 @@ Identity is type-strict: a field matches only when its type and value both
 match (``bool``, ``int`` and ``float`` are distinct, so ``50.0`` is not a
 ``max_steps`` of ``50``), and a job index is an ``int`` that is not a
 ``bool`` (:func:`is_job_index`).  Every consumer that maps a row back to a
-job — resume, the run cache, the shard collector — goes through
-:func:`validate_row_matches_job`, so none can adopt a row whose JSON merely
-compares equal.
+job — resume (and so the merge of ``--shard`` slices), the run cache —
+goes through :func:`validate_row_matches_job`, so none can adopt a row
+whose JSON merely compares equal.
 
 Byte-identity contract: rows are written by
 :func:`repro.campaign.sinks.row_line` (sorted-key JSON) and parsed back by
@@ -128,9 +128,9 @@ def validate_rows_match_jobs(
 def validate_row_matches_job(job: RunJob, row: Dict[str, object]) -> None:
     """Raise :class:`ResumeError` unless ``row``'s identity matches ``job``.
 
-    The single-row core of :func:`validate_rows_match_jobs`, exposed so
-    streaming consumers (the shard collector acks one row at a time) can
-    validate in O(1) per row instead of rebuilding the job index per call.
+    The single-row core of :func:`validate_rows_match_jobs`, exposed so a
+    consumer holding one job (a run-cache hit) can validate in O(1)
+    instead of rebuilding the job index per call.
     The checked fields are the row emitters' own
     (``repro.campaign.jobs.ROW_IDENTITY_ATTRS``), so they can never drift
     from the persisted ones.  A field matches only when its type and value

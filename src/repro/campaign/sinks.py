@@ -8,55 +8,22 @@ travels in-row, so any consumer (or the resume module) can map a partial
 stream back to the matrix.  The driver never reorders before the sink —
 job-order output is restored by the *final rewrite* of the finalize stage
 once the campaign completes (see :mod:`repro.campaign.resume` and
-docs/ARCHITECTURE.md, "Persistence & resume").  A local campaign streams
-into a :class:`JsonlSink` (``--out``); a shard streams into an
-:class:`AckingSocketSink` (``--collector``).
+docs/ARCHITECTURE.md, "Persistence & resume").  A campaign, or one
+``--shard`` slice of it, streams into a :class:`JsonlSink` (``--out``).
 
-Sinks are deliberately dumb: ``write_row(row)`` then ``close()``.  All of
-them are module-top-level classes whose *unopened* instances pickle (so a
-sink configuration can travel to a coordinating process before any file
-handle or socket exists); an **active** sink refuses to pickle instead of
-silently dropping its handle.  ``tests/test_campaign_persistence.py`` and
-``tests/test_campaign_shard.py`` pin both.
+Sinks are deliberately dumb: ``write_row(row)`` then ``close()``.  An
+*unopened* :class:`JsonlSink` pickles (so a sink configuration can travel
+to another process before any file handle exists); an **active** one
+refuses to pickle instead of silently dropping its handle.
+``tests/test_campaign_persistence.py`` pins both.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import socket
 import tempfile
-import time
-from typing import Dict, Iterable, List, Optional, Sequence, TextIO
-
-
-class ShardProtocolError(RuntimeError):
-    """The other end of a shard/collector connection broke the protocol.
-
-    Raised for permanent failures — a collector that rejected the handshake
-    (mismatched matrix), a malformed reply, a refused row — that no amount
-    of reconnecting can repair.  Transient transport failures surface as
-    :class:`ConnectionError` instead, after the reconnect budget is spent.
-    """
-
-
-def parse_address(address: str):
-    """Parse ``"tcp:HOST:PORT"`` / ``"unix:PATH"`` into ``(family, target)``."""
-    kind, _, rest = address.partition(":")
-    if kind == "unix" and rest:
-        if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-POSIX
-            raise ValueError("unix sockets are not supported on this platform")
-        return socket.AF_UNIX, rest
-    if kind == "tcp" and rest:
-        host, sep, port = rest.rpartition(":")
-        if not sep or not port.isdigit():
-            raise ValueError(
-                f"bad socket sink address {address!r}: expected 'tcp:HOST:PORT'"
-            )
-        return socket.AF_INET, (host, int(port))
-    raise ValueError(
-        f"bad socket sink address {address!r}: expected 'tcp:HOST:PORT' or 'unix:PATH'"
-    )
+from typing import Dict, Iterable, List, Optional, TextIO
 
 
 def row_line(row: Dict[str, object]) -> str:
@@ -152,11 +119,11 @@ class JsonlSink(RowSink):
 def write_lines_atomic(path: str, lines: Iterable[str]) -> None:
     """Replace ``path`` with ``lines`` atomically (temp file + ``os.replace``).
 
-    The campaign's final job-order rewrite (and the collector's merge dump)
-    must never be able to destroy completed rows: the old file — the
-    crash-safe completion-order stream — stays untouched until the new
-    bytes are fully on disk, so a crash mid-rewrite leaves a file
-    ``--resume`` can still finish from.  ``lines`` may be a generator; an
+    The campaign's final job-order rewrite must never be able to destroy
+    completed rows: the old file — the crash-safe completion-order stream —
+    stays untouched until the new bytes are fully on disk, so a crash
+    mid-rewrite leaves a file ``--resume`` can still finish from.
+    ``lines`` may be a generator; an
     exception while it is being consumed (including ``KeyboardInterrupt``)
     removes the temp file and leaves the target as it was.
     """
@@ -205,160 +172,3 @@ def _truncate_partial_tail(path: str) -> None:
                 return
             position -= step
         fh.truncate(0)  # the whole file was one partial line
-
-
-class AckingSocketSink(RowSink):
-    """The shard transport: rows over TCP or a Unix socket, acked and reconnecting.
-
-    ``address`` is ``"tcp:HOST:PORT"`` or ``"unix:PATH"``.  The connection
-    is opened lazily on the first exchange, so construction stays cheap and
-    picklable.  This is the transport between a campaign shard and a
-    `repro.campaign.shard` collector, so delivery is confirmed and failure
-    is loud:
-
-    * every outbound line expects exactly one NDJSON reply line — a row is
-      only considered delivered once the collector's ``{"op": "ack", ...}``
-      for its job index arrives;
-    * a broken connection is rebuilt (fresh socket, ``hello`` handshake
-      replayed, the in-flight line re-sent) up to ``retries`` times with a
-      short linear backoff — re-sending after a lost ack can hand the
-      collector a duplicate row, which is safe because rows are
-      deterministic and the collector keeps the latest copy per job index;
-    * once the reconnect budget is spent, :class:`ConnectionError` is
-      raised — a shard that lost its collector must die loudly so the
-      collector re-dispatches its unacknowledged range, not stream rows
-      into the void.
-
-    ``hello`` (optional) is a control message sent first on every (re)connect;
-    the collector must answer ``{"op": "welcome", ...}`` or the handshake
-    raises :class:`ShardProtocolError` (a rejection is permanent — it means
-    the shard's matrix does not match the collector's).
-    """
-
-    def __init__(
-        self,
-        address: str,
-        hello: Optional[Dict[str, object]] = None,
-        retries: int = 3,
-        retry_delay: float = 0.2,
-    ) -> None:
-        self.address = address
-        self._family, self._target = parse_address(address)
-        self.hello = dict(hello) if hello is not None else None
-        self.retries = retries
-        self.retry_delay = retry_delay
-        self.welcome: Optional[Dict[str, object]] = None
-        self._sock: Optional[socket.socket] = None
-        self._reader = None
-
-    def _ensure_connected(self) -> socket.socket:
-        if self._sock is None:
-            self._sock = socket.socket(self._family, socket.SOCK_STREAM)
-            try:
-                self._sock.connect(self._target)
-                self._reader = self._sock.makefile("r", encoding="utf-8")
-                if self.hello is not None:
-                    self._sock.sendall(
-                        (json.dumps(self.hello, sort_keys=True) + "\n").encode("utf-8")
-                    )
-                    self.welcome = self._read_reply()
-                    if self.welcome.get("op") != "welcome":
-                        raise ShardProtocolError(
-                            f"collector at {self.address} did not welcome the "
-                            f"shard: {self.welcome!r}"
-                        )
-            except BaseException:
-                self.close()
-                raise
-        return self._sock
-
-    def _read_reply(self) -> Dict[str, object]:
-        line = self._reader.readline()
-        if not line:
-            raise ConnectionError("collector closed the connection")
-        try:
-            reply = json.loads(line)
-        except ValueError as exc:
-            raise ShardProtocolError(
-                f"collector at {self.address} sent a non-JSON reply: {line!r}"
-            ) from exc
-        if not isinstance(reply, dict):
-            raise ShardProtocolError(
-                f"collector at {self.address} sent a non-object reply: {reply!r}"
-            )
-        if reply.get("op") == "reject":
-            raise ShardProtocolError(
-                f"collector at {self.address} rejected the shard: {reply.get('error')}"
-            )
-        return reply
-
-    def _exchange(self, line: str) -> Dict[str, object]:
-        """Send one line, read one reply, reconnecting on transport failure."""
-        last: Optional[OSError] = None
-        for attempt in range(self.retries + 1):
-            if attempt:
-                time.sleep(self.retry_delay * attempt)
-            try:
-                self._ensure_connected()
-                self._sock.sendall(line.encode("utf-8"))
-                return self._read_reply()
-            except OSError as exc:
-                last = exc
-                self.close()
-        raise ConnectionError(
-            f"lost the collector at {self.address} after {self.retries + 1} "
-            f"attempt(s): {last}"
-        )
-
-    def request(self, message: Dict[str, object]) -> Dict[str, object]:
-        """Send a control message (``pull``, ...) and return the reply."""
-        return self._exchange(json.dumps(message, sort_keys=True) + "\n")
-
-    def write_row(self, row: Dict[str, object]) -> None:
-        reply = self._exchange(row_line(row) + "\n")
-        if reply.get("op") != "ack" or reply.get("job") != row.get("job"):
-            raise ShardProtocolError(
-                f"collector at {self.address} answered row {row.get('job')!r} "
-                f"with {reply!r} instead of its ack"
-            )
-
-    def close(self) -> None:
-        if self._reader is not None:
-            try:
-                self._reader.close()
-            except OSError:  # pragma: no cover - best-effort release
-                pass
-            self._reader = None
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        if self._sock is not None:
-            raise TypeError("cannot pickle an AckingSocketSink with an open connection")
-        return self.__dict__.copy()
-
-
-class TeeSink(RowSink):
-    """Fan one row stream out to several sinks (e.g. JSONL file + socket)."""
-
-    def __init__(self, sinks: Sequence[RowSink]) -> None:
-        self.sinks = list(sinks)
-
-    def write_row(self, row: Dict[str, object]) -> None:
-        for sink in self.sinks:
-            sink.write_row(row)
-
-    def close(self) -> None:
-        # Every sink gets its close() even when an earlier one raises —
-        # stopping at the first error would leak every later handle/socket.
-        first: Optional[Exception] = None
-        for sink in self.sinks:
-            try:
-                sink.close()
-            except Exception as exc:
-                if first is None:
-                    first = exc
-        if first is not None:
-            raise first
-

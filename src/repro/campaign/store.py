@@ -59,8 +59,7 @@ def run_cache_key(job: RunJob) -> str:
 
     The hashed text is the :func:`~repro.campaign.sinks.row_line` of the
     identity fields (sorted-key JSON) — the same canonical form the rows
-    themselves, the resume validator and the shard
-    :func:`~repro.campaign.shard.matrix_fingerprint` all agree on.
+    themselves and the resume validator agree on.
     """
     identity = {key: getattr(job, attr) for key, attr in CACHE_KEY_ATTRS.items()}
     return hashlib.sha256(row_line(identity).encode("utf-8")).hexdigest()

@@ -17,18 +17,12 @@ common operations:
   run — streamed crash-safely as jobs complete and rewritten in job order
   at the end, byte-identical for any ``--jobs``.  ``--resume`` continues an
   interrupted ``--out`` file, ``--rerun-disagreements`` re-expands cells
-  whose verdicts differ across seeds, ``--collector`` (optionally with
-  ``--shard I/N``) turns the process into one shard of a multi-machine
-  campaign feeding a ``collect`` service.  Exit codes: 1 a checked property was violated, 2
-  malformed matrix, 3 a worker raised (error rows present), 4 the
-  collector was lost or rejected this shard,
-* ``collect``  -- the merge point of a sharded campaign: listen on a
-  TCP/Unix socket, lease job ranges to connecting shards (static
-  ``--shard`` ranges and pull-based batches over the same protocol),
-  validate and ack every row against the identically expanded matrix, and
-  write the merged JSONL in job order — byte-identical to running the
-  matrix locally with ``--jobs 1``.  A dead shard's undelivered range is
-  re-dispatched to the surviving shards through the resume machinery,
+  whose verdicts differ across seeds, and ``--shard I/N --out`` runs one
+  static slice of a multi-machine campaign; the slices' files,
+  concatenated and finished with ``--resume --out``, merge into the file
+  the whole campaign writes.  Exit codes: 1 a checked property was
+  violated, 2 malformed matrix or flags, 3 a worker raised (error rows
+  present),
 * ``stats``    -- per-cell aggregates over an existing campaign rows file
   (run/violation/error counts, step totals, Jain spread), the fold the
   campaign summary table uses,
@@ -48,10 +42,10 @@ Examples::
     repro-cc campaign --scenario figure1 --scenario grid-3x3 \\
         --algorithm cc1 --algorithm cc2 --random 4 --seeds 3 \\
         --jobs 4 --out rows.jsonl
-    repro-cc collect --listen tcp:0.0.0.0:7777 --out merged.jsonl \\
-        --scenario figure1 --seeds 8                  # on the head node
-    repro-cc campaign --collector tcp:head:7777 --shard 1/3 \\
-        --scenario figure1 --seeds 8 --jobs 4         # on each worker node
+    repro-cc campaign --scenario figure1 --seeds 8 --shard 1/3 \\
+        --out part-1.jsonl               # machine I of 3 runs slice I/3
+    cat part-*.jsonl > merged.jsonl      # then one machine merges them
+    repro-cc campaign --scenario figure1 --seeds 8 --resume --out merged.jsonl
 """
 
 from __future__ import annotations
@@ -72,23 +66,17 @@ from repro.baselines import (
 )
 from repro.campaign import (
     CampaignDriver,
-    CampaignResult,
     CampaignSpec,
     CellStats,
-    Collector,
     FaultSchedule,
-    Finalizer,
     JsonlSink,
     ResumeError,
     RunCache,
-    ShardProtocolError,
-    as_job_result,
     expand_jobs,
     read_rows,
     validate_rows_match_jobs,
 )
 from repro.campaign.resume import completed_rows
-from repro.campaign.sinks import row_line, write_lines_atomic
 from repro.core.runner import CommitteeCoordinator
 from repro.metrics.throughput import measure_throughput
 from repro.workloads.scenarios import all_scenarios, scenario_by_name
@@ -250,11 +238,11 @@ def _warn_ignored_random_axes(args: argparse.Namespace) -> None:
 
 
 def _expand_matrix(args: argparse.Namespace):
-    """``(spec, jobs)`` from the shared matrix flags (campaign/collect).
+    """``(spec, jobs)`` from the campaign matrix flags.
 
-    Every participant of a sharded campaign calls this with the same flag
-    values, so everyone expands the identical job list — the property the
-    collector's handshake fingerprint then enforces.  Raises
+    Every slice of a sharded campaign, and the ``--resume`` merge of their
+    files, calls this with the same flag values, so all of them expand the
+    identical job list; the merge checks each row against it.  Raises
     ``_UnknownScenario`` for an unknown ``--scenario`` and ``ValueError``
     for other malformed matrices (the CLI maps both to exit 2).
     """
@@ -299,10 +287,10 @@ def _parse_shard(text: str):
 
 def _check_campaign_flags(args: argparse.Namespace, shard_spec) -> None:
     """Reject flag combinations the pipeline cannot honor (CLI exit 2)."""
-    if shard_spec is not None and not args.collector and not args.out:
+    if shard_spec is not None and not args.out:
         raise ValueError(
-            "--shard without --collector needs --out (somewhere to "
-            "keep the slice's rows for a later merge)"
+            "--shard needs --out (somewhere to keep the slice's rows for "
+            "the --resume merge)"
         )
     if args.resume and not args.out:
         raise ValueError("--resume requires --out (the JSONL file to continue)")
@@ -311,8 +299,8 @@ def _check_campaign_flags(args: argparse.Namespace, shard_spec) -> None:
 def _check_out(path: str) -> None:
     """Reject an ``--out`` file no run could write (CLI exit 2).
 
-    Checked before any job runs or the collector listens: the rows are
-    written as they complete, and rewritten whole when the run ends.
+    Checked before any job runs: the rows are written as they complete,
+    and rewritten whole when the run ends.
     """
     folder = os.path.dirname(path) or os.curdir
     if os.path.isdir(path):
@@ -370,7 +358,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             retry_errors=args.retry_errors,
             rerun_disagreements=args.rerun_disagreements,
             shard=shard_spec,
-            collector=args.collector,
             out=args.out,
             info=print,
             warn=_warn,
@@ -380,12 +367,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     try:
         driver.execute()
-    except (ConnectionError, ShardProtocolError) as exc:
-        # The collector vanished past the reconnect budget, or rejected this
-        # shard outright (mismatched matrix).  Locally completed rows are in
-        # --out (if given); the collector re-dispatches the rest.
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 4
     except KeyboardInterrupt:
         if args.out:
             print(
@@ -408,88 +389,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 130
-
-
-def _write_rows(path: str, rows) -> None:
-    """Atomically write rows via the canonical serializer (byte-identity).
-
-    ``write_lines_atomic`` means a crash mid-write can never destroy the
-    rows already collected at ``path`` — the collector's merge dump shares
-    the campaign rewrite's atomicity guarantee.
-    """
-    write_lines_atomic(path, (row_line(row) for row in rows))
-
-
-def _cmd_collect(args: argparse.Namespace) -> int:
-    try:
-        _spec, all_jobs = _expand_matrix(args)
-    except ValueError as exc:
-        print(f"collect: {exc}", file=sys.stderr)
-        return 2
-    prior_rows: List[dict] = []
-    try:
-        if args.resume:
-            prior_rows = read_rows(args.out)
-        _check_out(args.out)
-    except (ResumeError, ValueError) as exc:
-        print(f"collect: {exc}", file=sys.stderr)
-        return 2
-    try:
-        collector = Collector(all_jobs, args.listen, prior_rows=prior_rows)
-    except (ResumeError, ValueError) as exc:
-        print(f"collect: {exc}", file=sys.stderr)
-        return 2
-    try:
-        collector.start()
-    except OSError as exc:
-        print(f"collect: cannot listen on {args.listen}: {exc}", file=sys.stderr)
-        return 2
-    pending = collector.state.pending_count()
-    resumed = len(all_jobs) - pending
-    print(
-        f"collect: listening on {collector.address} — "
-        f"{pending} of {len(all_jobs)} job(s) to collect"
-        + (f" ({resumed} resumed)" if resumed else "")
-    )
-    try:
-        rows = collector.run(timeout=args.timeout)
-    except KeyboardInterrupt:
-        collector.close()
-        _write_rows(args.out, collector.state.merged_rows())
-        print(
-            f"\ncollect: interrupted — collected rows are in {args.out}; "
-            "rerun with --resume to collect the remaining jobs",
-            file=sys.stderr,
-        )
-        return 130
-    except TimeoutError as exc:
-        _write_rows(args.out, collector.state.merged_rows())
-        print(
-            f"collect: {exc} — collected rows are in {args.out}; "
-            "rerun with --resume to collect the remaining jobs",
-            file=sys.stderr,
-        )
-        return 4
-    results = [as_job_result(row) for row in rows]
-    campaign = CampaignResult(
-        jobs=list(all_jobs),
-        results=results,
-        workers=max(1, len(collector.state.shards)),
-        elapsed_seconds=0.0,
-    )
-    # ``rows``: the merged rows are written verbatim (not re-derived), so
-    # whatever the shards sent — including --timing fields — survives
-    # byte-for-byte.
-    outcome = Finalizer(out=args.out, info=print, prefix="collect").finalize(
-        campaign,
-        title=(
-            f"Collected campaign: {len(rows)} rows via "
-            f"{len(collector.state.shards)} shard connection(s) "
-            f"({campaign.violations} with violations, {campaign.errors} errors)"
-        ),
-        rows=rows,
-    )
-    return outcome.exit_code
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -546,9 +445,8 @@ def _non_negative_int(value: str) -> int:
 
 
 def _add_matrix_arguments(parser: argparse.ArgumentParser) -> None:
-    """The campaign-matrix flags, shared verbatim by ``campaign`` and
-    ``collect`` — both must expand the identical job list (the collector's
-    handshake fingerprint rejects shards whose matrix drifted)."""
+    """The campaign-matrix flags: every slice of a sharded campaign and
+    the ``--resume`` merge of their files must pass the same values."""
     parser.add_argument(
         "--scenario",
         action="append",
@@ -752,17 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard",
         default=None,
         metavar="I/N",
-        help="run only the I-th of N contiguous job ranges (1-based); with "
-        "--collector the range is announced and acked, without it --out "
-        "keeps the slice for a later merge",
-    )
-    campaign.add_argument(
-        "--collector",
-        default=None,
-        metavar="ADDRESS",
-        help="deliver rows (acked, reconnecting) to a `repro-cc collect` "
-        "service at 'tcp:HOST:PORT' or 'unix:PATH'; without --shard, pull "
-        "job batches from it until the campaign is done",
+        help="run only the I-th of N contiguous job ranges (1-based) and "
+        "keep its rows in --out; concatenate the N files and run the same "
+        "command with --resume --out on the result to merge them",
     )
     campaign.add_argument(
         "--cache",
@@ -785,39 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.set_defaults(func=_cmd_campaign)
 
-    collect = sub.add_parser(
-        "collect",
-        help="collector service for sharded campaigns: lease job ranges to "
-        "shards, validate and merge their rows byte-identically",
-    )
-    collect.add_argument(
-        "--listen",
-        required=True,
-        help="address to listen on: 'tcp:HOST:PORT' (PORT 0 picks a free "
-        "port) or 'unix:PATH'",
-    )
-    collect.add_argument(
-        "--out",
-        required=True,
-        help="write the merged campaign JSONL here, in job order "
-        "(byte-identical to running the same matrix with --jobs 1)",
-    )
-    collect.add_argument(
-        "--resume",
-        action="store_true",
-        help="preload the rows already present in --out; shards are only "
-        "handed the missing jobs",
-    )
-    collect.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="give up after this many seconds without completion (collected "
-        "rows are written for a --resume retry; exit 4)",
-    )
-    _add_matrix_arguments(collect)
-    collect.set_defaults(func=_cmd_collect)
-
     stats = sub.add_parser(
         "stats",
         help="per-cell aggregates over an existing campaign rows file "
@@ -825,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "rows",
-        help="campaign JSONL file (a campaign/collect --out artifact)",
+        help="campaign JSONL file (a campaign --out artifact)",
     )
     stats.set_defaults(func=_cmd_stats)
 

@@ -8,7 +8,8 @@ cache × static shards × the batched engine.
 
 The library contract is pinned too: `CampaignDriver` round-trips a
 campaign programmatically (no argparse anywhere), refuses the one flag
-combination it cannot honour, and `cli._cmd_campaign` stays a thin adapter
+combination it cannot honour, `shard_slice` partitions the job list, and
+`cli._cmd_campaign` stays a thin adapter
 (line-count ceiling; the RC010 repo check enforces the import side of the
 same invariant).
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
-import threading
 
 import pytest
 
@@ -28,7 +28,6 @@ from repro.campaign import (
     CampaignResult,
     BufferedSink,
     CampaignSpec,
-    Collector,
     Finalizer,
     PoolExecutor,
     ResumeError,
@@ -36,6 +35,7 @@ from repro.campaign import (
     RunCache,
     SerialExecutor,
     expand_jobs,
+    shard_slice,
 )
 from repro.campaign.driver import dispatch
 from repro.campaign.sinks import row_line
@@ -206,28 +206,16 @@ class TestFinalizer:
         _, _, lines = matrix
         out = tmp_path / "rows.jsonl"
         said = []
-        outcome = Finalizer(out=str(out), info=said.append).finalize(self._result(matrix))
+
+        def say(line):
+            # --out is rewritten in job order before the table renders.
+            assert out.read_text().splitlines() == lines
+            said.append(line)
+
+        outcome = Finalizer(out=str(out), info=say).finalize(self._result(matrix))
         assert out.read_text().splitlines() == lines
         assert outcome.summary == said[0]
         assert f"wrote {len(lines)} rows to {out}" in said
-
-    def test_verbatim_rows_mode_writes_before_summary(self, matrix, tmp_path):
-        """The collect-service path: whatever arrived survives byte-for-byte."""
-        _, _, lines = matrix
-        rows = [dict(json.loads(line), extra_field=1) for line in lines]
-        out = tmp_path / "merged.jsonl"
-        said = []
-
-        def say(line):
-            # --out is rewritten before the table renders.
-            assert out.exists()
-            said.append(line)
-
-        Finalizer(out=str(out), info=say, prefix="collect").finalize(
-            self._result(matrix), rows=rows
-        )
-        assert out.read_text().splitlines() == [row_line(row) for row in rows]
-        assert f"wrote {len(rows)} rows to {out}" in said
 
     def test_cache_stats_line(self, matrix, tmp_path):
         cache = RunCache(str(tmp_path / "cache"))
@@ -283,12 +271,46 @@ class TestCampaignDriverService:
         assert sorted(ran) == [1, 2]
         assert result.jsonl_lines() == lines
 
-    def test_rerun_disagreements_is_refused_in_collector_mode(self, matrix):
-        # Re-run jobs fall outside the matrix the shards agreed on, so their
-        # rows could never reach the collector: refused up front.
+    def test_resuming_a_slice_counts_the_slice(self, matrix):
+        # A killed machine finishes its own slice: what is left is the
+        # slice's, not the matrix's.
+        jobs, _, lines = matrix
+        said = []
+        CampaignDriver(
+            jobs, shard=(1, 2), prior_rows=[json.loads(lines[2])],
+            out="part-2.jsonl", info=said.append,
+        ).execute()
+        assert said == [
+            "campaign: resuming part-2.jsonl: 1 row(s) already present, "
+            "1 of 2 job(s) remaining",
+            "campaign: static shard 2/2: jobs 2..3 of 4",
+        ]
+
+    def test_rerun_disagreements_is_refused_on_a_shard(self, matrix):
+        # A slice sees only part of each cell, and every slice would number
+        # its re-run jobs from len(jobs): two slices' re-run rows would
+        # claim the same indices.  Refused up front; the merge re-runs.
         jobs, _, _ = matrix
-        with pytest.raises(ValueError, match="cannot be combined with --collector"):
-            CampaignDriver(jobs, collector="tcp:127.0.0.1:9", rerun_disagreements=True)
+        with pytest.raises(ValueError, match="cannot be combined with --shard"):
+            CampaignDriver(jobs, shard=(0, 2), rerun_disagreements=True)
+
+
+class TestShardSlice:
+    def test_slices_partition_the_matrix_in_order(self):
+        jobs = expand_jobs(_spec(seeds=(1, 2, 3)))  # 6 jobs
+        for count in (1, 2, 3, 4, 6, 7):
+            slices = [shard_slice(jobs, i, count) for i in range(count)]
+            rejoined = [job for part in slices for job in part]
+            assert rejoined == list(jobs)
+            sizes = [len(part) for part in slices]
+            assert max(sizes) - min(sizes) <= 1  # balanced
+
+    def test_bad_shard_arguments_raise(self, matrix):
+        jobs, _, _ = matrix
+        with pytest.raises(ValueError, match="shard count"):
+            shard_slice(jobs, 0, 0)
+        with pytest.raises(ValueError, match="shard index"):
+            shard_slice(jobs, 2, 2)
 
 
 def test_cmd_campaign_is_a_thin_adapter():
@@ -347,24 +369,6 @@ class TestDifferentialByteIdentity:
             for job_result in result.results:
                 merged[job_result.index] = row_line(job_result.row)
         assert [merged[i] for i in sorted(merged)] == lines
-
-    def test_collector_shards_merge_to_the_baseline(self, matrix):
-        jobs, _, lines = matrix
-        with Collector(jobs, "tcp:127.0.0.1:0") as collector:
-            threads = [
-                threading.Thread(
-                    target=CampaignDriver(
-                        jobs, collector=collector.address, shard=(i, 2)
-                    ).execute
-                )
-                for i in range(2)
-            ]
-            for thread in threads:
-                thread.start()
-            rows = collector.run(timeout=60)
-            for thread in threads:
-                thread.join(timeout=10)
-        assert [row_line(row) for row in rows] == lines
 
     @pytest.mark.skipif(
         not numpy_available(), reason="batched engine needs the repro-cc[batched] extra"

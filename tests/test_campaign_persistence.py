@@ -18,7 +18,6 @@ import pickle
 import pytest
 
 from repro.campaign import (
-    AckingSocketSink,
     BufferedSink,
     CampaignDriver,
     CampaignResult,
@@ -28,7 +27,6 @@ from repro.campaign import (
     JobResult,
     JsonlSink,
     ResumeError,
-    TeeSink,
     disagreement_cells,
     execute_job,
     expand_jobs,
@@ -118,45 +116,6 @@ class TestSinks:
         with pytest.raises(TypeError, match="open file handle"):
             pickle.dumps(fresh)
         fresh.close()
-        fresh_socket = AckingSocketSink("tcp:127.0.0.1:9")
-        assert isinstance(pickle.loads(pickle.dumps(fresh_socket)), AckingSocketSink)
-
-    def test_tee_sink_fans_out(self):
-        first, second = BufferedSink(), BufferedSink()
-        tee = TeeSink([first, second])
-        tee.write_row({"job": 7})
-        assert first.rows == second.rows == [{"job": 7}]
-
-    def test_tee_sink_close_closes_every_sink_and_reraises_first_error(self):
-        closed = []
-
-        class Exploding(BufferedSink):
-            def __init__(self, name):
-                super().__init__()
-                self.name = name
-
-            def close(self):
-                closed.append(self.name)
-                raise RuntimeError(f"boom from {self.name}")
-
-        class Recording(BufferedSink):
-            def close(self):
-                closed.append("quiet")
-
-        tee = TeeSink([Exploding("first"), Recording(), Exploding("last")])
-        with pytest.raises(RuntimeError, match="boom from first"):
-            tee.close()
-        # Every sink got its close() — the first failure must not leak the
-        # file handles / sockets of the sinks behind it.
-        assert closed == ["first", "quiet", "last"]
-
-    def test_sink_spec_rejects_files_and_garbage(self):
-        with pytest.raises(ValueError, match="socket sink address"):
-            AckingSocketSink("rows.jsonl")
-        with pytest.raises(ValueError, match="tcp:HOST:PORT"):
-            AckingSocketSink("tcp:localhost")
-        with pytest.raises(ValueError, match="socket sink address"):
-            AckingSocketSink("carrier-pigeon:coop")
 
 
 class TestResumeParsing:

@@ -7,9 +7,9 @@ with it:
   match a row-by-row reference, and ``repro-cc stats`` and the campaign
   summary table show the same cells.
 * :class:`RunCache` hits are byte-identical to execution, compose with
-  ``--jobs``, ``--resume``, ``--engine batched`` and a sharded collector
-  campaign, and degrade to misses (never wrong rows) on corrupt or
-  identity-mismatched entries.
+  ``--jobs``, ``--resume`` and ``--engine batched`` (and with ``--shard``
+  slices: ``tests/test_cli_end_to_end.py::TestSliceMerge``), and degrade
+  to misses (never wrong rows) on corrupt or identity-mismatched entries.
 * The resume path appends instead of rewriting (an interrupt mid-resume
   cannot lose prior completed rows), the final job-order rewrite is atomic
   (a kill mid-rewrite leaves the streamed file intact), and prior
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import threading
 
 import pytest
 
@@ -314,34 +313,6 @@ class TestCacheEndToEnd:
         assert main(argv + ["--out", str(warm), "--cache", str(cache)]) in (0, 1)
         assert "8 hit(s)" in capsys.readouterr().out
         assert warm.read_bytes() == expected
-
-    def test_five_shard_collector_merge_with_caches(self, tmp_path):
-        from repro.campaign.shard import Collector
-
-        jobs = expand_jobs(SPEC)
-        baseline = CampaignDriver(jobs).execute().jsonl_lines()
-        # Warm one shared cache first, then a sharded campaign over it.
-        cache = RunCache(str(tmp_path / "cache"))
-        CampaignDriver(jobs[:4], cache=cache).execute()
-        with Collector(jobs, "tcp:127.0.0.1:0") as collector:
-            threads = [
-                threading.Thread(
-                    target=CampaignDriver(
-                        jobs,
-                        collector=collector.address,
-                        shard=(i, 5),
-                        cache=RunCache(str(tmp_path / "cache")),
-                    ).execute
-                )
-                for i in range(5)
-            ]
-            for thread in threads:
-                thread.start()
-            rows = collector.run(timeout=60)
-            for thread in threads:
-                thread.join(timeout=10)
-        assert [row_line(row) for row in rows] == baseline
-        assert len(collector.state.shards) == 5
 
 
 class TestResumeCrashSafety:

@@ -11,6 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -48,7 +51,6 @@ class TestRunEndToEnd:
         ["bounds"],
         ["compare"],
         ["campaign"],
-        ["collect", "--listen", "tcp:127.0.0.1:0", "--out", "rows.jsonl"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -67,12 +69,11 @@ def test_unknown_scenario_is_a_usage_error(argv, capsys):
     [
         ["stats", "{path}"],
         ["campaign", "--resume", "--out", "{path}"],
-        ["collect", "--listen", "tcp:127.0.0.1:0", "--resume", "--out", "{path}"],
     ],
     ids=lambda argv: argv[0],
 )
 def test_unreadable_rows_file_is_a_usage_error(argv, kind, tmp_path, capsys):
-    # `stats` and both --resume paths read the rows file the same way: a
+    # `stats` and `campaign --resume` read the rows file the same way: a
     # file that is not a campaign stream is exit 2 and one line naming it.
     path = tmp_path / "rows.jsonl"
     if kind == "directory":
@@ -92,15 +93,13 @@ def test_unreadable_rows_file_is_a_usage_error(argv, kind, tmp_path, capsys):
         (["campaign", "--out", "{missing}"], "{missing}"),
         (["campaign", "--shard", "1/2", "--out", "{dir}"], "{dir}"),
         (["campaign", "--cache", "{file}"], "{file}"),
-        (["collect", "--listen", "tcp:127.0.0.1:0", "--timeout", "0.5",
-          "--out", "{dir}"], "{dir}"),
     ],
     ids=["out-directory", "out-missing-directory", "shard-out-directory",
-         "cache-file", "collect-out-directory"],
+         "cache-file"],
 )
 def test_unusable_out_or_cache_path_is_a_usage_error(argv, bad, tmp_path, capsys):
-    # Checked before any job runs or the collector listens: exit 2 and one
-    # line naming the path, not a traceback (exit 1 means a violation).
+    # Checked before any job runs: exit 2 and one line naming the path,
+    # not a traceback (exit 1 means a violation).
     paths = {
         "dir": tmp_path / "rows",
         "missing": tmp_path / "missing" / "rows.jsonl",
@@ -299,8 +298,6 @@ class TestCampaignEndToEnd:
         [
             ["campaign", "--engine", "auto"],
             ["campaign", "--discussion", "0"],
-            ["collect", "--listen", "tcp:127.0.0.1:0", "--out", "rows.jsonl", "--timeout", "1",
-             "--discussion", "0"],
             ["run", "--steps", "0"],
             ["run", "--discussion", "0"],
             ["check", "--discussion", "-3"],
@@ -314,6 +311,13 @@ class TestCampaignEndToEnd:
             main(argv + ["--scenario", "figure1"])
         assert excinfo.value.code == 2
         assert "argument --" in capsys.readouterr().err
+
+    def test_collect_is_not_a_subcommand(self, capsys):
+        # Slices are merged by `campaign --resume`; there is no collector.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["collect", "--listen", "tcp:127.0.0.1:0", "--out", "rows.jsonl"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'collect'" in capsys.readouterr().err
 
     def test_bad_environment_exits_two(self, capsys):
         code = main(["campaign", "--scenario", "figure1",
@@ -463,11 +467,95 @@ class TestCampaignCrashSafety:
         assert main(argv + ["--out", str(out), "--resume"]) == 2
         assert "max_steps=50.0" in capsys.readouterr().err
 
-    def test_rerun_disagreements_with_collector_exits_two(self, capsys):
+    def test_rerun_disagreements_with_shard_exits_two(self, capsys, tmp_path):
+        # Every slice would number its re-run jobs from the end of the
+        # matrix, so two slices' re-run rows would claim the same indices.
+        out = tmp_path / "part-1.jsonl"
         code = main(["campaign", "--scenario", "figure1", "--steps", "10",
-                     "--collector", "tcp:127.0.0.1:9", "--rerun-disagreements"])
+                     "--shard", "1/2", "--out", str(out), "--rerun-disagreements"])
         assert code == 2
-        assert "cannot be combined with --collector" in capsys.readouterr().err
+        assert "cannot be combined with --shard" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSliceMerge:
+    """Static ``--shard I/N --out`` slices, concatenated in any order and
+    finished with ``--resume --out``, give the bytes and the exit code of
+    one ``--jobs 1`` run of the whole matrix.
+
+    The matrix is one incremental and one batched cell of five seeds, so
+    the 3- and 5-way slicings cut the batched seed sweep (a 2-way slicing
+    of two equal cells cuts on the cell edge).  The slices share a run
+    cache warmed by a two-seed run of the same cells, and run with a
+    ``_run_job`` that fails seed 4, so the merge needs ``--retry-errors``.
+    The last slice loses half of its last line and is finished on its own
+    with ``--shard N/N --resume`` before the merge.
+    """
+
+    ENGINES = ["incremental", "batched"] if numpy_available() else ["incremental"]
+    ARGV = ["campaign", "--scenario", "figure1", "--algorithm", "cc2", "--steps", "20"]
+    ARGV += [arg for engine in ENGINES for arg in ("--engine", engine)]
+
+    @pytest.fixture(scope="class")
+    def whole(self, tmp_path_factory):
+        """The whole run's exit code and bytes, and a warm cache."""
+        folder = tmp_path_factory.mktemp("whole")
+        out = folder / "whole.jsonl"
+        code = main(self.ARGV + ["--seeds", "5", "--out", str(out)])
+        assert code == 1  # seed 2 violates Progress in 20 steps
+        cache = folder / "cache"
+        assert main(self.ARGV + ["--seeds", "2", "--cache", str(cache)]) in (0, 1)
+        return code, out.read_bytes(), cache
+
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    def test_shuffled_slices_merge_to_the_whole_run(
+        self, count, whole, tmp_path, capsys, monkeypatch
+    ):
+        code, expected, warm = whole
+        argv = self.ARGV + ["--seeds", "5"]
+        cache = tmp_path / "cache"
+        shutil.copytree(warm, cache)
+        import repro.campaign.jobs as jobs_module
+
+        real_run = jobs_module._run_job
+
+        def failing(job, *args, **kwargs):
+            if job.seed == 4:
+                raise RuntimeError("induced worker failure")
+            return real_run(job, *args, **kwargs)
+
+        parts = [tmp_path / f"part-{i}.jsonl" for i in range(1, count + 1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(jobs_module, "_run_job", failing)
+            codes = [
+                main(argv + ["--shard", f"{i}/{count}", "--out", str(part),
+                             "--cache", str(cache)])
+                for i, part in enumerate(parts, 1)
+            ]
+            hits = sum(map(int, re.findall(r"(\d+) hit\(s\)", capsys.readouterr().out)))
+            assert hits == 2 * len(self.ENGINES)  # seeds 1 and 2 of each cell
+            assert 3 in codes  # the error row of seed 4
+            # The last machine died mid-write; it finishes its own slice.
+            last = parts[-1]
+            whole_slice = last.read_bytes()
+            lines = whole_slice.splitlines(keepends=True)
+            last.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+            resumed = main(argv + ["--shard", f"{count}/{count}", "--resume",
+                                   "--out", str(last)])
+            assert (resumed, last.read_bytes()) == (codes[-1], whole_slice)
+        if len(self.ENGINES) == 2 and count > 2:
+            batched = [part for part in parts if b'"engine": "batched"' in part.read_bytes()]
+            assert len(batched) >= 2  # the batched seed sweep is cut
+        random.Random(count).shuffle(parts)
+        merged = tmp_path / "merged.jsonl"
+        merged.write_bytes(b"".join(part.read_bytes() for part in parts))
+        capsys.readouterr()
+        assert main(argv + ["--resume", "--retry-errors", "--out", str(merged)]) == code
+        jobs = 5 * len(self.ENGINES)
+        assert f"{jobs} row(s) already present, 1 of {jobs} job(s) remaining" in (
+            capsys.readouterr().out
+        )
+        assert merged.read_bytes() == expected
 
 
 class TestBatchedCampaignEndToEnd:
@@ -476,7 +564,7 @@ class TestBatchedCampaignEndToEnd:
     The batched engine changes *how* a cell's seed sweep executes (one numpy
     lockstep run instead of N solo runs), never *what* the rows say: modulo
     the `engine` identity field the JSONL output is byte-identical to
-    `--engine incremental --jobs 1`, and resume/shard-collector flows that
+    `--engine incremental --jobs 1`, and resume and `--shard` flows that
     split a batch arbitrarily still converge on the same bytes.
     """
 
@@ -536,48 +624,6 @@ class TestBatchedCampaignEndToEnd:
         assert code in (0, 1)
         assert "10 of 12 job(s) remaining" in printed
         assert part.read_bytes() == expected
-
-    def test_collector_shard_mode_byte_identical(self, capsys, tmp_path):
-        import threading
-
-        from repro.campaign import CampaignDriver, expand_jobs
-        from repro.campaign.matrix import CampaignSpec, FaultSchedule
-        from repro.campaign.shard import Collector
-        from repro.campaign.sinks import row_line
-
-        spec = CampaignSpec(
-            scenarios=("figure1", "grid-3x3"),
-            algorithms=("cc2",),
-            tokens=("ring",),
-            engines=("batched",),
-            faults=(FaultSchedule(every=20, fraction=0.5),),
-            seeds=tuple(range(6)),
-            max_steps=150,
-            arbitrary_start=True,
-        )
-        jobs = expand_jobs(spec)
-        baseline = [
-            row_line(result.output_row())
-            for result in CampaignDriver(jobs).execute().results
-        ]
-        # Five static shards over 12 jobs: every cell's 6-seed sweep is
-        # split across shard boundaries, so the merged rows prove a batch
-        # can be cut anywhere without perturbing a lane.
-        with Collector(jobs, "tcp:127.0.0.1:0") as collector:
-            threads = [
-                threading.Thread(
-                    target=CampaignDriver(
-                        jobs, collector=collector.address, shard=(i, 5)
-                    ).execute
-                )
-                for i in range(5)
-            ]
-            for thread in threads:
-                thread.start()
-            merged = collector.run(timeout=120)
-            for thread in threads:
-                thread.join(timeout=15)
-        assert [row_line(row) for row in merged] == baseline
 
     def test_batched_without_numpy_exits_two_with_hint(self, capsys, monkeypatch):
         # A ``None`` entry in sys.modules makes ``import numpy`` fail, as it

@@ -83,9 +83,13 @@ def test_cli_docs_are_checked_per_subcommand_section(tmp_path):
     # Flag completeness is per subcommand section: --engine appearing only
     # in the check section must still flag the run section as incomplete,
     # at the line of the run section's heading.
+    # A section for a subcommand the parser no longer defines is reported
+    # at its heading, though the flag it names exists on another one.
+    assert "collect" not in flags and "--out" in flags["campaign"]
     text = (
         "## `repro-cc run`\n\nsome text, no flags\n\n"
         "## `repro-cc check`\n\n| `--engine` | ... |\n| `--no-such-flag` | ... |\n"
+        "## `repro-cc collect`\n\n| `--out` | ... |\n"
     )
     sections = repo_checks._subcommand_sections(text)
     assert sections["run"][0] == 1 and sections["check"][0] == 5
@@ -102,6 +106,12 @@ def test_cli_docs_are_checked_per_subcommand_section(tmp_path):
         "docs/CLI.md", 8, "RC003", "names a flag the CLI does not define: --no-such-flag"
     ) in found
     assert not any("`repro-cc check` does not document its flag --engine" in d.message
+                   for d in found)
+    assert Diagnostic(
+        "docs/CLI.md", 9, "RC003",
+        "section `repro-cc collect` documents a subcommand the CLI does not define",
+    ) in found
+    assert not any("documents a subcommand" in d.message and "collect" not in d.message
                    for d in found)
 
 

@@ -20,7 +20,7 @@ RC010     ``repro/cli.py`` imports dispatch machinery (thin-adapter breach)
 RC004 is retired with the perf-row file it checked (``perfbench/`` holds
 the recorded perf numbers).  RC005–RC009 are retired: the campaign
 contracts they re-ran (spawn entry points, row schemas and resume
-round-trips, sink pickling, the collector merge, the run-cache key) are
+round-trips, sink pickling, the slice merge, the run-cache key) are
 pinned by the tier-1 tests under ``tests/test_campaign*.py``, and RL303
 checks ``SPAWN_ENTRY_POINTS`` statically.
 
@@ -344,7 +344,8 @@ def _subcommand_sections(text: str) -> Dict[str, Tuple[int, str]]:
 class CliDocsPass(_RepoCheck):
     """``docs/CLI.md`` documents every ``--flag`` of every ``repro-cc``
     subcommand, each in its own section, and mentions no flag the parser
-    does not define — introspected live from ``repro.cli.build_parser()``.
+    does not define and no subcommand section the parser has no
+    subcommand for — introspected live from ``repro.cli.build_parser()``.
     """
 
     name = "repo-cli-docs"
@@ -385,6 +386,17 @@ class CliDocsPass(_RepoCheck):
                 found.append(
                     self._at(rel, 1, f"does not mention subcommand `repro-cc {command}`")
                 )
+        # A section for a deleted subcommand would otherwise linger: its
+        # flags may still exist on another subcommand, so nothing else bites.
+        for command, (line, _body) in sorted(sections.items()):
+            if command not in flags:
+                found.append(
+                    self._at(
+                        rel, line,
+                        f"section `repro-cc {command}` documents a subcommand "
+                        "the CLI does not define",
+                    )
+                )
         return found
 
 
@@ -392,9 +404,10 @@ class CliDocsPass(_RepoCheck):
 # RC010 — the CLI stays a thin adapter over the campaign driver
 # --------------------------------------------------------------------------- #
 #: Module prefixes ``repro/cli.py`` may not import: all dispatch machinery
-#: (worker pools, the shard socket protocol, batched grouping) is reached
-#: through ``repro.campaign.driver``, so a fourth orchestration copy cannot
-#: quietly grow back inside the argparse layer.
+#: (worker pools, batched grouping) is reached through
+#: ``repro.campaign.driver``, so another orchestration copy cannot quietly
+#: grow back inside the argparse layer.  ``socket`` stays listed: no
+#: dispatch over a socket may come back by way of the CLI either.
 CLI_FORBIDDEN_IMPORTS = ("multiprocessing", "socket", "repro.campaign.batched")
 
 
