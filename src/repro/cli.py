@@ -277,7 +277,7 @@ def _expand_matrix(args: argparse.Namespace):
 def _parse_shard(text: str):
     """``"I/N"`` (1-based) -> 0-based ``(index, count)``; raises ValueError."""
     head, sep, tail = text.partition("/")
-    if not sep or not head.isdigit() or not tail.isdigit():
+    if not sep or not head.isdecimal() or not tail.isdecimal():
         raise ValueError(f"bad --shard {text!r}: expected I/N, e.g. 2/3")
     index, count = int(head), int(tail)
     if count < 1 or not 1 <= index <= count:
@@ -337,7 +337,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     """
     sink = None
     try:
-        shard_spec = _parse_shard(args.shard) if args.shard else None
+        shard_spec = _parse_shard(args.shard) if args.shard is not None else None
         _check_campaign_flags(args, shard_spec)
         _spec, all_jobs = _expand_matrix(args)
         prior_rows: List[dict] = []

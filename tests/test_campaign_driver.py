@@ -8,8 +8,9 @@ cache × static shards × the batched engine.
 
 The library contract is pinned too: `CampaignDriver` round-trips a
 campaign programmatically (no argparse anywhere), refuses the one flag
-combination it cannot honour, `shard_slice` partitions the job list, and
-`cli._cmd_campaign` stays a thin adapter
+combination it cannot honour, `shard_slice` partitions the job list, the
+merge of concatenated slice rows runs only what no slice answered and
+refuses another matrix's rows, and `cli._cmd_campaign` stays a thin adapter
 (line-count ceiling; the RC010 repo check enforces the import side of the
 same invariant).
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import re
 
 import pytest
 
@@ -38,6 +40,7 @@ from repro.campaign import (
     shard_slice,
 )
 from repro.campaign.driver import dispatch
+from repro.campaign.jobs import ROW_IDENTITY_ATTRS
 from repro.campaign.sinks import row_line
 from repro.kernel.batched import numpy_available
 
@@ -311,6 +314,101 @@ class TestShardSlice:
             shard_slice(jobs, 0, 0)
         with pytest.raises(ValueError, match="shard index"):
             shard_slice(jobs, 2, 2)
+
+
+def _changed(value):
+    """A different value of the same type (``None`` becomes ``0``)."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-changed"
+    return 0
+
+
+class TestSliceRowsMerge:
+    """The ``--resume`` merge of concatenated slice files, as the driver sees it.
+
+    The prior rows are the slices' rows in the order of the concatenation.
+    The merge runs exactly the jobs no slice answered, returns the rows of
+    one ``--jobs 1`` run, and refuses a row another matrix wrote: every
+    identity field of every row is checked against the job at its index.
+    """
+
+    @pytest.fixture(scope="class")
+    def parts(self, matrix):
+        """``count -> [rows of slice 1, ..., rows of slice count]``."""
+        jobs, _, _ = matrix
+        return {
+            count: [
+                [
+                    json.loads(line)
+                    for line in CampaignDriver(jobs, shard=(i, count)).execute().jsonl_lines()
+                ]
+                for i in range(count)
+            ]
+            for count in (1, 2, 3, 4, 5)
+        }
+
+    @staticmethod
+    def _merge(jobs, prior_rows):
+        ran = []
+        result = CampaignDriver(
+            jobs,
+            prior_rows=prior_rows,
+            progress=lambda job_result, done, total: ran.append(job_result.index),
+        ).execute()
+        return result, ran
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_reversed_slices_merge_without_running_a_job(self, matrix, parts, count):
+        jobs, _, lines = matrix
+        if count > len(jobs):
+            assert parts[count][-1] == []  # more slices than jobs: an empty part
+        prior = [row for part in reversed(parts[count]) for row in part]
+        result, ran = self._merge(jobs, prior)
+        assert ran == [] and result.executed_runs == 0
+        assert result.jsonl_lines() == lines
+
+    @pytest.mark.parametrize("lost", [0, 1, 2])
+    def test_a_missing_part_is_run_by_the_merge(self, matrix, parts, lost):
+        jobs, _, lines = matrix
+        kept = [row for i, part in enumerate(parts[3]) if i != lost for row in part]
+        result, ran = self._merge(jobs, kept)
+        assert ran == [job.index for job in shard_slice(jobs, lost, 3)]
+        assert result.jsonl_lines() == lines
+
+    def test_a_part_concatenated_twice_merges_once(self, matrix, parts):
+        jobs, _, lines = matrix
+        first, second = parts[2]
+        result, ran = self._merge(jobs, first + second + first)
+        assert ran == [] and len(result.results) == len(jobs)
+        assert result.jsonl_lines() == lines
+
+    @pytest.mark.parametrize("key", [key for key in ROW_IDENTITY_ATTRS if key != "job"])
+    def test_a_row_from_another_matrix_is_refused(self, matrix, parts, key):
+        # Whichever axis differs, one row of it is enough to refuse the merge.
+        jobs, _, _ = matrix
+        first, second = parts[2]
+        foreign = dict(second[0], **{key: _changed(second[0][key])})
+        with pytest.raises(ResumeError, match=f"{key}="):
+            CampaignPlan(jobs, prior_rows=first + [foreign] + second[1:])
+
+    @pytest.mark.parametrize(
+        "key", ["discussion_steps", "seed", "max_steps", "arbitrary", "fault_every"]
+    )
+    def test_an_equal_value_of_another_type_is_refused(self, matrix, parts, key):
+        # ``60.0 == 60`` and ``0 == False`` in Python, but no run of this
+        # matrix writes such a row: adopting it would change the bytes.
+        jobs, _, _ = matrix
+        first, second = parts[2]
+        value = second[0][key]
+        retyped = int(value) if isinstance(value, bool) else float(value)
+        assert retyped == value
+        foreign = dict(second[0], **{key: retyped})
+        with pytest.raises(ResumeError, match=re.escape(f"{key}={retyped!r}")):
+            CampaignPlan(jobs, prior_rows=first + [foreign])
 
 
 def test_cmd_campaign_is_a_thin_adapter():

@@ -116,6 +116,33 @@ def test_unusable_out_or_cache_path_is_a_usage_error(argv, bad, tmp_path, capsys
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "shard",
+    ["0/2", "3/2", "1/0", "2", "a/b", "1/2/3", "", "\u00b2/3"],
+    ids=["zero-index", "index-past-count", "zero-count", "no-slash", "letters",
+         "two-slashes", "empty", "superscript-digit"],
+)
+def test_bad_shard_is_a_usage_error(shard, tmp_path, capsys):
+    # Refused before any job runs, with the one message: an empty value is
+    # no more a whole run than "0/2" is, and "\u00b2" is a digit int() refuses.
+    out = tmp_path / "part.jsonl"
+    code = main(["campaign", "--scenario", "figure1", "--steps", "10",
+                 "--shard", shard, "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"campaign: bad --shard {shard!r}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == "" and not out.exists()
+
+
+def test_shard_without_out_is_a_usage_error(capsys):
+    # A slice's rows exist only to be merged; without --out they would be lost.
+    assert main(["campaign", "--scenario", "figure1", "--steps", "10",
+                 "--shard", "1/2"]) == 2
+    captured = capsys.readouterr()
+    assert "--shard needs --out" in captured.err and captured.out == ""
+
+
 class TestCheckEndToEnd:
     def test_clean_check_exits_zero(self, capsys):
         assert main(["check", "--scenario", "figure1", "--algorithm", "cc2",
@@ -556,6 +583,70 @@ class TestSliceMerge:
             capsys.readouterr().out
         )
         assert merged.read_bytes() == expected
+
+
+class TestSliceMergeEdges:
+    """What the multi-machine recipe of ``docs/CLI.md`` promises besides
+    the byte-identical merge: re-runs on the merge step, and exit 2 with the
+    merged file untouched for a cut line or another matrix's part."""
+
+    ARGV = ["campaign", "--scenario", "figure1", "--algorithm", "cc2",
+            "--steps", "20", "--seeds", "5"]
+
+    def _parts(self, folder, argvs):
+        parts = []
+        for i, argv in enumerate(argvs, 1):
+            part = folder / f"part-{i}.jsonl"
+            main(argv + ["--shard", f"{i}/{len(argvs)}", "--out", str(part)])
+            parts.append(part)
+        return parts
+
+    def test_rerun_disagreements_on_the_merge_matches_the_whole_run(self, tmp_path, capsys):
+        # Seed 2 violates Progress in 20 steps and the others do not, so the
+        # cell's verdicts disagree and five fresh seeds are appended.
+        whole = tmp_path / "whole.jsonl"
+        code = main(self.ARGV + ["--rerun-disagreements", "--out", str(whole)])
+        assert code == 1
+        parts = self._parts(tmp_path, [self.ARGV, self.ARGV])
+        merged = tmp_path / "merged.jsonl"
+        merged.write_bytes(parts[1].read_bytes() + parts[0].read_bytes())
+        capsys.readouterr()
+        argv = self.ARGV + ["--resume", "--rerun-disagreements", "--out", str(merged)]
+        assert main(argv) == code
+        assert "appending 5 fresh-seed job(s) (5 still to execute)" in capsys.readouterr().out
+        assert merged.read_bytes() == whole.read_bytes()
+
+    def test_a_cut_line_inside_the_concatenation_is_named(self, tmp_path, capsys):
+        # A killed machine's part, concatenated before its slice was
+        # finished: the cut line runs into the next part's first row.
+        first, second = self._parts(tmp_path, [self.ARGV, self.ARGV])
+        lines = first.read_bytes().splitlines(keepends=True)
+        merged = tmp_path / "merged.jsonl"
+        merged.write_bytes(
+            b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2] + second.read_bytes()
+        )
+        before = merged.read_bytes()
+        capsys.readouterr()
+        assert main(self.ARGV + ["--resume", "--out", str(merged)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            f"campaign: {merged}:{len(lines)}: corrupt row before end of stream ("
+        )
+        assert captured.out == "" and merged.read_bytes() == before
+
+    def test_a_part_from_another_matrix_is_refused(self, tmp_path, capsys):
+        other = [arg if arg != "20" else "30" for arg in self.ARGV]
+        parts = self._parts(tmp_path, [self.ARGV, other])
+        merged = tmp_path / "merged.jsonl"
+        merged.write_bytes(b"".join(part.read_bytes() for part in parts))
+        before = merged.read_bytes()
+        capsys.readouterr()
+        assert main(self.ARGV + ["--resume", "--out", str(merged)]) == 2
+        captured = capsys.readouterr()
+        assert "does not match the campaign matrix: max_steps=30 in the file vs 20" in (
+            captured.err
+        )
+        assert merged.read_bytes() == before
 
 
 class TestBatchedCampaignEndToEnd:
