@@ -43,7 +43,6 @@ merge path.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
 from typing import (
@@ -168,6 +167,10 @@ class RowCollector:
     rows), append to the result list, stream to the crash-safety ``sink`` and
     invoke the ``progress`` callback — so the serial and pool executors
     cannot drift apart on what "a row completed" means.
+
+    ``progress`` is called as ``progress(result, done, total)``, where
+    ``total`` is the number of results the collector will see (cache hits
+    included), so the last call has ``done == total``.
 
     ``sink`` lifecycle belongs to the caller (never closed here).
     """
@@ -329,6 +332,10 @@ class PoolExecutor:
     def run(self, todo: Sequence[RunJob], collector: RowCollector) -> int:
         if not todo:
             return 1
+        # Imported here, not at module level: only a pool needs it, and a
+        # serial campaign should not pay for importing it (and ``socket``).
+        import multiprocessing
+
         workers = min(self.jobs, len(todo))
         context = multiprocessing.get_context(self.mp_context)
         with context.Pool(processes=workers) as pool:
@@ -571,7 +578,9 @@ class CampaignDriver:
             sink_timing=self.timing,
             cache=self.cache,
             progress=self.progress,
-            total=len(plan.jobs),
+            # What this invocation collects: a slice's or a resume's pending
+            # jobs, cache hits included -- not the whole matrix.
+            total=len(plan.pending),
         )
         if plan.prior_rows and self.out:
             self._info(
@@ -615,6 +624,7 @@ class CampaignDriver:
                 )
                 if extra_todo:
                     extra_plan = CampaignPlan(extra_todo, cache=self.cache)
+                    collector.total += len(extra_plan.pending)
                     dispatch(extra_plan, collector, self.jobs, self.mp_context)
                     executed = list(collector.results)
                     merged = merge_results(plan.base_prior + valid_extra, executed)

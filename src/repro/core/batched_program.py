@@ -345,17 +345,14 @@ class BatchedProgram:
         self._allowed_status_codes = frozenset(
             STATUS_CODES[s] for s in algorithm.statuses
         )
-        # -- action tables (labels double as a transcription checksum) --- #
+        # -- the action list (labels double as a transcription checksum) -- #
         expected = _CC1_LABELS if kind == "cc1" else _CC2_LABELS
-        self._actions: Dict[ProcessId, Tuple[Any, ...]] = {}
-        for pid in pids:
-            actions = tuple(algorithm.actions(pid))
-            if tuple(a.label for a in actions) != expected:
-                raise _unsupported(
-                    f"action list of process {pid} does not match the "
-                    f"transcribed guard table ({[a.label for a in actions]})"
-                )
-            self._actions[pid] = actions
+        self.actions: Tuple[Any, ...] = tuple(algorithm.actions())
+        if tuple(a.label for a in self.actions) != expected:
+            raise _unsupported(
+                "action list does not match the transcribed guard table "
+                f"({[a.label for a in self.actions]})"
+            )
         # -- environment -------------------------------------------------- #
         self._env_spec = self._validate_environment(environment)
 
@@ -484,9 +481,6 @@ class BatchedProgram:
 
     def column_of(self, pid: ProcessId) -> int:
         return self._col[pid]
-
-    def actions_for(self, pid: ProcessId) -> Tuple[Any, ...]:
-        return self._actions[pid]
 
     def env_observe(self, state: BatchedConfiguration, step_index: int) -> None:
         state.env.observe(state.arrays[STATUS], step_index)

@@ -176,12 +176,13 @@ class CC1Algorithm(CommitteeAlgorithmBase):
     # ------------------------------------------------------------------ #
     # actions
     # ------------------------------------------------------------------ #
-    def actions(self, pid: ProcessId) -> Sequence[Action]:
+    def actions(self) -> Sequence[Action]:
         token = self.token
 
+        # Every guard and statement reads the acting process from ``ctx.pid``.
         # -- Step1 : idle professor requests participation ---------------- #
         def step1_guard(ctx: ActionContext) -> bool:
-            return ctx.states[pid][STATUS] == IDLE and ctx.request_in()
+            return ctx.states[ctx.pid][STATUS] == IDLE and ctx.request_in()
 
         def step1_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, LOOKING)
@@ -189,17 +190,18 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Step21 : local maximum points at a free committee ------------ #
         def step21_guard(ctx: ActionContext) -> bool:
-            return self.max_to_free_edge(ctx, pid)
+            return self.max_to_free_edge(ctx, ctx.pid)
 
         def step21_stmt(ctx: ActionContext) -> None:
-            free = self.free_edges(ctx, pid)
+            free = self.free_edges(ctx, ctx.pid)
             ctx.write(POINTER, self.choose_edge(ctx, free))
 
         # -- Step22 : adopt the local maximum's committee ------------------ #
         def step22_guard(ctx: ActionContext) -> bool:
-            return self.join_local_max(ctx, pid)
+            return self.join_local_max(ctx, ctx.pid)
 
         def step22_stmt(ctx: ActionContext) -> None:
+            pid = ctx.pid
             cands = self.candidates(ctx, pid)
             leader_pointer = ctx.read(max(cands), POINTER) if cands else None
             if leader_pointer is not None and leader_pointer in self.incident(pid):
@@ -207,14 +209,15 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Token1 : publish token ownership ------------------------------ #
         def token1_guard(ctx: ActionContext) -> bool:
+            pid = ctx.pid
             return token.token(ctx, pid) != bool(ctx.states[pid][TOKEN_FLAG])
 
         def token1_stmt(ctx: ActionContext) -> None:
-            ctx.write(TOKEN_FLAG, token.token(ctx, pid))
+            ctx.write(TOKEN_FLAG, token.token(ctx, ctx.pid))
 
         # -- Token2 : useless token holder releases the token -------------- #
         def token2_guard(ctx: ActionContext) -> bool:
-            return self.useless(ctx, pid)
+            return self.useless(ctx, ctx.pid)
 
         def token2_stmt(ctx: ActionContext) -> None:
             token.release(ctx)
@@ -222,6 +225,7 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Step31 : committee agreed, wait for the meeting ---------------- #
         def step31_guard(ctx: ActionContext) -> bool:
+            pid = ctx.pid
             return ctx.states[pid][STATUS] == LOOKING and self.ready(ctx, pid)
 
         def step31_stmt(ctx: ActionContext) -> None:
@@ -229,31 +233,34 @@ class CC1Algorithm(CommitteeAlgorithmBase):
 
         # -- Step32 : meeting convened, essential discussion ---------------- #
         def step32_guard(ctx: ActionContext) -> bool:
+            pid = ctx.pid
             return ctx.states[pid][STATUS] == WAITING and self.meeting(ctx, pid)
 
         def step32_stmt(ctx: ActionContext) -> None:
-            ctx.environment.on_essential_discussion(pid)
+            ctx.environment.on_essential_discussion(ctx.pid)
             ctx.write(STATUS, DONE)
 
         # -- Step4 : voluntarily leave the meeting --------------------------- #
         def step4_guard(ctx: ActionContext) -> bool:
-            return self.leave_meeting(ctx, pid) and ctx.request_out()
+            return self.leave_meeting(ctx, ctx.pid) and ctx.request_out()
 
         def step4_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, IDLE)
             ctx.write(POINTER, None)
-            if token.token(ctx, pid):
+            if token.token(ctx, ctx.pid):
                 token.release(ctx)
             ctx.write(TOKEN_FLAG, False)
 
         # -- Stab1 / Stab2 : snap-stabilization correction ------------------- #
         def stab1_guard(ctx: ActionContext) -> bool:
+            pid = ctx.pid
             return ctx.states[pid][STATUS] == IDLE and not self.correct(ctx, pid)
 
         def stab1_stmt(ctx: ActionContext) -> None:
             ctx.write(POINTER, None)
 
         def stab2_guard(ctx: ActionContext) -> bool:
+            pid = ctx.pid
             return ctx.states[pid][STATUS] != IDLE and not self.correct(ctx, pid)
 
         def stab2_stmt(ctx: ActionContext) -> None:
@@ -280,4 +287,4 @@ class CC1Algorithm(CommitteeAlgorithmBase):
         # Fair composition with the token module's maintenance actions (if
         # any).  They are appended *before* the CC actions' stabilization
         # rules would not be meaningful, so they go first (lowest priority).
-        return tuple(self.token.maintenance_actions(pid) + actions)
+        return tuple(self.token.maintenance_actions() + actions)

@@ -250,45 +250,48 @@ class CC2Algorithm(CommitteeAlgorithmBase):
     # ------------------------------------------------------------------ #
     # actions
     # ------------------------------------------------------------------ #
-    def actions(self, pid: ProcessId) -> Sequence[Action]:
+    def actions(self) -> Sequence[Action]:
         token = self.token
 
+        # Every guard and statement reads the acting process from ``ctx.pid``.
         # -- Lock : maintain the L flag ------------------------------------ #
         def lock_guard(ctx: ActionContext) -> bool:
+            pid = ctx.pid
             return self.locked(ctx, pid) != bool(ctx.states[pid][LOCK_FLAG])
 
         def lock_stmt(ctx: ActionContext) -> None:
-            ctx.write(LOCK_FLAG, self.locked(ctx, pid))
+            ctx.write(LOCK_FLAG, self.locked(ctx, ctx.pid))
 
         # -- Step11 : token holder commits to a target committee ------------ #
         def step11_guard(ctx: ActionContext) -> bool:
-            return self.token_holder_to_edge(ctx, pid)
+            return self.token_holder_to_edge(ctx, ctx.pid)
 
         def step11_stmt(ctx: ActionContext) -> None:
-            ctx.write(POINTER, self._choose_token_edge(ctx, pid))
+            ctx.write(POINTER, self._choose_token_edge(ctx, ctx.pid))
 
         # -- Step12 : locked processes adopt the token holder's committee --- #
         def step12_guard(ctx: ActionContext) -> bool:
-            return self.join_token_holder(ctx, pid)
+            return self.join_token_holder(ctx, ctx.pid)
 
         def step12_stmt(ctx: ActionContext) -> None:
-            choice = self._choose_t_pointing_edge(ctx, pid)
+            choice = self._choose_t_pointing_edge(ctx, ctx.pid)
             if choice is not None:
                 ctx.write(POINTER, choice)
 
         # -- Step13 : local maximum points at a free committee -------------- #
         def step13_guard(ctx: ActionContext) -> bool:
-            return self.max_to_free_edge(ctx, pid)
+            return self.max_to_free_edge(ctx, ctx.pid)
 
         def step13_stmt(ctx: ActionContext) -> None:
-            free = self.free_edges(ctx, pid)
+            free = self.free_edges(ctx, ctx.pid)
             ctx.write(POINTER, self.choose_edge(ctx, free, prefer_token_holder=False))
 
         # -- Step14 : adopt the local maximum's committee -------------------- #
         def step14_guard(ctx: ActionContext) -> bool:
-            return self.join_local_max(ctx, pid)
+            return self.join_local_max(ctx, ctx.pid)
 
         def step14_stmt(ctx: ActionContext) -> None:
+            pid = ctx.pid
             nodes = self.free_nodes(ctx, pid)
             leader_pointer = ctx.read(max(nodes), POINTER) if nodes else None
             if leader_pointer is not None and leader_pointer in self.incident(pid):
@@ -296,13 +299,15 @@ class CC2Algorithm(CommitteeAlgorithmBase):
 
         # -- Token : publish token ownership --------------------------------- #
         def token_guard(ctx: ActionContext) -> bool:
+            pid = ctx.pid
             return token.token(ctx, pid) != bool(ctx.states[pid][TOKEN_FLAG])
 
         def token_stmt(ctx: ActionContext) -> None:
-            ctx.write(TOKEN_FLAG, token.token(ctx, pid))
+            ctx.write(TOKEN_FLAG, token.token(ctx, ctx.pid))
 
         # -- Step2 : committee agreed, wait for the meeting ------------------- #
         def step2_guard(ctx: ActionContext) -> bool:
+            pid = ctx.pid
             return ctx.states[pid][STATUS] == LOOKING and self.ready(ctx, pid)
 
         def step2_stmt(ctx: ActionContext) -> None:
@@ -310,27 +315,28 @@ class CC2Algorithm(CommitteeAlgorithmBase):
 
         # -- Step3 : meeting convened, essential discussion ------------------- #
         def step3_guard(ctx: ActionContext) -> bool:
+            pid = ctx.pid
             return ctx.states[pid][STATUS] == WAITING and self.meeting(ctx, pid)
 
         def step3_stmt(ctx: ActionContext) -> None:
-            ctx.environment.on_essential_discussion(pid)
+            ctx.environment.on_essential_discussion(ctx.pid)
             ctx.write(STATUS, DONE)
 
         # -- Step4 : voluntarily leave the meeting, release the token ---------- #
         def step4_guard(ctx: ActionContext) -> bool:
-            return self.leave_meeting(ctx, pid) and ctx.request_out()
+            return self.leave_meeting(ctx, ctx.pid) and ctx.request_out()
 
         def step4_stmt(ctx: ActionContext) -> None:
-            self.on_leave_meeting(ctx, pid)
+            self.on_leave_meeting(ctx, ctx.pid)
             ctx.write(STATUS, LOOKING)
             ctx.write(POINTER, None)
             ctx.write(TOKEN_FLAG, False)
-            if token.token(ctx, pid):
+            if token.token(ctx, ctx.pid):
                 token.release(ctx)
 
         # -- Stab : snap-stabilization correction ------------------------------ #
         def stab_guard(ctx: ActionContext) -> bool:
-            return not self.correct(ctx, pid)
+            return not self.correct(ctx, ctx.pid)
 
         def stab_stmt(ctx: ActionContext) -> None:
             ctx.write(STATUS, LOOKING)
@@ -352,7 +358,7 @@ class CC2Algorithm(CommitteeAlgorithmBase):
             Action("Step4", step4_guard, step4_stmt, when=frozenset({DONE})),
             Action("Stab", stab_guard, stab_stmt, when=frozenset({WAITING, DONE})),
         ]
-        return tuple(self.token.maintenance_actions(pid) + actions)
+        return tuple(self.token.maintenance_actions() + actions)
 
     # ------------------------------------------------------------------ #
     # hook used by CC3

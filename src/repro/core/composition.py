@@ -95,8 +95,8 @@ class TokenBinding:
     # ------------------------------------------------------------------ #
     # maintenance actions (fair composition)
     # ------------------------------------------------------------------ #
-    def maintenance_actions(self, pid: ProcessId) -> List[Action]:
+    def maintenance_actions(self) -> List[Action]:
         return [
             namespaced_action(action, self.prefix)
-            for action in self.module.maintenance_actions(pid)
+            for action in self.module.maintenance_actions()
         ]

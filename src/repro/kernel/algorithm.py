@@ -13,16 +13,20 @@ convention the paper uses -- the stabilization actions appear last and are
 the "priority actions").  When a selected process has several enabled
 actions, it executes its highest-priority enabled one.
 
-Guards are pure functions of the configuration and the environment's
-answers, so only the highest-priority enabled action matters:
-:meth:`DistributedAlgorithm.enabled_action` walks the process's *action
-table* (:meth:`DistributedAlgorithm.action_table`, the list reversed, built
-once per run by the scheduler) and returns the first action whose guard
-holds.  An action may declare the values of one own variable (the
-algorithm's :attr:`DistributedAlgorithm.action_key`, the status ``S`` for
-the committee coordination algorithms) at which its guard can hold; the
-table is keyed by that value, so a walk tries only the actions the
-walker's own value admits.  The guards of one walk share one
+Every process runs the same local algorithm with its own id as a
+parameter (Algorithms 1 and 2 of the paper), so the list is one list for
+all processes: a guard or statement reads the acting process from
+``ctx.pid``.  Guards are pure functions of the configuration and the
+environment's answers, so only the highest-priority enabled action
+matters: :meth:`DistributedAlgorithm.enabled_action` walks the run's
+*action table* (:meth:`DistributedAlgorithm.action_table`, the list
+reversed, built once per run by the scheduler and shared by every
+process) and returns the first action whose guard holds.  An action may
+declare the values of one own variable (the algorithm's
+:attr:`DistributedAlgorithm.action_key`, the status ``S`` for the committee
+coordination algorithms) at which its guard can hold; the table is keyed
+by that value, so a walk tries only the actions the walker's own value
+admits.  The guards of one walk share one
 :class:`ActionContext`, so a macro several of them test (a :func:`shared`
 predicate) is derived only once.
 
@@ -264,14 +268,14 @@ class Action:
 
 
 class ActionTable(dict):
-    """One process's actions, highest priority first, keyed by its key value.
+    """The actions, highest priority first, keyed by the walker's key value.
 
     ``table[value]`` holds the actions whose guard can hold while the
-    process's :attr:`variable` equals ``value``: those whose ``when`` names
-    ``value`` or declares nothing.  :attr:`every` holds all of them, and a
-    value that no declaration names maps to it.  A table whose
-    :attr:`variable` is ``None`` (the algorithm declares no key) has the
-    single entry ``table[None]``.
+    walking process's :attr:`variable` equals ``value``: those whose
+    ``when`` names ``value`` or declares nothing.  :attr:`every` holds all
+    of them, and a value that no declaration names maps to it.  A table
+    whose :attr:`variable` is ``None`` (the algorithm declares no key) has
+    the single entry ``table[None]``.
     """
 
     __slots__ = ("variable", "every")
@@ -304,7 +308,7 @@ class DistributedAlgorithm(abc.ABC):
       (:meth:`initial_state`) and, for stabilization experiments, an
       arbitrary value drawn from the variable domains
       (:meth:`arbitrary_state`),
-    * the ordered list of guarded actions of each process
+    * the ordered list of guarded actions every process runs
       (:meth:`actions`); the list order encodes priority, **later = higher**.
     """
 
@@ -326,8 +330,12 @@ class DistributedAlgorithm(abc.ABC):
         """A uniformly arbitrary variable assignment for ``pid`` (fault model)."""
 
     @abc.abstractmethod
-    def actions(self, pid: ProcessId) -> Sequence[Action]:
-        """Ordered guarded actions of ``pid`` (later in the list = higher priority)."""
+    def actions(self) -> Sequence[Action]:
+        """Ordered guarded actions (later in the list = higher priority).
+
+        One list serves every process: each guard and statement reads the
+        acting process from ``ctx.pid``, never from a value it closed over.
+        """
 
     # ------------------------------------------------------------------ #
     # conveniences shared by all algorithms
@@ -340,17 +348,17 @@ class DistributedAlgorithm(abc.ABC):
         """A configuration with every variable drawn arbitrarily (transient faults)."""
         return Configuration({pid: self.arbitrary_state(pid, rng) for pid in self.process_ids()})
 
-    def action_table(self, pid: ProcessId) -> ActionTable:
-        """``pid``'s actions, highest priority first, keyed by :attr:`action_key`.
+    def action_table(self) -> ActionTable:
+        """The actions, highest priority first, keyed by :attr:`action_key`.
 
         Every entry is :meth:`actions` reversed, less the actions whose
         :attr:`Action.when` excludes the entry's value.  The scheduler
-        builds one table per process once per run and passes it to every
-        guard evaluation of that run; it belongs to the run, never to the
-        algorithm (a table cached here would close a reference cycle
+        builds one table per run and passes it to every guard evaluation
+        of that run, whichever process walks; it belongs to the run, never
+        to the algorithm (a table cached here would close a reference cycle
         algorithm -> table -> closures -> algorithm).
         """
-        return ActionTable(self.action_key, tuple(reversed(self.actions(pid))))
+        return ActionTable(self.action_key, tuple(reversed(self.actions())))
 
     def enabled_action(
         self,
@@ -363,7 +371,7 @@ class DistributedAlgorithm(abc.ABC):
 
         Returns ``None`` when ``pid`` is disabled.  Priority follows the
         paper's convention: the action appearing *last* in :meth:`actions`
-        wins.  ``table`` is ``pid``'s :meth:`action_table` (built here when
+        wins.  ``table`` is the run's :meth:`action_table` (built here when
         omitted).  The walk reads ``pid``'s row once for its key value and
         tries only that entry; guards are pure, so the first action in it
         whose guard holds is the answer and the guards after it are never
@@ -371,7 +379,7 @@ class DistributedAlgorithm(abc.ABC):
         subclasses do not override it.
         """
         if table is None:
-            table = self.action_table(pid)
+            table = self.action_table()
         ctx = ActionContext(pid, configuration, environment)
         variable = table.variable
         try:
@@ -387,19 +395,19 @@ class DistributedAlgorithm(abc.ABC):
         self,
         configuration: Configuration,
         environment: Environment,
-        tables: Optional[Mapping[ProcessId, ActionTable]] = None,
+        table: Optional[ActionTable] = None,
     ) -> Dict[ProcessId, Action]:
         """``Enabled(γ)`` with, for each enabled process, its priority action.
 
-        A full sweep of :meth:`enabled_action`; ``tables`` maps each process
-        to its :meth:`action_table` (built per process when omitted).
+        A full sweep of :meth:`enabled_action` over one :meth:`action_table`
+        (``table``, built once here when omitted).
         """
+        if table is None:
+            table = self.action_table()
         enabled: Dict[ProcessId, Action] = {}
         enabled_action = self.enabled_action
         for pid in self.process_ids():
-            action = enabled_action(
-                pid, configuration, environment, None if tables is None else tables[pid]
-            )
+            action = enabled_action(pid, configuration, environment, table)
             if action is not None:
                 enabled[pid] = action
         return enabled

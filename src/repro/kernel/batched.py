@@ -353,7 +353,7 @@ class BatchedScheduler:
                 executed: Dict[ProcessId, str] = {}
                 for pid in sorted(selected):
                     col = program.column_of(pid)
-                    action = program.actions_for(pid)[priority[lane, col]]
+                    action = program.actions[priority[lane, col]]
                     ctx = _lane_context(pid, view, lane_env)
                     action.execute(ctx)
                     writes[pid] = ctx.writes

@@ -128,11 +128,11 @@ class FairComposition(DistributedAlgorithm):
                 state[f"{name}.{var}"] = value
         return state
 
-    def actions(self, pid: ProcessId) -> Sequence[Action]:
+    def actions(self) -> Sequence[Action]:
         actions: List[Action] = []
         for name, algo in self._components:
             prefix = f"{name}."
-            for action in algo.actions(pid):
+            for action in algo.actions():
                 actions.append(namespaced_action(action, prefix))
         return actions
 

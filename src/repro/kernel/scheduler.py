@@ -45,18 +45,19 @@ Two execution engines are available (``engine=`` parameter):
 
     Produces traces identical to the dense engine for any fixed seed.
 
-Both engines evaluate guards through per-run *action tables*: at
-construction the scheduler builds each process's
+Both engines evaluate guards through one *action table* per run: at
+construction the scheduler builds the algorithm's
 :meth:`~repro.kernel.algorithm.DistributedAlgorithm.action_table` (its
 actions, highest priority first, keyed by the value of the algorithm's
 :attr:`~repro.kernel.algorithm.DistributedAlgorithm.action_key` variable)
-once, and every
+once.  Every process runs the same actions, each reading the acting
+process from ``ctx.pid``, so every
 :meth:`~repro.kernel.algorithm.DistributedAlgorithm.enabled_action` call of
-the run returns the first action in the walker's entry whose guard holds.
-This relies on
+the run, whichever process walks, returns the first action in the walker's
+entry of that one table whose guard holds.  This relies on
 the guard purity contract of :class:`~repro.kernel.algorithm.Environment`:
 request predicates are pure reads, so which and how many guards run cannot
-change the run.  The tables belong to the scheduler, not to the algorithm,
+change the run.  The table belongs to the scheduler, not to the algorithm,
 so a finished run is freed by reference counting alone.
 
 The **default** is ``engine=None``, which means ``incremental``.
@@ -222,10 +223,10 @@ class Scheduler:
             self._step_listeners = [step_listener]
         else:
             self._step_listeners = list(step_listener)
-        # Each process's actions, highest priority first and keyed by its
-        # key value, built once for this run (see
+        # The actions every process runs, highest priority first and keyed
+        # by the walker's key value, built once for this run (see
         # ``DistributedAlgorithm.action_table``).
-        self._tables = {pid: algorithm.action_table(pid) for pid in algorithm.process_ids()}
+        self._table = algorithm.action_table()
         # Incremental engine state: the cached enabled map (valid for the
         # current configuration, modulo the environment flips collected
         # since it was last refreshed) and the reader map.
@@ -287,7 +288,7 @@ class Scheduler:
     def _sweep(self, configuration: Configuration) -> Dict[ProcessId, Any]:
         """A full guard sweep; it also makes every collected flip moot."""
         self._env_flips = set()
-        return self.algorithm.enabled_processes(configuration, self.environment, self._tables)
+        return self.algorithm.enabled_processes(configuration, self.environment, self._table)
 
     def _observe(self, configuration: Configuration, step_index: int) -> None:
         """Let the environment observe ``configuration``; collect its delta.
@@ -305,10 +306,10 @@ class Scheduler:
         self, pids: Iterable[ProcessId], configuration: Configuration, enabled_map: Dict[ProcessId, Any]
     ) -> None:
         """Re-evaluate ``pids`` against ``configuration``, into ``enabled_map``."""
-        environment, tables = self.environment, self._tables
+        environment, table = self.environment, self._table
         enabled_action = self.algorithm.enabled_action
         for pid in pids:
-            action = enabled_action(pid, configuration, environment, tables[pid])
+            action = enabled_action(pid, configuration, environment, table)
             if action is None:
                 enabled_map.pop(pid, None)
             else:

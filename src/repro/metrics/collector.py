@@ -104,9 +104,9 @@ class StreamingMetricsCollector:
         """Scheduler ``step_listener`` hook; returns the configuration's meeting events.
 
         Forwards the record's :class:`~repro.kernel.trace.StepDelta` to the
-        meeting-event stream so the per-step committee sweep runs in
-        ``O(|writers|)`` (see :class:`~repro.spec.events.MeetingEventStream`);
-        a missing record/delta falls back to the full sweep.
+        meeting-event stream so its per-step update runs in ``O(|writers|)``
+        (see :class:`~repro.spec.events.MeetingEventStream`); a missing
+        record/delta falls back to the full resync.
         """
         delta = record.delta if record is not None else None
         events = self._stream.observe(configuration, delta)

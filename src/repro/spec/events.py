@@ -14,7 +14,7 @@ These are the Section 4.2 definitions, applied to recorded configurations:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.states import DONE, IDLE, LOOKING, POINTER, STATUS, WAITING
 from repro.hypergraph.hypergraph import Hyperedge, Hypergraph, ProcessId
@@ -65,20 +65,29 @@ class MeetingEventStream:
     streaming metrics collector drives it, so no run needs its configurations
     recorded to know its meetings.
 
+    **Member counts.**  The stream keeps, per process ``p``, its *count
+    target*: ``P_p`` when ``S_p ∈ {waiting, done}`` and ``P_p`` is a
+    committee of ``E_p``, otherwise none.  Per committee it keeps how many
+    members have that committee as their count target.  A committee meets
+    iff that count equals its size: every member points at it with status
+    waiting or done, which is :func:`committee_meets` restated.
+
     **Delta fast path.**  When :meth:`observe` is also given the step's
     :class:`~repro.kernel.trace.StepDelta` (every scheduler-produced
-    :class:`~repro.kernel.trace.StepRecord` carries one), only the committees
-    incident to processes that wrote ``S`` or ``P`` are re-examined —
-    ``O(|writers| · Δ)`` instead of the ``O(n + m)`` full sweep, with
-    byte-identical events: a committee *meets* as a function of its members'
-    statuses and pointers alone, so a committee none of whose members wrote
-    either variable cannot have changed.  The fast path self-disables (full
-    resync) whenever the delta's configuration epoch differs from the last
-    applied one — i.e. after
+    :class:`~repro.kernel.trace.StepRecord` carries one), only the
+    processes that wrote ``S`` or ``P`` are looked at.  A writer whose
+    count target did not change costs one comparison; a changed target
+    moves at most two counts, and only a committee whose count reached or
+    left its size can convene or terminate.  So a step costs
+    ``O(|writers|)`` plus the committees that flip, with byte-identical
+    events, still in hyperedge order.  The fast path self-disables (a full
+    resync that rebuilds every target and count from the configuration)
+    whenever the delta's configuration epoch differs from the last applied
+    one — i.e. after
     :meth:`~repro.kernel.scheduler.Scheduler.set_configuration` /
     :meth:`~repro.kernel.faults.FaultInjector.corrupt_scheduler` swapped the
     world between steps — and whenever no delta is supplied (dense post-hoc
-    replays, hand-fed configurations).
+    replays, hand-fed configurations), as well as on the first observation.
 
     The stream also maintains the *conflict set* — ordered pairs of
     currently-held committees that share a member — so the streaming
@@ -91,17 +100,19 @@ class MeetingEventStream:
         self._edge_order: Dict[Hyperedge, int] = {
             edge: i for i, edge in enumerate(self._edges)
         }
-        self._incident: Dict[ProcessId, Tuple[Hyperedge, ...]] = {
-            p: hypergraph.incident_edges(p) for p in hypergraph.vertices
-        }
-        self._previous: Dict[Hyperedge, bool] = {}
+        #: Maps a pointer value equal to a committee to that committee (a
+        #: plain member tuple equals and hashes like its edge).
+        self._canonical: Dict[Hyperedge, Hyperedge] = {edge: edge for edge in self._edges}
+        self._members = tuple(p for p in hypergraph.vertices if hypergraph.incident_edges(p))
+        self._targets: Dict[ProcessId, Optional[Hyperedge]] = {}
+        self._counts: Dict[Hyperedge, int] = {}
+        self._meeting: Set[Hyperedge] = set()
         self._held_by_member: Dict[ProcessId, set] = {}
         self._conflicts: set = set()
-        self._held_count = 0
         self._index = 0
         self._epoch: Optional[int] = None
         #: The writer map the most recent :meth:`observe` applied, or
-        #: ``None`` when it swept every committee (first observation, no
+        #: ``None`` when it resynced every committee (first observation, no
         #: delta, or epoch change).  Observers that keep their own
         #: delta-derived state (the streaming Progress monitor's status
         #: watermarks) update from it, and resynchronize exactly when it is
@@ -119,8 +130,8 @@ class MeetingEventStream:
         :func:`meetings_in`.  Built on each call, in ``O(m)``: the
         per-step monitors never read it (the Progress verdict reads it once).
         """
-        previous = self._previous
-        return tuple(edge for edge in self._edges if previous.get(edge, False))
+        meeting = self._meeting
+        return tuple(edge for edge in self._edges if edge in meeting)
 
     def conflict_pairs(self) -> List[Tuple[Hyperedge, Hyperedge]]:
         """Currently-held intersecting committee pairs, in dense checker order.
@@ -139,7 +150,7 @@ class MeetingEventStream:
     # held-set bookkeeping (flips)
     # ------------------------------------------------------------------ #
     def _flip_on(self, edge: Hyperedge) -> None:
-        self._held_count += 1
+        self._meeting.add(edge)
         order = self._edge_order
         for q in edge:
             others = self._held_by_member.setdefault(q, set())
@@ -151,13 +162,73 @@ class MeetingEventStream:
             others.add(edge)
 
     def _flip_off(self, edge: Hyperedge) -> None:
-        self._held_count -= 1
+        self._meeting.discard(edge)
         for q in edge:
             others = self._held_by_member.get(q)
             if others is not None:
                 others.discard(edge)
         if self._conflicts:
             self._conflicts = {pair for pair in self._conflicts if edge not in pair}
+
+    # ------------------------------------------------------------------ #
+    # count targets
+    # ------------------------------------------------------------------ #
+    def _target(self, pid: ProcessId, state: Mapping[str, object]) -> Optional[Hyperedge]:
+        """The committee ``pid`` counts toward while its row is ``state``."""
+        status = state.get(STATUS)
+        if status != WAITING and status != DONE:
+            return None
+        try:
+            edge = self._canonical.get(state.get(POINTER))
+        except TypeError:  # an unhashable pointer equals no committee
+            return None
+        return edge if edge is not None and pid in edge else None
+
+    def _resync(self, states: Mapping[ProcessId, Mapping[str, object]]) -> None:
+        """Rebuild every count target and member count from the rows."""
+        target_of = self._target
+        targets: Dict[ProcessId, Optional[Hyperedge]] = {}
+        counts = dict.fromkeys(self._edges, 0)
+        for p in self._members:
+            target = targets[p] = target_of(p, states[p])
+            if target is not None:
+                counts[target] += 1
+        self._targets = targets
+        self._counts = counts
+
+    def _apply(
+        self,
+        states: Mapping[ProcessId, Mapping[str, object]],
+        writes: Mapping[ProcessId, Tuple[str, ...]],
+    ) -> List[Hyperedge]:
+        """Move the counts of the writers whose target changed.
+
+        Returns the committees whose count reached or left their size, the
+        only ones that can have convened or terminated.
+        """
+        targets, counts = self._targets, self._counts
+        target_of = self._target
+        flipped: List[Hyperedge] = []
+        for pid, written in writes.items():
+            if STATUS not in written and POINTER not in written:
+                continue
+            target = target_of(pid, states[pid])
+            previous = targets.get(pid)
+            if target is previous:
+                continue
+            targets[pid] = target
+            if previous is not None:
+                if counts[previous] == len(previous):
+                    flipped.append(previous)
+                counts[previous] -= 1
+            if target is not None:
+                counts[target] += 1
+                if counts[target] == len(target):
+                    flipped.append(target)
+        if len(flipped) > 1:
+            # Events must come out in hyperedge order, like the full sweep's.
+            flipped = sorted(set(flipped), key=self._edge_order.__getitem__)
+        return flipped
 
     # ------------------------------------------------------------------ #
     # the stream
@@ -175,52 +246,26 @@ class MeetingEventStream:
         )
         self._epoch = delta.epoch if delta is not None else None
         self.last_writers = delta.writes if use_delta else None
-        if use_delta:
-            # Only committees with a member that wrote S or P can have
-            # changed their meeting status; everything else keeps its flag.
-            candidates: List[Hyperedge] = []
-            seen: set = set()
-            incident = self._incident
-            for pid, written in delta.writes.items():
-                if STATUS not in written and POINTER not in written:
-                    continue
-                for edge in incident.get(pid, ()):
-                    if edge not in seen:
-                        seen.add(edge)
-                        candidates.append(edge)
-            # Events must come out in hyperedge order, like the full sweep's.
-            candidates.sort(key=self._edge_order.__getitem__)
-            edges = candidates
-        else:
-            edges = self._edges
-        # Inlined committee_meets over the zero-copy state view: this runs
-        # per candidate committee per step on sparse multi-million-step runs,
-        # so the per-variable accessor cost matters.
         states = configuration.states_view()
-        previous = self._previous
+        if use_delta:
+            edges: Sequence[Hyperedge] = self._apply(states, delta.writes)
+        else:
+            self._resync(states)
+            edges = self._edges
+        counts, meeting = self._counts, self._meeting
         for edge in edges:
-            now = True
-            for q in edge:
-                state = states[q]
-                pointer = state.get(POINTER)
-                if pointer is not edge and pointer != edge:
-                    now = False
-                    break
-                status = state.get(STATUS)
-                if status != WAITING and status != DONE:
-                    now = False
-                    break
-            before = previous.get(edge, False)
-            if now and not before:
+            now = counts[edge] == len(edge)
+            if now == (edge in meeting):
+                continue
+            if now:
                 if not first:
                     events.append(MeetingEvent("convene", edge, self._index))
                 self._flip_on(edge)
-            elif before and not now:
+            else:
                 if not first:
                     events.append(MeetingEvent("terminate", edge, self._index))
                 self._flip_off(edge)
-            previous[edge] = now
-        self.current_meetings = self._held_count
+        self.current_meetings = len(meeting)
         self._index += 1
         return events
 

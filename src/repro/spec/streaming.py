@@ -55,11 +55,14 @@ Parity contract with the dense checkers, monitor by monitor:
   checked on sparse runs.
 
 **Cost per step.**  ``O(|writers|)``: the collector's
-:class:`~repro.spec.events.MeetingEventStream` re-examines only committees
-incident to a process that wrote ``S`` or ``P`` in the step's
-:class:`~repro.kernel.trace.StepDelta`, Exclusion reads the stream's
-(normally empty) conflict set, and the other monitors update from the writer
-map the stream applied.  The stream falls back to the full ``O(n + m)``
+:class:`~repro.spec.events.MeetingEventStream` keeps per-committee counts
+of the members that point at it with status waiting or done, so a process
+that wrote ``S`` or ``P`` in the step's
+:class:`~repro.kernel.trace.StepDelta` costs one comparison unless the
+committee it counts toward changed, and only a committee whose count
+reached or left its size is re-examined.  Exclusion reads the stream's
+(normally empty) conflict set, and the other monitors update from the
+writer map the stream applied.  The stream falls back to the full ``O(n + m)``
 sweep, and the monitors resync, on the first observation, on a record
 without a delta, and whenever the delta's configuration *epoch* moved
 (:meth:`~repro.kernel.scheduler.Scheduler.set_configuration`,

@@ -89,8 +89,8 @@ class ComposedTokenCirculation(DistributedAlgorithm):
         states = configuration.states_view()
         return tuple(p for p in self._pids if self.holds_token(states, p))
 
-    def actions(self, pid: ProcessId) -> Sequence[Action]:
-        election_actions = list(self.election.actions(pid))
+    def actions(self) -> Sequence[Action]:
+        election_actions = list(self.election.actions())
 
         def token_guard(ctx: ActionContext) -> bool:
             return self.holds_token(ctx.states, ctx.pid)

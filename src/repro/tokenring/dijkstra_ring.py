@@ -180,7 +180,7 @@ class DijkstraRingAlgorithm(DistributedAlgorithm):
     def arbitrary_state(self, pid: ProcessId, rng: Any) -> Dict[str, Any]:
         return self.module.arbitrary_variables(pid, rng)
 
-    def actions(self, pid: ProcessId) -> Sequence[Action]:
+    def actions(self) -> Sequence[Action]:
         module = self.module
 
         def guard(ctx: ActionContext) -> bool:

@@ -84,8 +84,12 @@ class TokenModule(abc.ABC):
         variables, each named ``prefix + name``.
         """
 
-    def maintenance_actions(self, pid: ProcessId) -> Sequence[Action]:
-        """Stabilization actions other than ``T`` (default: none)."""
+    def maintenance_actions(self) -> Sequence[Action]:
+        """Stabilization actions other than ``T`` (default: none).
+
+        Like :meth:`~repro.kernel.algorithm.DistributedAlgorithm.actions`,
+        one list serves every process: the acting process is ``ctx.pid``.
+        """
         return ()
 
     def read_dependency_variables(

@@ -91,7 +91,7 @@ class SelfStabilizingLeaderElection(DistributedAlgorithm):
                 best = candidate
         return best
 
-    def actions(self, pid: ProcessId) -> Sequence[Action]:
+    def actions(self) -> Sequence[Action]:
         def guard(ctx: ActionContext) -> bool:
             best = self._best_claim(ctx)
             return (ctx.own(LEADER), ctx.own(DISTANCE)) != best

@@ -36,9 +36,9 @@ def run_by_hand(scheduler, max_steps):
             break
 
 
-def walk_by_hand(algorithm, pid, ctx):
+def walk_by_hand(algorithm, ctx):
     """A hand-written guard walk outside the kernel."""
-    for action in reversed(algorithm.actions(pid)):
+    for action in reversed(algorithm.actions()):
         if action.guard(ctx):  # expect: RL404
             return action
     return None

@@ -22,7 +22,7 @@ class UndeclaredWriter(DistributedAlgorithm):
     def initial_state(self, pid):
         return {STATUS: "idle", POINTER: None}
 
-    def actions(self, pid):
+    def actions(self):
         def stmt(ctx):
             ctx.write(STATUS, "looking")  # ok: declared in initial_state
             ctx.write("Z", 1)  # expect: RL201
@@ -113,7 +113,7 @@ class SuppressedWriter(DistributedAlgorithm):
     def initial_state(self, pid):
         return {STATUS: "idle"}
 
-    def actions(self, pid):
+    def actions(self):
         def stmt(ctx):
             ctx.write("shadow", 0)  # repro-lint: disable=RL201 -- corpus: scratch var, never read back  # expect-suppressed: RL201
 

@@ -21,7 +21,7 @@ class Conformant(DistributedAlgorithm):
             return False
         return all(ctx.read(q, STATUS) == "idle" for q in neighbours)
 
-    def actions(self, pid):
+    def actions(self):
         def stmt(ctx):
             ctx.write(STATUS, "looking")
             ctx.write(POINTER, None)

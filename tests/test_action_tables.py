@@ -9,7 +9,8 @@ Covers
   holds, the walker's status is one its action declares.  A seeded sample
   on figure1 and grid-3x3 runs in tier-1; the exhaustive check over every
   input a walker's guards read on a path of two committees is ``slow``;
-* the keyed walk picking the action the full walk picks.
+* the keyed walk picking the action the full walk picks;
+* one table per run, whichever process walks.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class _Keyed(DistributedAlgorithm):
     def arbitrary_state(self, pid, rng):
         return {"X": rng.choice("abc")}
 
-    def actions(self, pid):
+    def actions(self):
         def holds(ctx):
             return True
 
@@ -109,7 +110,7 @@ class _Unkeyed(_Keyed):
 
 class TestActionTable:
     def test_entries_follow_declarations_in_priority_order(self):
-        table = _Keyed().action_table(1)
+        table = _Keyed().action_table()
         assert isinstance(table, ActionTable) and table.variable == "X"
         assert [a.label for a in table.every] == ["at-b", "at-a-or-b", "at-a", "any"]
         assert {value: [a.label for a in actions] for value, actions in table.items()} == {
@@ -120,7 +121,7 @@ class TestActionTable:
         assert table["c"] is table.every and "c" not in table
 
     def test_an_algorithm_without_a_key_has_one_full_entry(self):
-        table = _Unkeyed().action_table(1)
+        table = _Unkeyed().action_table()
         assert table.variable is None
         assert list(table) == [None] and table[None] is table.every
 
@@ -141,7 +142,7 @@ class TestActionTable:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_cc_tables_are_keyed_by_status(self, algorithm):
         algo = _algorithm(figure1_hypergraph(), algorithm, "ring")
-        table = algo.action_table(1)
+        table = algo.action_table()
         assert table.variable == STATUS
         assert set(table) == set(algo.statuses)
         for status, actions in table.items():
@@ -152,15 +153,38 @@ class TestActionTable:
             assert len(actions) < len(table.every)
 
 
+@pytest.mark.parametrize("engine", ("dense", "incremental"))
+def test_a_run_builds_and_holds_one_table(monkeypatch, engine):
+    """Every process walks the run's one table: cycle-100 builds it once."""
+    built = []
+    build = ActionTable.__init__
+
+    def counting(table, *args):
+        built.append(table)
+        build(table, *args)
+
+    monkeypatch.setattr(ActionTable, "__init__", counting)
+    algo = _algorithm(scenario_by_name("cycle-100").hypergraph, "cc2", "tree")
+    scheduler = Scheduler(
+        algo,
+        environment=AlwaysRequestingEnvironment(1),
+        daemon=default_daemon(seed=1),
+        engine=engine,
+    )
+    assert scheduler.run(max_steps=60).steps == 60
+    assert len(built) == 1
+    held = [value for value in vars(scheduler).values() if isinstance(value, ActionTable)]
+    assert len(held) == 1 and held[0] is built[0]
+
+
 # --------------------------------------------------------------------------- #
 # soundness of the CC1–CC3 declarations
 # --------------------------------------------------------------------------- #
-def _check_configuration(algo, tables, configuration, pids):
+def _check_configuration(algo, table, configuration, pids):
     """Every excluded guard is false; the keyed walk picks the full walk's winner."""
     for answer in (False, True):
         environment = _Answers(answer)
         for pid in pids:
-            table = tables[pid]
             status = configuration.states_view()[pid][STATUS]
             ctx = ActionContext(pid, configuration, environment)
             for action in _excluded(table, status):
@@ -176,7 +200,7 @@ def _check_configuration(algo, tables, configuration, pids):
 def test_declarations_hold_on_seeded_configurations(algorithm, token, scenario):
     algo = _algorithm(scenario_by_name(scenario).hypergraph, algorithm, token)
     pids = algo.process_ids()
-    tables = {pid: algo.action_table(pid) for pid in pids}
+    table = algo.action_table()
     for seed in range(12):
         # An arbitrary start, and the configurations its run passes through
         # (consistent flags, free committees, meetings).
@@ -187,7 +211,7 @@ def test_declarations_hold_on_seeded_configurations(algorithm, token, scenario):
             initial_configuration=algo.arbitrary_configuration(random.Random(seed)),
         )
         for _ in range(12):
-            _check_configuration(algo, tables, scheduler.configuration, pids)
+            _check_configuration(algo, table, scheduler.configuration, pids)
             if scheduler.step() is None:
                 break
 
@@ -238,9 +262,9 @@ def test_declarations_hold_on_every_walker_input(algorithm, token):
     algo = _algorithm(path_of_committees(2), algorithm, token)
     environments = (_Answers(False), _Answers(True))
     checked = 0
+    table = algo.action_table()
+    excluded = {status: _excluded(table, status) for status in algo.statuses}
     for pid in algo.process_ids():
-        table = algo.action_table(pid)
-        excluded = {status: _excluded(table, status) for status in algo.statuses}
         for rows in _walker_inputs(algo, pid):
             status = rows[pid][STATUS]
             view = _Rows(rows)

@@ -298,6 +298,36 @@ class TestCampaignDriverService:
             CampaignDriver(jobs, shard=(0, 2), rerun_disagreements=True)
 
 
+class TestProgressTotals:
+    """``progress(result, done, total)`` counts what this invocation collects."""
+
+    @staticmethod
+    def _calls(jobs, **kwargs):
+        seen = []
+        CampaignDriver(
+            jobs, progress=lambda result, done, total: seen.append((done, total)), **kwargs
+        ).execute()
+        return seen
+
+    def test_a_slice_ends_at_its_own_size(self):
+        jobs = expand_jobs(
+            CampaignSpec(
+                scenarios=("figure1",), algorithms=("cc1", "cc2"), seeds=(1, 2), max_steps=20
+            )
+        )
+        assert len(jobs) == 4
+        assert self._calls(jobs, shard=(1, 2)) == [(1, 2), (2, 2)]
+
+    def test_a_resume_ends_at_what_was_left(self, matrix, tmp_path):
+        jobs, _, lines = matrix
+        rows = [json.loads(line) for line in lines]
+        assert self._calls(jobs, prior_rows=rows[:1]) == [(1, 3), (2, 3), (3, 3)]
+        # Cache hits are collected too, so they count toward the total.
+        cache = RunCache(str(tmp_path / "cache"))
+        CampaignDriver(jobs, shard=(0, 2), cache=cache).execute()
+        assert self._calls(jobs, prior_rows=rows[3:], cache=cache) == [(1, 3), (2, 3), (3, 3)]
+
+
 class TestShardSlice:
     def test_slices_partition_the_matrix_in_order(self):
         jobs = expand_jobs(_spec(seeds=(1, 2, 3)))  # 6 jobs

@@ -347,6 +347,16 @@ class TestAdaptiveReruns:
         extra_result = CampaignDriver(extra).execute()
         assert len(extra_result.results) == 3
 
+    def test_progress_total_grows_with_the_rerun_appendix(self):
+        seen = []
+        CampaignDriver(
+            expand_jobs(_DISAGREE_SPEC),
+            rerun_disagreements=True,
+            progress=lambda result, done, total: seen.append((done, total)),
+        ).execute()
+        assert [done for done, _ in seen] == [1, 2, 3, 4, 5, 6]
+        assert [total for _, total in seen] == [3, 3, 3, 6, 6, 6]
+
     def test_agreeing_campaign_adds_no_jobs(self):
         jobs = expand_jobs(_spec(scenarios=("figure1",), seeds=(1, 2)))
         result = CampaignDriver(jobs).execute()

@@ -238,6 +238,6 @@ class TestTokenRetention:
         """Unlike CC1 there is no Token2 action: CC2 never releases a token
         from a looking process."""
         algo = make_cc2(fig2)
-        labels = {action.label for action in algo.actions(1)}
+        labels = {action.label for action in algo.actions()}
         assert "Token2" not in labels
         assert "Step11" in labels and "Step12" in labels

@@ -46,7 +46,7 @@ class TestVariables:
 
     def test_inherits_cc2_actions(self, fig1):
         algo = make_cc3(fig1)
-        labels = [a.label for a in algo.actions(1)]
+        labels = [a.label for a in algo.actions()]
         assert "Step11" in labels and "Stab" in labels
 
 

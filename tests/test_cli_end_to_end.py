@@ -742,3 +742,22 @@ class TestCliImport:
             env=env, capture_output=True, text=True, timeout=60, check=True,
         )
         assert result.stdout.strip() == "False"
+
+    def test_import_leaves_the_pool_modules_unloaded(self):
+        # Only a pool campaign needs ``multiprocessing`` (which pulls in
+        # ``socket``); ``PoolExecutor.run`` imports it, so a serial campaign
+        # and a fresh ``import repro.cli`` never pay for it.
+        import repro
+
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'socket') if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout.strip() == "[]"

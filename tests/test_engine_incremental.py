@@ -142,7 +142,7 @@ class TestGuardPurity:
         for pid in algorithm.process_ids():
             ctx = ActionContext(pid, configuration, environment)
             chosen = None
-            for action in algorithm.actions(pid):
+            for action in algorithm.actions():
                 if action.enabled(ctx):
                     chosen = action
             if chosen is not None:
@@ -202,9 +202,9 @@ CHECKED_PREDICATES = {
 }
 
 
-def _full_walk(algo, pid):
-    """``pid``'s actions, highest priority first, ignoring every ``when``."""
-    return tuple(reversed(algo.actions(pid)))
+def _full_walk(algo):
+    """The actions, highest priority first, ignoring every ``when``."""
+    return tuple(reversed(algo.actions()))
 
 
 class _Raising(Environment):
@@ -373,7 +373,7 @@ class TestSharedPredicates:
                 winners[pid] = next(
                     (
                         action.label
-                        for action in _full_walk(algo, pid)
+                        for action in _full_walk(algo)
                         if action.guard(ActionContext(pid, configuration, environment))
                     ),
                     None,
@@ -388,14 +388,14 @@ class TestSharedPredicates:
             SHARED_PREDICATES[algorithm]
         ) | {"token"}
         environment = AlwaysRequestingEnvironment(1)
-        tables = {pid: algo.action_table(pid) for pid in algo.process_ids()}
+        table = algo.action_table()
         winners_seen = set()
         for configuration in self._configurations(algo, environment):
             values, winners = self._reference(
                 monkeypatch, algorithm, algo, configuration, environment
             )
             for pid in algo.process_ids():
-                full = _full_walk(algo, pid)
+                full = _full_walk(algo)
                 for walk in (full, full[::-1]):
                     walked = ActionContext(pid, configuration, environment)
                     for action in walk:
@@ -404,7 +404,7 @@ class TestSharedPredicates:
                     for name, expected in values[pid].items():
                         assert self._call(algo, name, walked, pid) == expected, (pid, name)
                         assert self._call(algo, name, fresh, pid) == expected, (pid, name)
-                action = algo.enabled_action(pid, configuration, environment, tables[pid])
+                action = algo.enabled_action(pid, configuration, environment, table)
                 assert (action and action.label) == winners[pid], pid
                 winners_seen.add(winners[pid])
         assert len(winners_seen) > 3  # the runs exercise several guards
@@ -472,11 +472,11 @@ class TestSharedPredicates:
         )
         environment = AlwaysRequestingEnvironment(1)
         configuration = composed.arbitrary_configuration(random.Random(seed))
+        table = composed.action_table()
+        # A composition declares no key: its table is one full entry.
+        assert list(table) == [None]
+        assert [a.label for a in table[None]] == [a.label for a in _full_walk(composed)]
         for pid in composed.process_ids():
-            table = composed.action_table(pid)
-            # A composition declares no key: its table is one full entry.
-            assert list(table) == [None]
-            assert [a.label for a in table[None]] == [a.label for a in _full_walk(composed, pid)]
             for walk in (table[None], table[None][::-1]):
                 walked = ActionContext(pid, configuration, environment)
                 for action in walk:
@@ -791,7 +791,7 @@ class _CountUp(DistributedAlgorithm):
     def arbitrary_state(self, pid: int, rng: Any) -> Dict[str, Any]:
         return {"c": rng.randrange(self.limit + 1)}
 
-    def actions(self, pid: int) -> Sequence[Action]:
+    def actions(self) -> Sequence[Action]:
         return (
             Action(
                 "inc",

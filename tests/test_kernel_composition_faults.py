@@ -30,7 +30,7 @@ class TinyCounter(DistributedAlgorithm):
     def arbitrary_state(self, pid: int, rng: Any) -> Dict[str, Any]:
         return {"c": rng.randrange(self.limit + 1)}
 
-    def actions(self, pid: int) -> Sequence[Action]:
+    def actions(self) -> Sequence[Action]:
         return (
             Action(
                 "inc",
@@ -56,7 +56,7 @@ class TestFairComposition:
 
     def test_action_labels_are_prefixed(self):
         composed = FairComposition([("a", TinyCounter(1)), ("b", TinyCounter(1))])
-        labels = [action.label for action in composed.actions(1)]
+        labels = [action.label for action in composed.actions()]
         assert labels == ["a.inc", "b.inc"]
 
     def test_component_lookup(self):

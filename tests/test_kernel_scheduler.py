@@ -31,7 +31,7 @@ class CountUpAlgorithm(DistributedAlgorithm):
     def arbitrary_state(self, pid: int, rng: Any) -> Dict[str, Any]:
         return {"c": rng.randrange(self.limit + 1)}
 
-    def actions(self, pid: int) -> Sequence[Action]:
+    def actions(self) -> Sequence[Action]:
         def guard(ctx: ActionContext) -> bool:
             return ctx.own("c") < self.limit
 
@@ -45,7 +45,9 @@ class CopyNeighbourAlgorithm(DistributedAlgorithm):
     """Two processes; process 2 copies process 1's value when they differ.
 
     Used to verify composite atomicity: when both move in the same step,
-    process 2 must read process 1's *pre-step* value.
+    process 2 must read process 1's *pre-step* value.  Both processes run
+    the same two actions; each guard gives a process its role through
+    ``ctx.pid``.
     """
 
     def process_ids(self) -> Tuple[int, ...]:
@@ -57,19 +59,16 @@ class CopyNeighbourAlgorithm(DistributedAlgorithm):
     def arbitrary_state(self, pid: int, rng: Any) -> Dict[str, Any]:
         return {"v": rng.randrange(5)}
 
-    def actions(self, pid: int) -> Sequence[Action]:
-        if pid == 1:
-            return (
-                Action(
-                    "bump",
-                    lambda ctx: ctx.own("v") < 3,
-                    lambda ctx: ctx.write("v", ctx.own("v") + 1),
-                ),
-            )
+    def actions(self) -> Sequence[Action]:
         return (
             Action(
+                "bump",
+                lambda ctx: ctx.pid == 1 and ctx.own("v") < 3,
+                lambda ctx: ctx.write("v", ctx.own("v") + 1),
+            ),
+            Action(
                 "copy",
-                lambda ctx: ctx.own("v") != ctx.read(1, "v"),
+                lambda ctx: ctx.pid == 2 and ctx.own("v") != ctx.read(1, "v"),
                 lambda ctx: ctx.write("v", ctx.read(1, "v")),
             ),
         )
